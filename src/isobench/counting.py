@@ -1,15 +1,22 @@
 """Exact brute-force counts of isolating weight vectors.
 
-Every count here comes from a full scan of the weight space (chunked and
-vectorized, optionally partitioned across worker processes by the first
-coordinate); there are no counting shortcuts.  All edge-weight comparisons
-use the objective's denominator-cleared integer values, so ties are
-detected exactly.
+Every row of [M]^n (for ``count_layer1``, every row with some entry 1) is
+classified, in exact integers: edge weights use the objective's
+denominator-cleared values, held as Python integers (``dtype=object``) when
+an edge sum could overflow int64, so ties are detected exactly.  The scan
+splits the coordinates into a prefix and a suffix of length k
+(meet-in-the-middle, after Horowitz and Sahni 1974): each edge's weight is
+summed once per suffix and once per prefix, and a block of rows is one
+broadcast addition of the two.  Prefix-major order keeps the rows
+lexicographic; ``count_isolating`` can split the prefixes across worker
+processes by rank.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +35,8 @@ from .weights import (
 )
 
 DEFAULT_BUDGET = 10**8
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # rows per classified block
+_SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
 
 
 @dataclass(frozen=True)
@@ -66,114 +74,137 @@ class CountReport:
         }
 
 
-def _edge_index_lists(H: Hypergraph) -> list[np.ndarray]:
-    return [
-        np.array([v - 1 for v in edge_vertices(e)], dtype=np.intp) for e in H.edges
-    ]
+def _edge_members(H: Hypergraph) -> np.ndarray:
+    """(n, edges) 0/1 matrix: entry [v - 1, t] is 1 when vertex v is in edge t."""
+    return np.array([[e >> v & 1 for e in H.edges] for v in range(H.n)], dtype=np.int64)
 
 
 def _int64_safe(f: Objective, n: int) -> bool:
     return max(abs(s) for s in f.scaled) * max(n, 1) < (1 << 62)
 
 
-def _decode_rows(n: int, M: int, start: int, stop: int) -> np.ndarray:
+def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows [start, stop) of [M]^n in lexicographic order (first coordinate
-    most significant), as an int64 array of shape (stop-start, n)."""
+    most significant), as an int64 array of shape (stop-start, n), and the
+    minimum of each row (M + 1, above every label, when n = 0)."""
     idx = np.arange(start, stop, dtype=np.int64)
     cols = np.empty((stop - start, n), dtype=np.int64)
     for pos in range(n):
         div = M ** (n - 1 - pos)
         cols[:, pos] = (idx // div) % M + 1
-    return cols
+    return cols, cols.min(axis=1, initial=M + 1)
 
 
-def _scan_rows(
-    W: np.ndarray,
-    table: np.ndarray,
-    edges_idx: list[np.ndarray],
-    M: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row isolation over a block of weight rows.
+def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isolation of each column of an (edges, rows) array of edge weights.
 
-    Returns (isolating mask, layer per row, argmin edge index per row).
-    For an empty edge list everything is isolating and edge index is 0.
+    Returns the isolating mask per row and the (edges, rows) mask of edges
+    at the row's minimum.  With no edges every row is isolating.
     """
-    rows = W.shape[0]
-    if not edges_idx:
-        return (
-            np.ones(rows, dtype=bool),
-            W.min(axis=1),
-            np.zeros(rows, dtype=np.int64),
-        )
-    vals = table[W]
-    sums = np.empty((len(edges_idx), rows), dtype=np.int64)
-    for t, idx in enumerate(edges_idx):
-        if idx.size:
-            sums[t] = vals[:, idx].sum(axis=1)
-        else:
-            sums[t] = 0
-    lo = sums.min(axis=0)
-    at_min = sums == lo
-    iso = at_min.sum(axis=0) == 1
-    return iso, W.min(axis=1), at_min.argmax(axis=0)
+    if not sums.shape[0]:
+        return np.ones(sums.shape[1], dtype=bool), np.zeros(sums.shape, dtype=bool)
+    at_min = sums == sums.min(axis=0)
+    return at_min.sum(axis=0) == 1, at_min
 
 
-def _accumulate(
-    H: Hypergraph,
-    f: Objective,
-    M: int,
-    row_blocks: Iterator[np.ndarray],
+def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Weight of each edge on each weight row, shape (edges, rows); the rows
+    of ``members`` match the columns of W."""
+    return members.T @ table[W].T
+
+
+def _scan_rows(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Isolating mask of explicit weight rows (the samplers' random draws)."""
+    return _classify(_edge_sums(W, table, members))[0]
+
+
+def _suffix_len(n: int, M: int) -> int:
+    """Largest k <= n with M^k <= _SUFFIX_ROWS, and at least 1."""
+    k = 1
+    while k < n and M ** (k + 1) <= _SUFFIX_ROWS:
+        k += 1
+    return min(k, n)
+
+
+@dataclass(frozen=True)
+class _Part:
+    """Decoded rows of one side of the split, their minima and the per-edge
+    weight over that side's coordinates, shape (edges, rows)."""
+
+    rows: np.ndarray
+    low: np.ndarray
+    sums: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Part":
+        return _Part(self.rows[keep], self.low[keep], self.sums[:, keep])
+
+
+@functools.lru_cache(maxsize=64)
+def _suffix_table(k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, low = _decode_rows(k, M, 0, M**k)
+    rows.flags.writeable = False
+    low.flags.writeable = False
+    return rows, low
+
+
+def _split(
+    H: Hypergraph, f: Objective, M: int, k: int, start: int = 0, stop: Optional[int] = None
+) -> tuple[_Part, _Part]:
+    """The prefix ranks [start, stop) and all M^k suffixes of [M]^n."""
+    p = H.n - k
+    if stop is None:
+        stop = M**p
+    # Python integers when an edge sum could overflow int64
+    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, H.n) else object)
+    members = _edge_members(H)
+    prefix, prefix_low = _decode_rows(p, M, start, stop)
+    suffix, suffix_low = _suffix_table(k, M)
+    return (
+        _Part(prefix, prefix_low, _edge_sums(prefix, table, members[:p])),
+        _Part(suffix, suffix_low, _edge_sums(suffix, table, members[p:])),
+    )
+
+
+def _blocks(prefix: _Part, suffix: _Part) -> Iterator[tuple]:
+    """Classify every (prefix, suffix) row in prefix-major order, in blocks
+    of about _CHUNK rows.
+
+    Yields (first prefix of the block, isolating mask, layer, edges at the
+    minimum), flat over the block's rows.
+    """
+    m, width = suffix.sums.shape
+    if not width:
+        return
+    step = max(1, _CHUNK // width)
+    for a in range(0, prefix.rows.shape[0], step):
+        b = min(a + step, prefix.rows.shape[0])
+        sums = prefix.sums[:, a:b, None] + suffix.sums[:, None, :]
+        iso, at_min = _classify(sums.reshape(m, (b - a) * width))
+        yield a, iso, np.minimum.outer(prefix.low[a:b], suffix.low).ravel(), at_min
+
+
+def _tally(
+    H: Hypergraph, f: Objective, M: int, k: int, start: int = 0, stop: Optional[int] = None
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    table = np.array(f.int_table(), dtype=np.int64)
-    edges_idx = _edge_index_lists(H)
+    """(total, per-layer counts indexed by layer, per-edge counts) over the
+    prefix ranks [start, stop) with suffix length k."""
     total = 0
     per_layer = np.zeros(M + 1, dtype=np.int64)
-    per_edge = np.zeros(max(H.m, 1), dtype=np.int64)
-    for W in row_blocks:
-        iso, layers, edge_id = _scan_rows(W, table, edges_idx, M)
+    per_edge = np.zeros(H.m, dtype=np.int64)
+    for _, iso, layer, at_min in _blocks(*_split(H, f, M, k, start, stop)):
         total += int(iso.sum())
-        per_layer += np.bincount(layers[iso], minlength=M + 1)
-        if H.m:
-            per_edge += np.bincount(edge_id[iso], minlength=H.m)
+        per_layer += np.bincount(layer[iso], minlength=M + 1)
+        per_edge += np.count_nonzero(at_min & iso, axis=1)
     return total, per_layer, per_edge
 
 
-def _row_blocks(n: int, M: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    pos = start
-    while pos < stop:
-        end = min(pos + _CHUNK, stop)
-        yield _decode_rows(n, M, pos, end)
-        pos = end
-
-
-def _count_range(H: Hypergraph, f: Objective, M: int, start: int, stop: int):
-    return _accumulate(H, f, M, _row_blocks(H.n, M, start, stop))
-
-
-def _count_range_py(H: Hypergraph, f: Objective, M: int, start: int, stop: int):
-    """Pure-Python fallback for objectives whose scaled values overflow
-    int64.  Same enumeration order, arbitrary-precision integers."""
-    table = f.int_table()
-    edges = [edge_vertices(e) for e in H.edges]
-    total = 0
-    per_layer = np.zeros(M + 1, dtype=np.int64)
-    per_edge = np.zeros(max(H.m, 1), dtype=np.int64)
-    n = H.n
-    for rank in range(start, stop):
-        w = []
-        r = rank
-        for pos in range(n):
-            div = M ** (n - 1 - pos)
-            w.append((r // div) % M + 1)
-        if edges:
-            sums = [sum(table[w[v - 1]] for v in e) for e in edges]
-            lo = min(sums)
-            if sums.count(lo) != 1:
-                continue
-            per_edge[sums.index(lo)] += 1
-        total += 1
-        per_layer[min(w)] += 1
-    return total, per_layer, per_edge
+def _check(f: Objective, M: int, rows: int, budget: int, label: str = "") -> None:
+    """Refuse a scan before any work: wrong objective range, or more rows
+    than the budget."""
+    if f.M != M:
+        raise ValueError(f"objective range {f.M} does not match M={M}")
+    if rows > budget:
+        raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
 
 
 def count_isolating(
@@ -186,21 +217,19 @@ def count_isolating(
 ) -> CountReport:
     """Exact |Z(H, M, f)| with per-layer and per-isolated-edge breakdowns,
     by full enumeration of [M]^n."""
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    rows = M**H.n
-    if rows > budget:
-        raise BudgetExceededError(f"{M}^{H.n} = {rows} weight evaluations exceed budget {budget}")
-    use_py = not _int64_safe(f, H.n)
-    if workers > 1 and M >= 2:
-        # partition by the first coordinate; merge in coordinate order
-        block = M ** (H.n - 1)
-        jobs = [(H, f, M, k * block, (k + 1) * block, use_py) for k in range(M)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_count_worker, jobs))
+    _check(f, M, M**H.n, budget, f"{M}^{H.n} = ")
+    k = _suffix_len(H.n, M)
+    ranks = M ** (H.n - k)
+    jobs = max(1, min(workers, ranks))
+    if jobs == 1:
+        parts = [_tally(H, f, M, k)]
     else:
-        fn = _count_range_py if use_py else _count_range
-        parts = [fn(H, f, M, 0, rows)]
+        # partition the prefix ranks into balanced ranges; merge in rank order
+        cuts = [ranks * i // jobs for i in range(jobs + 1)]
+        fixed = map(itertools.repeat, (H, f, M, k))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            parts = list(pool.map(_tally, *fixed, cuts[:-1], cuts[1:]))
     total = sum(p[0] for p in parts)
     per_layer = sum(p[1] for p in parts)
     per_edge = sum(p[2] for p in parts)
@@ -214,37 +243,16 @@ def count_isolating(
     )
 
 
-def _count_worker(args):
-    H, f, M, a, b, use_py = args
-    fn = _count_range_py if use_py else _count_range
-    return fn(H, f, M, a, b)
-
-
-def _layer1_blocks(n: int, M: int) -> Iterator[np.ndarray]:
-    """Rows of [M]^n having at least one entry 1, generated directly.
-
-    Block p holds the rows whose first 1 sits at position p: earlier
-    positions range over {2..M}, later ones over the full [M].
-    """
-    for p in range(n):
-        size = (M - 1) ** p * M ** (n - 1 - p)
-        right_span = M ** (n - 1 - p)
-        pos = 0
-        while pos < size:
-            end = min(pos + _CHUNK, size)
-            idx = np.arange(pos, end, dtype=np.int64)
-            left = idx // right_span
-            right = idx % right_span
-            W = np.empty((end - pos, n), dtype=np.int64)
-            for t in range(p):
-                div = (M - 1) ** (p - 1 - t)
-                W[:, t] = (left // div) % (M - 1) + 2
-            W[:, p] = 1
-            for t in range(p + 1, n):
-                div = M ** (n - 1 - t)
-                W[:, t] = (right // div) % M + 1
-            yield W
-            pos = end
+def _count_layer1(H: Hypergraph, f: Objective, M: int, k: int) -> int:
+    """Isolating rows with some entry 1: prefixes holding a 1 take every
+    suffix, the other prefixes only the suffixes holding a 1."""
+    prefix, suffix = _split(H, f, M, k)
+    hit = prefix.low == 1
+    total = 0
+    for pre, suf in ((prefix.take(hit), suffix), (prefix.take(~hit), suffix.take(suffix.low == 1))):
+        for _, iso, _, _ in _blocks(pre, suf):
+            total += int(iso.sum())
+    return total
 
 
 def count_layer1(
@@ -255,21 +263,19 @@ def count_layer1(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1."""
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    rows = M**H.n - (M - 1) ** H.n
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} weight evaluations exceed budget {budget}")
-    if not _int64_safe(f, H.n):
-        total, per_layer, _ = _count_range_py(H, f, M, 0, M**H.n)
-        return int(per_layer[1])
-    table = np.array(f.int_table(), dtype=np.int64)
-    edges_idx = _edge_index_lists(H)
-    total = 0
-    for W in _layer1_blocks(H.n, M):
-        iso, _, _ = _scan_rows(W, table, edges_idx, M)
-        total += int(iso.sum())
-    return total
+    _check(f, M, M**H.n - (M - 1) ** H.n, budget)
+    return _count_layer1(H, f, M, _suffix_len(H.n, M))
+
+
+def _isolating_weights(H: Hypergraph, f: Objective, M: int, k: int) -> list[tuple[int, ...]]:
+    prefix, suffix = _split(H, f, M, k)
+    width = suffix.rows.shape[0]
+    out: list[tuple[int, ...]] = []
+    for a, iso, _, _ in _blocks(prefix, suffix):
+        i, j = np.nonzero(iso.reshape(-1, width))
+        rows = np.concatenate([prefix.rows[a + i], suffix.rows[j]], axis=1)
+        out.extend(map(tuple, rows.tolist()))
+    return out
 
 
 def isolating_weights(
@@ -280,19 +286,8 @@ def isolating_weights(
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """Materialize Z(H, M, f) as a lexicographically ordered list."""
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    rows = M**H.n
-    if rows > budget:
-        raise BudgetExceededError(f"{rows} weight evaluations exceed budget {budget}")
-    table = np.array(f.int_table(), dtype=np.int64)
-    edges_idx = _edge_index_lists(H)
-    out: list[tuple[int, ...]] = []
-    for W in _row_blocks(H.n, M, 0, rows):
-        iso, _, _ = _scan_rows(W, table, edges_idx, M)
-        for row in W[iso]:
-            out.append(tuple(int(x) for x in row))
-    return out
+    _check(f, M, M**H.n, budget)
+    return _isolating_weights(H, f, M, _suffix_len(H.n, M))
 
 
 # ---------------------------------------------------------------------------

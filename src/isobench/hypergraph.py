@@ -334,7 +334,8 @@ def enumerate_hypergraphs(
             return None
         return H
 
-    # Explicit stack DFS: (next candidate index to try).  Preorder emission
+    # Recursive DFS over candidate indices: each call extends the chosen
+    # edges by compatible candidates from `start` on.  Preorder emission
     # keeps the stream ordering independent of the filters.
     def walk(start: int) -> Iterator[Hypergraph]:
         nonlocal yielded

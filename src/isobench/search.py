@@ -14,7 +14,7 @@ from .bounds import conjectured_Y, conjectured_Y1, h_eval
 from .counting import (
     DEFAULT_BUDGET,
     ObjectiveStrategy,
-    _edge_index_lists,
+    _edge_members,
     _int64_safe,
     _scan_rows,
     count_isolating,
@@ -216,8 +216,7 @@ class SampleReport:
 
 def _isolating_mask_for_rows(H: Hypergraph, f: Objective, W: np.ndarray) -> np.ndarray:
     table = np.array(f.int_table(), dtype=np.int64)
-    iso, _, _ = _scan_rows(W, table, _edge_index_lists(H), f.M)
-    return iso
+    return _scan_rows(W, table, _edge_members(H))
 
 
 def _h_values(n: int, M: int) -> tuple[Fraction, float, float, float]:

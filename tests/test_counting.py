@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import counting_instances
+from isobench import counting
 from isobench import (
     BudgetExceededError,
     Hypergraph,
@@ -16,6 +17,7 @@ from isobench import (
     count_min_over_objectives,
     edge_vertices,
     explicit_objective,
+    generic_high_objective,
     identity_objective,
     isolating_weights,
     singleton_hypergraph,
@@ -26,6 +28,18 @@ F = Fraction
 
 def H(n, *edges, **kw):
     return Hypergraph.from_edges(n, edges, **kw)
+
+
+def oracle_counts(h, M, f):
+    """(total, per_layer tuple, per_edge dict keyed by edge mask) from the
+    brute-force oracle."""
+    vsets = [list(edge_vertices(e)) for e in h.edges]
+    total, per_layer, per_edge = oracle.count_isolating(h.n, vsets, M, f.values)
+    return total, tuple(per_layer), {h.edges[i]: c for i, c in per_edge.items()}
+
+
+def oracle_weights(h, M, f):
+    return oracle.isolating_weights(h.n, [list(edge_vertices(e)) for e in h.edges], M, f.values)
 
 
 class TestCountIsolating:
@@ -61,18 +75,69 @@ class TestCountIsolating:
         b = count_isolating(h, 3, f, workers=2)
         assert a == b
 
+    def test_workers_split_prefix_ranks(self):
+        # 2^14 rows split as 4 prefixes times 2^12 suffixes; 2 and 3 workers
+        # take uneven rank ranges and must merge to the same report
+        h = H(14, [1, 2, 3], [3, 4, 9], [5, 13, 14], [6, 7], [8, 10, 11, 12])
+        f = generic_high_objective(2, 14)
+        assert counting._suffix_len(14, 2) == 12
+        reports = [count_isolating(h, 2, f, workers=w) for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].total == sum(reports[0].per_layer) > 0
+
+    def test_one_prefix_range_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+        # 3^3 rows fit one suffix table, so there is a single prefix rank
+        h, f = H(3, [1, 2], [2, 3]), identity_objective(3)
+        assert count_isolating(h, 3, f, workers=4).total == oracle_counts(h, 3, f)[0]
+
     @given(counting_instances())
     @settings(max_examples=80, deadline=None)
     def test_matches_fraction_oracle(self, instance):
         h, M, f = instance
-        vsets = [list(edge_vertices(e)) for e in h.edges]
-        total, per_layer, per_edge = oracle.count_isolating(h.n, vsets, M, f.values)
+        total, per_layer, per_edge = oracle_counts(h, M, f)
         rep = count_isolating(h, M, f)
         assert rep.total == total
-        assert rep.per_layer == tuple(per_layer)
-        assert rep.per_edge_dict() == {
-            h.edges[i]: c for i, c in per_edge.items()
-        }
+        assert rep.per_layer == per_layer
+        assert rep.per_edge_dict() == per_edge
+
+    @pytest.mark.parametrize("shift", [0, 1 << 70], ids=["int64", "object"])
+    @given(counting_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_every_suffix_length_matches_oracle(self, shift, instance):
+        # every prefix/suffix split, on int64 tables and, with values
+        # shifted past int64, on Python-integer tables
+        h, M, f = instance
+        if shift:
+            f = explicit_objective([v + shift for v in f.values])
+        assert counting._int64_safe(f, h.n) == (not shift)
+        total, per_layer, per_edge = oracle_counts(h, M, f)
+        weights = oracle_weights(h, M, f)
+        for k in range(h.n + 1):
+            got_total, got_layers, got_edges = counting._tally(h, f, M, k)
+            assert got_total == total
+            assert tuple(got_layers[1:]) == per_layer
+            assert {e: c for e, c in zip(h.edges, got_edges) if c} == per_edge
+            assert counting._count_layer1(h, f, M, k) == per_layer[0]
+            assert counting._isolating_weights(h, f, M, k) == weights
+
+    def test_block_boundaries(self, monkeypatch):
+        # blocks of a few prefixes, the last one short, give the same counts
+        # and order as one block per scan
+        h, f = H(6, [1, 2], [2, 5, 6], [3, 4], [4, 6]), identity_objective(3)
+
+        def scans():
+            for k in range(h.n + 1):
+                total, per_layer, per_edge = counting._tally(h, f, 3, k)
+                yield total, per_layer.tolist(), per_edge.tolist()
+                yield counting._count_layer1(h, f, 3, k), counting._isolating_weights(h, f, 3, k)
+
+        expected = list(scans())
+        monkeypatch.setattr(counting, "_CHUNK", 20)
+        assert list(scans()) == expected
 
     def test_pure_python_fallback_path(self):
         # values this large overflow int64 after scaling, forcing the
@@ -80,11 +145,23 @@ class TestCountIsolating:
         big = 1 << 70
         f = explicit_objective([big + 1, big + 5, big + 11])
         h = H(3, [1, 2], [3])
-        vsets = [list(edge_vertices(e)) for e in h.edges]
-        total, per_layer, _ = oracle.count_isolating(h.n, vsets, 3, f.values)
+        total, per_layer, _ = oracle_counts(h, 3, f)
         rep = count_isolating(h, 3, f)
-        assert rep.total == total and rep.per_layer == tuple(per_layer)
+        assert rep.total == total and rep.per_layer == per_layer
         assert count_layer1(h, 3, f) == per_layer[0]
+
+    def test_suffix_length(self):
+        assert counting._suffix_len(3, 3) == 3
+        assert counting._suffix_len(9, 4) == 6
+        assert counting._suffix_len(8, 7) == 4
+        assert counting._suffix_len(5, 5000) == 1
+        assert counting._suffix_len(20, 1) == 20
+
+    def test_suffix_tables_are_cached_read_only(self):
+        rows, low = counting._suffix_table(3, 4)
+        assert counting._suffix_table(3, 4)[0] is rows
+        assert rows.shape == (64, 3) and low.shape == (64,)
+        assert not rows.flags.writeable and not low.flags.writeable
 
     def test_report_invariants_and_json(self):
         rep = count_isolating(singleton_hypergraph(3), 2, identity_objective(2))
@@ -106,6 +183,24 @@ class TestCountLayer1:
         assert count_layer1(singleton_hypergraph(3), 3, identity_objective(3), budget=20) == 12
         with pytest.raises(BudgetExceededError):
             count_layer1(singleton_hypergraph(3), 3, identity_objective(3), budget=18)
+
+    @pytest.mark.parametrize("n,M", [(3, 3), (9, 4)])
+    def test_overflow_path_classifies_only_layer1_rows(self, monkeypatch, n, M):
+        # the exact-integer path must scan M^n - (M-1)^n rows, not all M^n
+        seen = []
+        classify = counting._classify
+
+        def counting_classify(sums):
+            seen.append(sums.shape[1])
+            return classify(sums)
+
+        monkeypatch.setattr(counting, "_classify", counting_classify)
+        big = 1 << 70
+        f = explicit_objective([big + 3 * v for v in range(M)])
+        assert not counting._int64_safe(f, n)
+        h = singleton_hypergraph(n)
+        count_layer1(h, M, f)
+        assert sum(seen) == M**n - (M - 1) ** n
 
     @given(counting_instances())
     @settings(max_examples=60, deadline=None)
@@ -134,8 +229,7 @@ class TestIsolatingWeights:
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_set(self, instance):
         h, M, f = instance
-        vsets = [list(edge_vertices(e)) for e in h.edges]
-        assert isolating_weights(h, M, f) == oracle.isolating_weights(h.n, vsets, M, f.values)
+        assert isolating_weights(h, M, f) == oracle_weights(h, M, f)
 
 
 class TestMinOverObjectives:
