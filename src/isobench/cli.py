@@ -3,7 +3,8 @@
 Subcommands: count, verify, search, sample.  Identical configurations
 (including seeds) produce byte-identical output.  Exit codes: 0 success,
 1 mathematical finding (a violated inequality), 2 usage error, 3 budget
-exceeded.
+exceeded, 4 failed internal check (a construction's descent, injection or
+tightness check did not hold, which means a bug).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 WORKERS_ENV = "ISOBENCH_WORKERS"
 
@@ -277,6 +279,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

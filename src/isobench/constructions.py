@@ -6,11 +6,14 @@ vertex-removal / disjoint-union counting inequalities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .counting import DEFAULT_BUDGET, count_isolating, count_layer1
+import numpy as np
+
+from .counting import DEFAULT_BUDGET, _classify_rows, _edge_members, count_isolating, count_layer1
 from .errors import BudgetExceededError
 from .hypergraph import (
     Hypergraph,
@@ -91,6 +94,26 @@ def next_vertex(i: int, e: int) -> int:
     return vs[0]
 
 
+def _domain(n: int, M: int) -> list[tuple[int, ...]]:
+    """{2..M}^n in lexicographic order."""
+    return list(itertools.product(range(2, M + 1), repeat=n))
+
+
+def _assert_isolates(
+    H: Hypergraph, f: Objective, W: np.ndarray, edges: np.ndarray, what: str
+) -> None:
+    """Check in one batch that each row of W isolates the edge of the same
+    index in ``edges``; name the first row that does not."""
+    iso, at_min = _classify_rows(H, f, W)
+    bad = ~(iso & at_min[np.arange(W.shape[0]), edges])
+    if bad.any():
+        k = int(bad.argmax())
+        raise AssertionError(
+            f"{what} failed to isolate edge {edge_vertices(H.edges[edges[k]])}"
+            f" at weight {tuple(W[k].tolist())}"
+        )
+
+
 def tashma_injection(
     H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -109,15 +132,14 @@ def tashma_injection(
     domain_size = (M - 1) ** H.n
     if domain_size > budget:
         raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    mapping: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in itertools.product(range(2, M + 1), repeat=H.n):
-        if not H.edges:
-            mapping[w] = w
-            continue
-        e = min_weight_edges(H, f, w)[0]
-        image = subtract_indicator(w, e)
-        assert isolating_edge(H, f, image) == e, "injection image failed to isolate"
-        mapping[w] = image
+    domain = _domain(H.n, M)
+    if not H.edges:
+        return {w: w for w in domain}
+    W = np.array(domain, dtype=np.int64)
+    e = _classify_rows(H, f, W)[1].argmax(axis=1)
+    images = W - _edge_members(H).T[e]
+    _assert_isolates(H, f, images, e, "injection image")
+    mapping = dict(zip(domain, map(tuple, images.tolist())))
     assert len(set(mapping.values())) == len(mapping), "injection collision"
     return mapping
 
@@ -140,16 +162,9 @@ class WitnessGraph:
     adjacency: tuple[tuple[int, ...], ...]
     charges: tuple[Fraction, ...]
 
-    @property
-    def right_degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.right)
-        for nbrs in self.adjacency:
-            for u in nbrs:
-                deg[u] += 1
-        return tuple(deg)
-
     def total_charge(self) -> Fraction:
-        return sum(self.charges, Fraction(0))
+        den = math.lcm(*(c.denominator for c in self.charges))
+        return Fraction(sum(c.numerator * (den // c.denominator) for c in self.charges), den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,34 +175,95 @@ class WitnessGraph:
         }
 
 
-def _left_nodes(n: int, M: int):
+def _left_nodes(n: int, M: int) -> list[tuple[int, ...]]:
     """Weights with exactly one entry 1, in (position, remainder) order."""
-    for pos in range(n):
-        for rest in itertools.product(range(2, M + 1), repeat=n - 1):
-            yield pos + 1, rest[:pos] + (1,) + rest[pos:]
+    rests = _domain(n - 1, M)
+    return [rest[:pos] + (1,) + rest[pos:] for pos in range(n) for rest in rests]
 
 
-def _assemble(left_nodes, targets_per_left) -> WitnessGraph:
+def _assemble(left: list[tuple[int, ...]], targets: np.ndarray, two: np.ndarray) -> WitnessGraph:
+    """Number the targets, shape (left, 2, n), in order of first appearance.
+    Left node k is charged to its first target, and to its second when
+    ``two[k]``; coincident targets merge into one simple edge.  The charge
+    of a left node is 1/a for one neighbour of degree a, (a + b)/(ab) for
+    two."""
+    two = two & (targets[:, 0] != targets[:, 1]).any(axis=1)
     right_index: dict[tuple[int, ...], int] = {}
-    adjacency = []
-    for targets in targets_per_left:
-        nbrs = []
-        for t in targets:
-            if t not in right_index:
-                right_index[t] = len(right_index)
-            idx = right_index[t]
-            if idx not in nbrs:
-                nbrs.append(idx)
-        adjacency.append(tuple(nbrs))
-    right = tuple(right_index)
-    deg = [0] * len(right)
-    for nbrs in adjacency:
-        for u in nbrs:
-            deg[u] += 1
-    charges = tuple(
-        sum((Fraction(1, deg[u]) for u in nbrs), Fraction(0)) for nbrs in adjacency
-    )
-    return WitnessGraph(tuple(left_nodes), right, tuple(adjacency), charges)
+    used = targets[np.stack([np.ones_like(two), two], axis=1)]
+    ids = [right_index.setdefault(t, len(right_index)) for t in map(tuple, used.tolist())]
+    deg = [0] * len(right_index)
+    for u in ids:
+        deg[u] += 1
+    it = iter(ids)
+    adjacency = tuple((next(it), next(it)) if pair else (next(it),) for pair in two.tolist())
+    keys = [tuple(map(deg.__getitem__, nbrs)) for nbrs in adjacency]
+    charge = {
+        k: Fraction(1, k[0]) if len(k) == 1 else Fraction(k[0] + k[1], k[0] * k[1])
+        for k in set(keys)
+    }
+    charges = tuple(map(charge.__getitem__, keys))
+    return WitnessGraph(tuple(left), tuple(right_index), adjacency, charges)
+
+
+def _pivot_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """The vertices a pivot descent lowers: the charged edge minus the pivot."""
+    return edge_rows & (np.arange(edge_rows.shape[1]) != pivot[:, None])
+
+
+def _next_vertex_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """The vertex a next-vertex descent lowers: ``next_vertex(pivot, e)``
+    for the charged edge e, as a one-hot row."""
+    after = edge_rows & (np.arange(edge_rows.shape[1]) > pivot[:, None])
+    j = np.where(after.any(axis=1), after.argmax(axis=1), edge_rows.argmax(axis=1))
+    return np.arange(edge_rows.shape[1]) == j[:, None]
+
+
+def _witness(
+    H: Hypergraph,
+    M: int,
+    f: Objective,
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    what: str,
+) -> WitnessGraph:
+    """Charge each left node w, whose unique 1 sits at the pivot i: if some
+    min-weight edge avoids i, to the descent along the first such edge;
+    otherwise to w itself (when already isolating) and the descent
+    ``step`` along the first min-weight edge, or to the descents along the
+    first two min-weight edges.  ``step`` maps the charged edges' membership
+    rows and the pivots to the vertices a descent lowers.  Every descent is
+    verified to isolate its edge, in one batch."""
+    lefts = _left_nodes(H.n, M)
+    left = np.array(lefts, dtype=np.int64)
+    targets = np.stack([left, left], axis=1)
+    if not H.edges:
+        return _assemble(lefts, targets, np.zeros(len(lefts), dtype=bool))
+    pivot = (left == 1).argmax(axis=1)
+    iso, at_min = _classify_rows(H, f, left)
+    members = _edge_members(H).T.astype(bool)
+    avoiding = at_min & ~members[:, pivot].T
+    free = avoiding.any(axis=1)
+    targets[free, 0] -= members[avoiding[free].argmax(axis=1)]
+    # the other nodes take descents: slot 1 along the first min edge when w
+    # is isolating, else along the second; slot 0 along the first when not
+    first = at_min.argmax(axis=1)
+    second = (at_min & (np.arange(H.m) > first[:, None])).argmax(axis=1)
+    slot1 = np.flatnonzero(~free)
+    slot0 = np.flatnonzero(~free & ~iso)
+    rows = np.concatenate([slot1, slot0])
+    edges = np.concatenate([np.where(iso, first, second)[slot1], first[slot0]])
+    out = left[rows] - step(members[edges], pivot[rows])
+    _assert_isolates(H, f, out, edges, what)
+    targets[slot1, 1] = out[: slot1.size]
+    targets[slot0, 0] = out[slot1.size :]
+    return _assemble(lefts, targets, ~free)
+
+
+def _require_witness(H: Hypergraph, M: int, f: Objective) -> None:
+    if M < 2:
+        raise ValueError("witness graph requires M >= 2")
+    if f.M != M:
+        raise ValueError(f"objective range {f.M} does not match M={M}")
+    _require_inclusion_free(H)
 
 
 def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
@@ -200,32 +276,8 @@ def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     smallest min-weight edges.  Coincident targets merge into one simple
     edge.
     """
-    if M < 2:
-        raise ValueError("witness graph requires M >= 2")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    _require_inclusion_free(H)
-    lefts = []
-    targets_per_left = []
-    for i, w in _left_nodes(H.n, M):
-        lefts.append(w)
-        if not H.edges:
-            targets_per_left.append([w])
-            continue
-        mins = min_weight_edges(H, f, w)
-        bit = 1 << (i - 1)
-        avoiding = [e for e in mins if not (e & bit)]
-        if avoiding:
-            targets = [subtract_indicator(w, avoiding[0])]
-        elif len(mins) == 1:
-            targets = [w, pivot_descend(H, f, w, i, mins[0])]
-        else:
-            targets = [
-                pivot_descend(H, f, w, i, mins[0]),
-                pivot_descend(H, f, w, i, mins[1]),
-            ]
-        targets_per_left.append(targets)
-    return _assemble(lefts, targets_per_left)
+    _require_witness(H, M, f)
+    return _witness(H, M, f, _pivot_step, "pivot descent")
 
 
 def build_witness_graph_B(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
@@ -233,40 +285,12 @@ def build_witness_graph_B(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     cardinality at least two; pivot descents are replaced by single-vertex
     descents at the next vertex of the charged edge.
     """
-    if M < 2:
-        raise ValueError("witness graph requires M >= 2")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    _require_inclusion_free(H)
+    _require_witness(H, M, f)
     if not is_linear(H):
         raise ValueError("witness graph B requires a linear hypergraph")
     if any(e.bit_count() < 2 for e in H.edges):
         raise ValueError("witness graph B requires every edge cardinality >= 2")
-
-    def single_descend(w, i, e):
-        j = next_vertex(i, e)
-        out = subtract_indicator(w, 1 << (j - 1))
-        assert isolating_edge(H, f, out) == e, "next-vertex descent failed to isolate"
-        return out
-
-    lefts = []
-    targets_per_left = []
-    for i, w in _left_nodes(H.n, M):
-        lefts.append(w)
-        if not H.edges:
-            targets_per_left.append([w])
-            continue
-        mins = min_weight_edges(H, f, w)
-        bit = 1 << (i - 1)
-        avoiding = [e for e in mins if not (e & bit)]
-        if avoiding:
-            targets = [subtract_indicator(w, avoiding[0])]
-        elif len(mins) == 1:
-            targets = [w, single_descend(w, i, mins[0])]
-        else:
-            targets = [single_descend(w, i, mins[0]), single_descend(w, i, mins[1])]
-        targets_per_left.append(targets)
-    return _assemble(lefts, targets_per_left)
+    return _witness(H, M, f, _next_vertex_step, "next-vertex descent")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ splits the coordinates into a prefix and a suffix of length k
 summed once per suffix and once per prefix, and a block of rows is one
 broadcast addition of the two.  Prefix-major order keeps the rows
 lexicographic; ``count_isolating`` can split the prefixes across worker
-processes by rank.
+processes by rank.  Explicit weight rows (the constructions' weights, the
+samplers' draws) go through the same classify step in blocks.
 """
 
 from __future__ import annotations
@@ -74,9 +75,13 @@ class CountReport:
         }
 
 
+@functools.lru_cache(maxsize=256)
 def _edge_members(H: Hypergraph) -> np.ndarray:
-    """(n, edges) 0/1 matrix: entry [v - 1, t] is 1 when vertex v is in edge t."""
-    return np.array([[e >> v & 1 for e in H.edges] for v in range(H.n)], dtype=np.int64)
+    """(n, edges) 0/1 matrix, read-only: entry [v - 1, t] is 1 when vertex v
+    is in edge t."""
+    members = np.array([[e >> v & 1 for e in H.edges] for v in range(H.n)], dtype=np.int64)
+    members.flags.writeable = False
+    return members
 
 
 def _int64_safe(f: Objective, n: int) -> bool:
@@ -113,9 +118,20 @@ def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndar
     return members.T @ table[W].T
 
 
-def _scan_rows(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Isolating mask of explicit weight rows (the samplers' random draws)."""
-    return _classify(_edge_sums(W, table, members))[0]
+def _classify_rows(H: Hypergraph, f: Objective, W) -> tuple[np.ndarray, np.ndarray]:
+    """Isolation of explicit weight rows W (an array of shape (rows, n), or a
+    list of weight tuples), in blocks of at most _CHUNK rows.
+
+    Returns the isolating mask per row and the (rows, edges) mask of edges
+    at each row's minimum.  Edge weights are Python integers
+    (``dtype=object``) when an edge sum could overflow int64.
+    """
+    W = np.asarray(W, dtype=np.int64).reshape(-1, H.n)
+    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, H.n) else object)
+    members = _edge_members(H)
+    starts = range(0, max(W.shape[0], 1), _CHUNK)
+    iso, at_min = zip(*(_classify(_edge_sums(W[a : a + _CHUNK], table, members)) for a in starts))
+    return np.concatenate(iso), np.concatenate(at_min, axis=1).T
 
 
 def _suffix_len(n: int, M: int) -> int:

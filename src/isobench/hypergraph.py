@@ -298,8 +298,10 @@ def enumerate_hypergraphs(
     (depth-first over the canonical candidate-edge order, empty edge set
     first).  Edges are nonempty.  ``inclusion_free`` and ``linear`` prune
     the recursion; ``connected`` and ``min_degree_at_least`` filter at
-    yield time.  Raises BudgetExceededError if more than ``max_count``
-    hypergraphs would be produced.
+    yield time.  Every edge set the walk visits counts against
+    ``max_count``, whether or not the filters let it through, so a
+    filtered walk is bounded too; BudgetExceededError is raised when the
+    walk would visit more than ``max_count`` edge sets.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -323,7 +325,7 @@ def enumerate_hypergraphs(
                 return False
         return True
 
-    yielded = 0
+    visited = 0
     chosen: list[int] = []
 
     def emit() -> Optional[Hypergraph]:
@@ -338,12 +340,12 @@ def enumerate_hypergraphs(
     # edges by compatible candidates from `start` on.  Preorder emission
     # keeps the stream ordering independent of the filters.
     def walk(start: int) -> Iterator[Hypergraph]:
-        nonlocal yielded
+        nonlocal visited
+        visited += 1
+        if visited > max_count:
+            raise BudgetExceededError(f"enumeration exceeds budget {max_count}")
         H = emit()
         if H is not None:
-            yielded += 1
-            if yielded > max_count:
-                raise BudgetExceededError(f"enumeration exceeds budget {max_count}")
             yield H
         for k in range(start, len(candidates)):
             e = candidates[k]

@@ -14,9 +14,7 @@ from .bounds import conjectured_Y, conjectured_Y1, h_eval
 from .counting import (
     DEFAULT_BUDGET,
     ObjectiveStrategy,
-    _edge_members,
-    _int64_safe,
-    _scan_rows,
+    _classify_rows,
     count_isolating,
     count_layer1,
 )
@@ -214,11 +212,6 @@ class SampleReport:
         }
 
 
-def _isolating_mask_for_rows(H: Hypergraph, f: Objective, W: np.ndarray) -> np.ndarray:
-    table = np.array(f.int_table(), dtype=np.int64)
-    return _scan_rows(W, table, _edge_members(H))
-
-
 def _h_values(n: int, M: int) -> tuple[Fraction, float, float, float]:
     phi = Fraction(n, M)
     return (
@@ -244,15 +237,13 @@ def sample_uniform(
         raise ValueError("trials must be >= 1")
     if f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
-    if not _int64_safe(f, H.n):
-        raise ValueError("objective values too large for the sampling path")
     rng = np.random.default_rng(seed)
     successes = 0
     done = 0
     while done < trials:
         take = min(batch, trials - done)
         W = rng.integers(1, M + 1, size=(take, H.n), dtype=np.int64)
-        successes += int(_isolating_mask_for_rows(H, f, W).sum())
+        successes += int(_classify_rows(H, f, W)[0].sum())
         done += take
     exact = None
     if M**H.n <= exact_budget:
@@ -296,8 +287,6 @@ def sample_layer1(
         raise ValueError("trials must be >= 1")
     if f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
-    if not _int64_safe(f, H.n):
-        raise ValueError("objective values too large for the sampling path")
     rng = np.random.default_rng(seed)
     successes = 0
     accepted = 0
@@ -310,7 +299,7 @@ def sample_layer1(
         if W.shape[0] > trials - accepted:
             W = W[: trials - accepted]
         if W.shape[0]:
-            successes += int(_isolating_mask_for_rows(H, f, W).sum())
+            successes += int(_classify_rows(H, f, W)[0].sum())
             accepted += W.shape[0]
     exact = None
     if M**H.n <= exact_budget:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET
+from .counting import DEFAULT_BUDGET, _classify_rows
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
-from .weights import Objective, is_isolating
+from .weights import Objective
 
 
 def _two_weight_tuple(T: int, n: int) -> tuple[int, ...]:
@@ -97,12 +97,10 @@ def check_min_cardinality_reduction(
     if not H.edges:
         return SubsetCheck(holds=True, special_count=2**H.n, counterexamples=())
     _, H_r = min_cardinality_subgraph(H)
-    bad = []
     specials = special_isolating_weights(H_r, budget=budget)
-    for w in specials:
-        if not is_isolating(H, f, w):
-            bad.append(w)
-    return SubsetCheck(holds=not bad, special_count=len(specials), counterexamples=tuple(bad))
+    iso = _classify_rows(H, f, specials)[0]
+    bad = tuple(w for w, ok in zip(specials, iso.tolist()) if not ok)
+    return SubsetCheck(holds=not bad, special_count=len(specials), counterexamples=bad)
 
 
 def min_vertex_cover(G: Hypergraph, *, max_used: int = 20) -> tuple[int, ...]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .bounds import (
     bounded_edge_bound,
     conjectured_Y,
@@ -23,10 +25,10 @@ from .bounds import (
     zero_weight_Y,
 )
 from .constructions import build_witness_graph_A, build_witness_graph_B, tashma_injection
-from .counting import DEFAULT_BUDGET, count_isolating
+from .counting import DEFAULT_BUDGET, _classify_rows, count_isolating
 from .hypergraph import Hypergraph, enumerate_hypergraphs, is_inclusion_free, is_linear
 from .special_m2 import check_min_cardinality_reduction, special_isolating_weights
-from .weights import Objective, is_isolating, layer, preset_objectives
+from .weights import Objective, preset_objectives
 from .hypergraph import one_degenerate_order
 
 
@@ -102,7 +104,8 @@ def instance_checks(
 
     if with_witness and M >= 2:
         G = build_witness_graph_A(H, M, f)
-        ok_count = sum(1 for u in G.right if is_isolating(H, f, u) and layer(u) == 1)
+        right = np.array(G.right, dtype=np.int64)
+        ok_count = int((_classify_rows(H, f, right)[0] & (right.min(axis=1) == 1)).sum())
         add(
             "witnessA_right_isolating_layer1",
             "theorem",
@@ -125,20 +128,15 @@ def instance_checks(
             min_charge = min(GB.charges, default=Fraction(1))
             add("witnessB_per_node_charge", "theorem", min_charge, 1, min_charge >= 1)
             rhs = conjectured_Y1(M, n)
-            add(
-                "witnessB_charge_bound",
-                "theorem",
-                GB.total_charge(),
-                rhs,
-                GB.total_charge() >= rhs,
-            )
+            charge_B = GB.total_charge()
+            add("witnessB_charge_bound", "theorem", charge_B, rhs, charge_B >= rhs)
 
     if with_injection and M >= 2:
         mapping = tashma_injection(H, M, f, budget=budget)
         image = set(mapping.values())
         rhs = (M - 1) ** n
         add("injection_image_size", "theorem", len(image), rhs, len(image) == rhs)
-        iso_count = sum(1 for u in image if is_isolating(H, f, u))
+        iso_count = int(_classify_rows(H, f, list(image))[0].sum())
         add("injection_images_isolating", "theorem", iso_count, len(image), iso_count == len(image))
 
     if M == 2:

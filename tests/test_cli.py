@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from isobench.cli import main
+import isobench.verify
+from isobench.cli import EXIT_INTERNAL, main
 
 
 @pytest.fixture
@@ -88,6 +89,20 @@ class TestVerify:
 
     def test_needs_some_mode(self, capsys):
         assert main(["verify", "--M", "2"]) == 2
+
+    def test_failed_internal_check_exits_4(self, s2_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("injection image failed to isolate edge (1,) at weight (2, 2)")
+
+        monkeypatch.setattr(isobench.verify, "tashma_injection", broken)
+        assert main(["verify", "--hypergraph", s2_path, "--M", "2"]) == EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: injection image failed to isolate"
+            " edge (1,) at weight (2, 2)\n"
+        )
+        assert "Traceback" not in captured.err
 
 
 class TestSearch:

@@ -1,0 +1,185 @@
+"""The batched injection and witness graphs against per-weight references.
+
+The references below walk the weights one at a time, as the definitions
+read, and compare edge weights with ``tests/oracle.py`` (plain Fractions,
+no package code); whether the targets isolate is checked by the builders
+themselves and by ``test_constructions.py``.  Every case also runs with the objective multiplied by
+2^70, which forces the exact ``dtype=object`` edge sums, and with a small
+block size, so block boundaries fall inside every batch.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isobench.counting
+import oracle
+from conftest import increasing_objectives, small_hypergraphs
+from isobench import (
+    Hypergraph,
+    Objective,
+    build_witness_graph_A,
+    build_witness_graph_B,
+    edge_vertices,
+    identity_objective,
+    is_linear,
+    singleton_hypergraph,
+    tashma_injection,
+)
+from isobench.constructions import _assert_isolates
+from isobench.counting import _CHUNK, _int64_safe
+
+SCALES = (1, 2**70)
+
+
+def _scaled(f, scale):
+    return Objective(f.M, tuple(v * scale for v in f.values))
+
+
+def _min_edges(edges, values, w):
+    sums = [oracle.edge_weight(values, w, e) for e in edges]
+    lo = min(sums)
+    return [k for k, s in enumerate(sums) if s == lo]
+
+
+def _lower(w, vertices):
+    return tuple(x - 1 if v in vertices else x for v, x in enumerate(w, start=1))
+
+
+def ref_injection(n, edges, M, values):
+    mapping = {}
+    for w in itertools.product(range(2, M + 1), repeat=n):
+        if not edges:
+            mapping[w] = w
+            continue
+        k = _min_edges(edges, values, w)[0]
+        mapping[w] = _lower(w, edges[k])
+    return mapping
+
+
+def pivot_descent(w, i, e):
+    return _lower(w, [v for v in e if v != i])
+
+
+def next_vertex_descent(w, i, e):
+    return _lower(w, [min([v for v in e if v > i], default=min(e))])
+
+
+def ref_witness(n, edges, M, values, descend):
+    """(left, right, adjacency, charges), walking the left nodes in
+    (position, remainder) order."""
+    left, targets = [], []
+    for i in range(1, n + 1):
+        for rest in itertools.product(range(2, M + 1), repeat=n - 1):
+            w = rest[: i - 1] + (1,) + rest[i - 1 :]
+            left.append(w)
+            if not edges:
+                targets.append([w])
+                continue
+            mins = _min_edges(edges, values, w)
+            avoiding = [k for k in mins if i not in edges[k]]
+            if avoiding:
+                targets.append([_lower(w, edges[avoiding[0]])])
+                continue
+            down = [descend(w, i, edges[k]) for k in mins[:2]]
+            targets.append([w, down[0]] if len(mins) == 1 else down)
+    right, adjacency = {}, []
+    for ts in targets:
+        nbrs = []
+        for t in ts:
+            u = right.setdefault(t, len(right))
+            if u not in nbrs:
+                nbrs.append(u)
+        adjacency.append(tuple(nbrs))
+    deg = Counter(u for nbrs in adjacency for u in nbrs)
+    charges = tuple(sum((Fraction(1, deg[u]) for u in nbrs), Fraction(0)) for nbrs in adjacency)
+    return tuple(left), tuple(right), tuple(adjacency), charges
+
+
+def check_against_references(H, M, f):
+    edges = [edge_vertices(e) for e in H.edges]
+    for scale in SCALES:
+        g = _scaled(f, scale)
+        values = [None, *g.values]
+        assert _int64_safe(g, H.n) == (scale == 1)
+        want_inj = ref_injection(H.n, edges, M, values)
+        want_A = ref_witness(H.n, edges, M, values, pivot_descent)
+        with_B = is_linear(H) and all(len(e) >= 2 for e in edges)
+        if with_B:
+            want_B = ref_witness(H.n, edges, M, values, next_vertex_descent)
+        for chunk in (_CHUNK, 7):
+            with mock.patch.object(isobench.counting, "_CHUNK", chunk):
+                inj = tashma_injection(H, M, g)
+                assert list(inj.items()) == list(want_inj.items())
+                G = build_witness_graph_A(H, M, g)
+                assert (G.left, G.right, G.adjacency, G.charges) == want_A
+                assert G.total_charge() == sum(want_A[3], Fraction(0))
+                if with_B:
+                    G = build_witness_graph_B(H, M, g)
+                    assert (G.left, G.right, G.adjacency, G.charges) == want_B
+                    assert G.total_charge() == sum(want_B[3], Fraction(0))
+
+
+@st.composite
+def linear_hypergraphs(draw, max_n=4):
+    """Linear hypergraphs whose edges all have at least two vertices."""
+    n = draw(st.integers(2, max_n))
+    picks = draw(st.lists(st.integers(1, 2**n - 1), max_size=6, unique=True))
+    chosen = []
+    for e in picks:
+        if e.bit_count() >= 2 and all((e & o).bit_count() <= 1 for o in chosen):
+            chosen.append(e)
+    return Hypergraph(n, tuple(chosen))
+
+
+@given(st.one_of(small_hypergraphs(max_n=4), linear_hypergraphs()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_constructions_match_per_weight_references(H, data):
+    M = data.draw(st.integers(2, 4))
+    check_against_references(H, M, data.draw(increasing_objectives(M)))
+
+
+@pytest.mark.parametrize(
+    "H, M",
+    [
+        (singleton_hypergraph(2), 2),
+        (Hypergraph(2, ()), 3),
+        (Hypergraph.from_edges(3, [[1, 2], [1, 3], [2, 3]]), 3),
+        (Hypergraph.from_edges(4, [[1, 2, 3], [1, 4], [2, 4], [3, 4]]), 4),
+    ],
+)
+def test_named_instances_match_references(H, M):
+    check_against_references(H, M, identity_objective(M))
+
+
+def test_batches_wider_than_one_block():
+    """14^4 = 38,416 injection rows at n = 4, M = 15 and 3 * 105^2 = 33,075
+    left nodes at n = 3, M = 106: both more than one block of the default
+    size.  Scaling f keeps every isolation decision, so one reference
+    serves both scales."""
+    assert min(14**4, 3 * 105**2) > _CHUNK
+    edges = [(1, 2), (2, 3)]
+    f = identity_objective(15)
+    want = ref_injection(4, edges, 15, [None, *f.values])
+    for scale in SCALES:
+        assert tashma_injection(Hypergraph.from_edges(4, edges), 15, _scaled(f, scale)) == want
+    f = identity_objective(106)
+    want = ref_witness(3, edges, 106, [None, *f.values], next_vertex_descent)
+    for scale in SCALES:
+        G = build_witness_graph_B(Hypergraph.from_edges(3, edges), 106, _scaled(f, scale))
+        assert (G.left, G.right, G.adjacency, G.charges) == want
+
+
+def test_failed_isolation_names_the_first_weight_and_edge():
+    H = singleton_hypergraph(2)
+    W = np.array([[1, 2], [2, 2], [2, 2]])
+    message = r"^probe failed to isolate edge \(1,\) at weight \(2, 2\)$"
+    with pytest.raises(AssertionError, match=message):
+        _assert_isolates(H, identity_objective(2), W, np.array([0, 0, 1]), "probe")
+    _assert_isolates(H, identity_objective(2), W[:1], np.array([0]), "probe")

@@ -223,6 +223,18 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(enumerate_hypergraphs(3, max_count=10))
 
+    def test_budget_counts_visited_edge_sets(self):
+        """The filters reject most of the walk: 167 inclusion-free edge sets
+        on 4 vertices are visited for a handful of pruned yields, and the
+        budget bounds the visits, not the yields."""
+        pruned = dict(inclusion_free=True, connected=True, min_degree_at_least=2)
+        kept = list(enumerate_hypergraphs(4, **pruned))
+        assert len(list(enumerate_hypergraphs(4, inclusion_free=True))) == 167
+        assert len(list(enumerate_hypergraphs(4, max_count=167, **pruned))) == len(kept)
+        assert len(kept) < 50
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_hypergraphs(4, max_count=50, **pruned))
+
     def test_pruning_filters(self):
         pruned = list(
             enumerate_hypergraphs(3, inclusion_free=True, connected=True, min_degree_at_least=2)

@@ -11,11 +11,13 @@ from isobench import (
     conjecture_search,
     count_isolating,
     count_layer1,
+    explicit_objective,
     identity_objective,
     sample_layer1,
     sample_uniform,
     singleton_hypergraph,
 )
+from isobench.counting import _int64_safe
 from isobench.search import asymptotic_rows_to_csv
 
 F = Fraction
@@ -82,6 +84,23 @@ class TestSamplers:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             sample_uniform(singleton_hypergraph(2), 2, identity_objective(2), 0, 1)
+
+    @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
+    def test_objective_beyond_int64_takes_the_object_path(self, sampler):
+        """Scaling f by a positive constant keeps every isolation decision,
+        so a 2^70 multiple (object table) matches the plain objective."""
+        H = Hypergraph.from_edges(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+        f = explicit_objective([1, 3, 4])
+        big = explicit_objective([v * 2**70 for v in f.values])
+        assert not _int64_safe(big, H.n)
+        plain = sampler(H, 3, f, 3000, 11, batch=1000)
+        scaled = sampler(H, 3, big, 3000, 11, batch=1000)
+        assert (scaled.successes, scaled.draws, scaled.exact) == (
+            plain.successes,
+            plain.draws,
+            plain.exact,
+        )
+        assert 0 < plain.successes < plain.trials
 
     def test_deterministic_given_seed(self):
         a = sample_uniform(singleton_hypergraph(3), 3, identity_objective(3), 5000, 42)
