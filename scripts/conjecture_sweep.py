@@ -10,17 +10,8 @@ import argparse
 import json
 import sys
 
-from isobench import ObjectiveStrategy, conjecture_search
-
-
-def parse_strategy(spec: str, seed: int) -> ObjectiveStrategy:
-    if spec == "presets":
-        return ObjectiveStrategy(kind="presets")
-    if spec.startswith("random:"):
-        return ObjectiveStrategy(kind="random_rational", count=int(spec.split(":")[1]), seed=seed)
-    if spec.startswith("integers:"):
-        return ObjectiveStrategy(kind="exhaustive_integer", bound=int(spec.split(":")[1]))
-    raise SystemExit(f"unknown strategy {spec!r}")
+from isobench import conjecture_search
+from isobench.cli import _parse_m_list, _parse_strategy
 
 
 def main() -> int:
@@ -33,14 +24,12 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="write the full JSON report here")
     args = ap.parse_args()
 
-    M_values = [int(x) for x in args.M.split(",")]
-    report = conjecture_search(
-        args.n_max,
-        M_values,
-        parse_strategy(args.strategy, args.seed),
-        prune=args.prune,
-        seed=args.seed,
-    )
+    try:
+        M_values = _parse_m_list(args.M)
+        strategy = _parse_strategy(args.strategy, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    report = conjecture_search(args.n_max, M_values, strategy, prune=args.prune, seed=args.seed)
     print(f"instances checked : {report.instances}")
     print(f"min |Z| / conj    : {report.min_ratio_total}")
     print(f"min |Z_1| / conj  : {report.min_ratio_layer1}")

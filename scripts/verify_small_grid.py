@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 
+from isobench.cli import _parse_m_list
 from isobench.verify import grid_instances, instance_checks
 
 
@@ -20,7 +21,7 @@ def main() -> int:
     ap.add_argument("--M", default="2,3")
     args = ap.parse_args()
 
-    M_values = [int(x) for x in args.M.split(",")]
+    M_values = _parse_m_list(args.M)
     t0 = time.monotonic()
     run = Counter()
     failed = Counter()

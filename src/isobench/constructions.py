@@ -258,15 +258,20 @@ def _witness(
     return _assemble(lefts, targets, ~free)
 
 
-def _require_witness(H: Hypergraph, M: int, f: Objective) -> None:
+def _require_witness(H: Hypergraph, M: int, f: Objective, budget: int) -> None:
     if M < 2:
         raise ValueError("witness graph requires M >= 2")
     if f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
     _require_inclusion_free(H)
+    left_nodes = H.n * (M - 1) ** (H.n - 1)
+    if left_nodes > budget:
+        raise BudgetExceededError(f"{left_nodes} left nodes exceed budget {budget}")
 
 
-def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
+def build_witness_graph_A(
+    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
+) -> WitnessGraph:
     """The general witness graph.
 
     For a left node w whose unique 1 sits at vertex i: if some min-weight
@@ -274,18 +279,22 @@ def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     such edge; otherwise charge w itself (when already isolating) plus the
     pivot descent, or the pivot descents along the two lexicographically
     smallest min-weight edges.  Coincident targets merge into one simple
-    edge.
+    edge.  Refuses more than ``budget`` left nodes, n (M-1)^(n-1), before
+    building any.
     """
-    _require_witness(H, M, f)
+    _require_witness(H, M, f, budget)
     return _witness(H, M, f, _pivot_step, "pivot descent")
 
 
-def build_witness_graph_B(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
+def build_witness_graph_B(
+    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
+) -> WitnessGraph:
     """The witness graph for linear hypergraphs whose edges all have
     cardinality at least two; pivot descents are replaced by single-vertex
-    descents at the next vertex of the charged edge.
+    descents at the next vertex of the charged edge.  Refuses more than
+    ``budget`` left nodes, as A does.
     """
-    _require_witness(H, M, f)
+    _require_witness(H, M, f, budget)
     if not is_linear(H):
         raise ValueError("witness graph B requires a linear hypergraph")
     if any(e.bit_count() < 2 for e in H.edges):

@@ -11,6 +11,12 @@ broadcast addition of the two.  Prefix-major order keeps the rows
 lexicographic; ``count_isolating`` can split the prefixes across worker
 processes by rank.  Explicit weight rows (the constructions' weights, the
 samplers' draws) go through the same classify step in blocks.
+
+The conjecture sweep counts many hypergraphs on the same n at once
+(``_count_many``): per (M, f), each block of rows sums the distinct edges
+of the whole batch in one matmul, and the hypergraphs with the same
+number of edges are classified together, as one gathered array per edge
+count.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from .weights import (
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
+_GATHER = 1 << 16  # bound on rows times gathered edge columns in _count_many
 
 
 @dataclass(frozen=True)
@@ -304,6 +311,50 @@ def isolating_weights(
     """Materialize Z(H, M, f) as a lexicographically ordered list."""
     _check(f, M, M**H.n, budget)
     return _isolating_weights(H, f, M, _suffix_len(H.n, M))
+
+
+def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, as int64
+    arrays in the order of Hs; the caller checks the budget.
+
+    Each block of [M]^n rows sums the distinct edges of Hs once.  The
+    hypergraphs with m edges gather their edge weights into one array of
+    shape (hypergraphs, m, rows), whose minimum over axis 1 and number of
+    edges at it classify every row of every one of them.  Blocks of rows
+    and groups of hypergraphs keep rows times gathered edges under _GATHER.
+    """
+    n = Hs[0].n
+    rows = M**n
+    total = np.zeros(len(Hs), dtype=np.int64)
+    layer1 = np.zeros(len(Hs), dtype=np.int64)
+    by_size: dict[int, list[int]] = {}
+    for i, H in enumerate(Hs):
+        if H.edges:
+            by_size.setdefault(H.m, []).append(i)
+        else:  # every row isolates, by convention
+            total[i], layer1[i] = rows, rows - (M - 1) ** n
+    if not by_size:
+        return total, layer1
+    distinct = sorted({e for H in Hs for e in H.edges})
+    column = {e: c for c, e in enumerate(distinct)}
+    members = np.array([[e >> v & 1 for e in distinct] for v in range(n)], dtype=np.int64)
+    step = min(rows, max(1, _GATHER // max(len(distinct), *by_size)))
+    groups = []  # (positions in Hs, edge columns of shape (hypergraphs, m))
+    for m, which in by_size.items():
+        cols = np.array([[column[e] for e in Hs[i].edges] for i in which], dtype=np.intp)
+        per = max(1, _GATHER // (m * step))
+        groups.extend((which[a : a + per], cols[a : a + per]) for a in range(0, len(which), per))
+    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, n) else object)
+    for r in range(0, rows, step):
+        W, low = _decode_rows(n, M, r, min(r + step, rows))
+        sums = _edge_sums(W, table, members)
+        hit = low == 1
+        for which, cols in groups:
+            weights = sums[cols]
+            iso = np.count_nonzero(weights == weights.min(axis=1, keepdims=True), axis=1) == 1
+            total[which] += np.count_nonzero(iso, axis=1)
+            layer1[which] += np.count_nonzero(iso[:, hit], axis=1)
+    return total, layer1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ seeded Monte Carlo samplers, and the asymptotic comparison table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -14,12 +15,16 @@ from .bounds import conjectured_Y, conjectured_Y1, h_eval
 from .counting import (
     DEFAULT_BUDGET,
     ObjectiveStrategy,
+    _check,
     _classify_rows,
+    _count_many,
     count_isolating,
     count_layer1,
 )
 from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .weights import Objective
+
+_GROUP = 1024  # hypergraphs counted per batch
 
 
 @dataclass(frozen=True)
@@ -111,51 +116,51 @@ def conjecture_search(
         )
 
     instances = 0
-    min_total: Optional[tuple[Fraction, InstanceRecord]] = None
-    min_layer1: Optional[tuple[Fraction, InstanceRecord]] = None
-    violations: list[InstanceRecord] = []
+    # Each instance is keyed by the order of the per-instance walk,
+    # (n, index of H in the walk, index of M, index of f): ratio ties go
+    # to the first instance in that order, and violations are listed in it.
+    witness: list[Optional[tuple]] = [None, None]  # (ratio, key, instance) for |Z|, |Z_1|
+    violations: list[tuple] = []  # (key, instance)
     for n in range(1, n_max + 1):
         families = {M: strategy.candidates(M, n) for M in M_values}
-        for H in enumerate_hypergraphs(
+        walk = enumerate_hypergraphs(
             n,
             inclusion_free=True,
             connected=prune,
             min_degree_at_least=2 if prune else 0,
             max_count=enum_budget,
-        ):
-            for M in M_values:
-                for f in families[M]:
-                    report = count_isolating(H, M, f, budget=count_budget)
-                    instances += 1
-                    denom_total = conjectured_Y(M, n)
-                    denom_layer1 = conjectured_Y1(M, n)
-                    ratio_total = (
-                        Fraction(report.total, denom_total) if denom_total else None
-                    )
-                    ratio_layer1 = (
-                        Fraction(report.layer1, denom_layer1) if denom_layer1 else None
-                    )
-                    record = InstanceRecord(
-                        hypergraph=H.to_json_dict(),
-                        M=M,
-                        objective=f.to_json_dict(),
-                        total=report.total,
-                        layer1=report.layer1,
-                        ratio_total=ratio_total,
-                        ratio_layer1=ratio_layer1,
-                    )
-                    if ratio_total is not None and (
-                        min_total is None or ratio_total < min_total[0]
-                    ):
-                        min_total = (ratio_total, record)
-                    if ratio_layer1 is not None and (
-                        min_layer1 is None or ratio_layer1 < min_layer1[0]
-                    ):
-                        min_layer1 = (ratio_layer1, record)
-                    if (ratio_total is not None and ratio_total < 1) or (
-                        ratio_layer1 is not None and ratio_layer1 < 1
-                    ):
-                        violations.append(record)
+        )
+        first = next(walk, None)
+        if first is None:
+            continue
+        for M in M_values:
+            for f in families[M]:
+                _check(f, M, M**n, count_budget, f"{M}^{n} = ")
+        walk = itertools.chain([first], walk)
+        offset = 0
+        while group := list(itertools.islice(walk, _GROUP)):
+            for i, M in enumerate(M_values):
+                denoms = (conjectured_Y(M, n), conjectured_Y1(M, n))
+                for j, f in enumerate(families[M]):
+                    counts = _count_many(group, M, f)
+                    instances += len(group)
+
+                    def keyed(h: int) -> tuple:
+                        return (n, offset + h, i, j), (group[h], M, f, *(c[h] for c in counts))
+
+                    below = np.zeros(len(group), dtype=bool)
+                    for k, (denom, count) in enumerate(zip(denoms, counts)):
+                        if denom:
+                            h = int(count.argmin())
+                            candidate = (Fraction(int(count[h]), denom), *keyed(h))
+                            if witness[k] is None or candidate[:2] < witness[k][:2]:
+                                witness[k] = candidate
+                            below |= count < denom
+                    violations.extend(map(keyed, np.flatnonzero(below).tolist()))
+            offset += len(group)
+    violations.sort(key=lambda v: v[0])
+    ratios = [None if w is None else w[0] for w in witness]
+    records = [None if w is None else _record(*w[2]) for w in witness]
     return SearchReport(
         n_max=n_max,
         M_values=M_values,
@@ -163,11 +168,25 @@ def conjecture_search(
         prune=prune,
         seed=seed,
         instances=instances,
-        min_ratio_total=None if min_total is None else min_total[0],
-        min_ratio_layer1=None if min_layer1 is None else min_layer1[0],
-        witness_total=None if min_total is None else min_total[1],
-        witness_layer1=None if min_layer1 is None else min_layer1[1],
-        violations=tuple(violations),
+        min_ratio_total=ratios[0],
+        min_ratio_layer1=ratios[1],
+        witness_total=records[0],
+        witness_layer1=records[1],
+        violations=tuple(_record(*instance) for _, instance in violations),
+    )
+
+
+def _record(H: Hypergraph, M: int, f: Objective, total, layer1) -> InstanceRecord:
+    """The report's record of one (H, M, f) instance and its counts."""
+    denom_total, denom_layer1 = conjectured_Y(M, H.n), conjectured_Y1(M, H.n)
+    return InstanceRecord(
+        hypergraph=H.to_json_dict(),
+        M=M,
+        objective=f.to_json_dict(),
+        total=int(total),
+        layer1=int(layer1),
+        ratio_total=Fraction(int(total), denom_total) if denom_total else None,
+        ratio_layer1=Fraction(int(layer1), denom_layer1) if denom_layer1 else None,
     )
 
 

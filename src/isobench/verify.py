@@ -103,7 +103,7 @@ def instance_checks(
     add("total_ge_conjecture1", kind, total, rhs, total >= rhs)
 
     if with_witness and M >= 2:
-        G = build_witness_graph_A(H, M, f)
+        G = build_witness_graph_A(H, M, f, budget=budget)
         right = np.array(G.right, dtype=np.int64)
         ok_count = int((_classify_rows(H, f, right)[0] & (right.min(axis=1) == 1)).sum())
         add(
@@ -124,7 +124,7 @@ def instance_checks(
         rhs = main_theorem_bound(M, n)
         add("witnessA_charge_bound", "theorem", total_charge, rhs, total_charge >= rhs)
         if is_linear(H) and all(e.bit_count() >= 2 for e in H.edges):
-            GB = build_witness_graph_B(H, M, f)
+            GB = build_witness_graph_B(H, M, f, budget=budget)
             min_charge = min(GB.charges, default=Fraction(1))
             add("witnessB_per_node_charge", "theorem", min_charge, 1, min_charge >= 1)
             rhs = conjectured_Y1(M, n)

@@ -9,10 +9,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import DEFAULT_BUDGET, CountReport, count_isolating
+import numpy as np
+
+from .counting import DEFAULT_BUDGET, CountReport, _classify_rows, _edge_members, count_isolating
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices, power_set_hypergraph
-from .weights import Objective, isolating_edge, min_weight_edges, subtract_indicator
+from .weights import Objective
 
 
 def zero_based_identity(M: int) -> Objective:
@@ -60,27 +62,25 @@ def tashma_injection_maximal(
     domain_size = (M - 1) ** H.n
     if domain_size > budget:
         raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    pairs = []
+    domain = list(itertools.product(range(2, M + 1), repeat=H.n))
     findings = []
-    for w in itertools.product(range(2, M + 1), repeat=H.n):
-        if not H.edges:
-            pairs.append((w, w))
-            continue
-        mins = min_weight_edges(H, f, w)
-        maximal = [
-            e
-            for e in mins
-            if not any(other != e and (e & other) == e for other in mins)
-        ]
-        e = maximal[0]
-        image = subtract_indicator(w, e)
-        pairs.append((w, image))
-        if isolating_edge(H, f, image) != e:
+    if not H.edges:
+        pairs = [(w, w) for w in domain]
+    else:
+        W = np.array(domain, dtype=np.int64)
+        at_min = _classify_rows(H, f, W)[1]
+        # inside[a, b]: edge a is a strict subset of edge b
+        inside = np.array([[a != b and a & b == a for b in H.edges] for a in H.edges])
+        e = (at_min & ~(at_min @ inside.T)).argmax(axis=1)
+        lowered = W - _edge_members(H).T[e]
+        iso, hit = _classify_rows(H, f, lowered)
+        pairs = list(zip(domain, map(tuple, lowered.tolist())))
+        for k in np.flatnonzero(~(iso & hit[np.arange(len(domain)), e])).tolist():
             findings.append(
                 InjectionFinding(
-                    weight=w,
-                    image=image,
-                    reason=f"image does not isolate edge {list(edge_vertices(e))}",
+                    weight=domain[k],
+                    image=pairs[k][1],
+                    reason=f"image does not isolate edge {list(edge_vertices(H.edges[e[k]]))}",
                 )
             )
     images = [img for _, img in pairs]

@@ -8,13 +8,13 @@ from isobench import Hypergraph, Objective
 
 
 @st.composite
-def small_hypergraphs(draw, max_n=4, max_edges=5):
-    """Inclusion-free hypergraphs on up to max_n vertices.
+def small_hypergraphs(draw, max_n=4, max_edges=5, min_n=1):
+    """Inclusion-free hypergraphs on min_n to max_n vertices.
 
     Drawn edge lists are pruned greedily to an antichain, so shrinking
     stays well-behaved.
     """
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     picks = draw(
         st.lists(st.integers(1, 2**n - 1), max_size=max_edges, unique=True)
     )

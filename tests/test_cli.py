@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,50 @@ class TestSearch:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    # sha256 of stdout, recorded from the per-instance sweep before the
+    # sweep was batched across hypergraphs
+    GOLDEN = {
+        "--n-max 4 --M 2,3,4,5": (
+            "40705a2f56c0cddb5787f628b7434b3ce093831f31d1afe3f14d3f0f808abe0c",
+            "7e047ff9e806ba728885f427a1f7fc08bc463762a19c54727c5bb57dfc2b6c03",
+        ),
+        "--n-max 5 --M 2,3": (
+            "235f7eed91982cccefa7daf656cc420c2a05d35305e269a4cfc4ae1b6d407b1d",
+            "625328bf545bad344ea71c5189466445d39ee55736b5732bc959ffac911c5c54",
+        ),
+        "--n-max 5 --M 2,3 --prune": (
+            "68133f4204ebbfe1e7ca464a9f94124fac26e3cb00a59ef09e222606b6489d7a",
+            "f5e76a425abf88fcf1c1424035250778af778f10dcfad39729f675e54d0a17e3",
+        ),
+        "--n-max 4 --M 1,2,3 --strategy random:3 --seed 7": (
+            "5793a7948b2c1caeb08b8d3fc7b710d5e580f7d05cab888c6f47a647c482305c",
+            "d1eb6d33b2d72e149a283825ac9439e8fff6e128709137ae8f97d1962d0b8686",
+        ),
+        "--n-max 4 --M 2,3 --strategy integers:5": (
+            "c142673a3fb4abf75a8e8431556b919a8c04a1ce5af919960212828e7c0bb2a8",
+            "ed49be960d83b9c1c775fb1c78dd492e41fa0c1e4c25d81dae0e487f608568af",
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GOLDEN))
+    def test_golden_outputs(self, grid, capsys):
+        for fmt, digest in zip(("json", "csv"), self.GOLDEN[grid]):
+            assert main(["search", *grid.split(), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("--n-max 3 --M 2 --prune --budget 3", "2^3 = 8 weight evaluations exceed budget 3"),
+            ("--n-max 3 --M 2,3 --budget 8", "3^2 = 9 weight evaluations exceed budget 8"),
+        ],
+    )
+    def test_budget_errors(self, argv, message, capsys):
+        assert main(["search", *argv.split()]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_unknown_strategy(self, capsys):
         assert main(["search", "--n-max", "2", "--M", "2", "--strategy", "mystery"]) == 2

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isobench.verify
 from conftest import counting_instances
 from isobench import (
+    BudgetExceededError,
     Hypergraph,
     build_witness_graph_A,
     build_witness_graph_B,
@@ -30,6 +32,8 @@ from isobench import (
     singleton_hypergraph,
     tashma_injection,
 )
+from isobench import constructions
+from isobench.verify import instance_checks
 
 F = Fraction
 
@@ -246,6 +250,37 @@ class TestWitnessGraphB:
         assert G.total_charge() >= h.n * (M - 1) ** (h.n - 1)
         for u in G.right:
             assert is_isolating(h, f, u) and layer(u) == 1
+
+
+class TestWitnessBudget:
+    @pytest.mark.parametrize("build", [build_witness_graph_A, build_witness_graph_B])
+    def test_refuses_before_building_left_nodes(self, build, monkeypatch):
+        h, f = H(4, [1, 2], [2, 3], [3, 4], [1, 4]), identity_objective(3)
+        expected = build(h, 3, f)
+        assert len(expected.left) == 4 * 2**3
+
+        def never(*args, **kwargs):
+            raise AssertionError("the builder started work")
+
+        monkeypatch.setattr(constructions, "_classify_rows", never)
+        monkeypatch.setattr(constructions, "_left_nodes", never)
+        with pytest.raises(BudgetExceededError, match="^32 left nodes exceed budget 31$"):
+            build(h, 3, f, budget=31)
+        monkeypatch.undo()
+        assert build(h, 3, f, budget=32) == expected
+
+    def test_instance_checks_pass_their_budget(self, monkeypatch):
+        seen = []
+        for name in ("build_witness_graph_A", "build_witness_graph_B"):
+            real = getattr(isobench.verify, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                seen.append((_name, kwargs.get("budget")))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(isobench.verify, name, spy)
+        instance_checks(H(3, [1, 2], [2, 3]), 3, identity_objective(3), budget=27)
+        assert seen == [("build_witness_graph_A", 27), ("build_witness_graph_B", 27)]
 
 
 class TestReductions:

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import counting_instances
+from conftest import counting_instances, increasing_objectives, small_hypergraphs
 from isobench import counting
 from isobench import (
     BudgetExceededError,
@@ -16,10 +17,12 @@ from isobench import (
     count_layer1,
     count_min_over_objectives,
     edge_vertices,
+    enumerate_hypergraphs,
     explicit_objective,
     generic_high_objective,
     identity_objective,
     isolating_weights,
+    random_objective,
     singleton_hypergraph,
 )
 
@@ -170,6 +173,74 @@ class TestCountIsolating:
         doc = rep.to_json_dict()
         assert doc["total"] == 3
         json.dumps(doc)  # serializable
+
+
+def per_instance_counts(Hs, M, f):
+    return [(r.total, r.layer1) for r in (count_isolating(h, M, f) for h in Hs)]
+
+
+def batch_counts(Hs, M, f):
+    total, layer1 = counting._count_many(Hs, M, f)
+    assert total.shape == layer1.shape == (len(Hs),)
+    return list(zip(total.tolist(), layer1.tolist()))
+
+
+@st.composite
+def hypergraph_groups(draw, max_n=3, max_M=3):
+    """A few hypergraphs on one vertex count, with M and an objective."""
+    n = draw(st.integers(1, max_n))
+    Hs = draw(st.lists(small_hypergraphs(min_n=n, max_n=n), min_size=1, max_size=6))
+    M = draw(st.integers(1, max_M))
+    return Hs, M, draw(increasing_objectives(M))
+
+
+class TestCountMany:
+    """The sweep's batched counter, hypergraph by hypergraph, against
+    ``count_isolating`` and the oracle."""
+
+    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "object"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_every_inclusion_free_hypergraph_up_to_4_vertices(self, M, scale):
+        seen = 0
+        for n in range(1, 5):
+            Hs = list(enumerate_hypergraphs(n, inclusion_free=True))
+            seen += len(Hs)
+            family = ObjectiveStrategy(kind="presets").candidates(M, n)
+            family.append(random_objective(M, np.random.default_rng([M, n])))
+            for f in family:
+                f = explicit_objective([v * scale for v in f.values])
+                assert counting._int64_safe(f, n) == (scale == 1)
+                assert batch_counts(Hs, M, f) == per_instance_counts(Hs, M, f)
+        assert seen == 193
+
+    @given(hypergraph_groups())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, group):
+        Hs, M, f = group
+        expected = []
+        for h in Hs:
+            total, per_layer, _ = oracle_counts(h, M, f)
+            expected.append((total, per_layer[0]))
+        assert batch_counts(Hs, M, f) == expected
+
+    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "object"])
+    @pytest.mark.parametrize("gather", [1, 5, 7, 12, 40])
+    def test_block_and_group_boundaries(self, monkeypatch, gather, scale):
+        # a bound of a few entries cuts the rows into short blocks and the
+        # hypergraphs into small groups; 1 is below the widest hypergraph;
+        # empty hypergraphs sit between and at the ends of the groups
+        empty = Hypergraph(4, ())
+        Hs = [empty, H(4, [1, 2], [3, 4]), empty, singleton_hypergraph(4), H(4, [1, 2, 3])]
+        Hs += [H(4, [1, 2], [2, 3], [3, 4], [1, 4]), empty, empty, H(4, [1], [2, 3, 4]), empty]
+        f = explicit_objective([scale * v for v in (2, 3, 7)])
+        expected = per_instance_counts(Hs, 3, f)
+        assert batch_counts(Hs, 3, f) == expected
+        monkeypatch.setattr(counting, "_GATHER", gather)
+        assert batch_counts(Hs, 3, f) == expected
+
+    def test_only_empty_hypergraphs(self):
+        Hs = [Hypergraph(3, ())] * 3
+        assert batch_counts(Hs, 3, identity_objective(3)) == [(27, 27 - 8)] * 3
 
 
 class TestCountLayer1:

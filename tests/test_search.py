@@ -2,26 +2,93 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isobench import (
+    BudgetExceededError,
     Hypergraph,
     ObjectiveStrategy,
     compare_to_asymptotics,
     conjecture_search,
     count_isolating,
     count_layer1,
+    enumerate_hypergraphs,
     explicit_objective,
     identity_objective,
     sample_layer1,
     sample_uniform,
     singleton_hypergraph,
 )
+from isobench import search
 from isobench.counting import _int64_safe
 from isobench.search import asymptotic_rows_to_csv
 
 F = Fraction
 PRESETS = ObjectiveStrategy(kind="presets")
+
+
+def per_instance_search(n_max, M_values, strategy, *, prune=False, counts=None):
+    """The sweep one instance at a time, visiting (n, H, M, f) in order:
+    the JSON report ``conjecture_search`` must produce.  ``counts(H, M, f)``
+    gives (total, layer1); ``count_isolating`` by default."""
+    instances = 0
+    best = {"total": None, "layer1": None}
+    violations = []
+    for n in range(1, n_max + 1):
+        families = {M: strategy.candidates(M, n) for M in M_values}
+        walk = enumerate_hypergraphs(
+            n, inclusion_free=True, connected=prune, min_degree_at_least=2 if prune else 0
+        )
+        for H in walk:
+            for M in M_values:
+                for f in families[M]:
+                    if counts is None:
+                        report = count_isolating(H, M, f)
+                        total, layer1 = report.total, report.layer1
+                    else:
+                        total, layer1 = counts(H, M, f)
+                    instances += 1
+                    ratios = {}
+                    for kind, value, denom in (
+                        ("total", total, search.conjectured_Y(M, n)),
+                        ("layer1", layer1, search.conjectured_Y1(M, n)),
+                    ):
+                        ratios[kind] = F(value, denom) if denom else None
+                    record = {
+                        "hypergraph": H.to_json_dict(),
+                        "M": M,
+                        "objective": f.to_json_dict(),
+                        "total": total,
+                        "layer1": layer1,
+                        "ratio_total": None if ratios["total"] is None else str(ratios["total"]),
+                        "ratio_layer1": None if ratios["layer1"] is None else str(ratios["layer1"]),
+                    }
+                    for kind, ratio in ratios.items():
+                        if ratio is not None and (best[kind] is None or ratio < best[kind][0]):
+                            best[kind] = (ratio, record)
+                    if any(r is not None and r < 1 for r in ratios.values()):
+                        violations.append(record)
+    return {
+        "n_max": n_max,
+        "M_values": list(M_values),
+        "strategy": strategy.to_json_dict(),
+        "prune": prune,
+        "seed": strategy.seed,
+        "instances": instances,
+        "min_ratio_total": None if best["total"] is None else str(best["total"][0]),
+        "min_ratio_layer1": None if best["layer1"] is None else str(best["layer1"][0]),
+        "witness_total": None if best["total"] is None else best["total"][1],
+        "witness_layer1": None if best["layer1"] is None else best["layer1"][1],
+        "violations": violations,
+    }
+
+
+def raise_conjectures(monkeypatch, factor):
+    """Multiply both conjectured minima, so that instances fall below them."""
+    Y, Y1 = search.conjectured_Y, search.conjectured_Y1
+    monkeypatch.setattr(search, "conjectured_Y", lambda M, n: factor * Y(M, n))
+    monkeypatch.setattr(search, "conjectured_Y1", lambda M, n: factor * Y1(M, n))
 
 
 class TestConjectureSearch:
@@ -48,6 +115,67 @@ class TestConjectureSearch:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("group", [None, 1, 7])
+    @pytest.mark.parametrize(
+        "strategy",
+        [PRESETS, ObjectiveStrategy(kind="random_rational", count=2, seed=4)],
+        ids=["presets", "random"],
+    )
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_violations_match_the_per_instance_sweep(self, monkeypatch, prune, strategy, group):
+        # raised minima turn most instances into violations; M = 1 has
+        # zero minima for n >= 2, so those ratios are None
+        raise_conjectures(monkeypatch, 3)
+        if group:
+            monkeypatch.setattr(search, "_GROUP", group)
+        got = conjecture_search(4, [1, 2, 3], strategy, prune=prune, seed=strategy.seed)
+        expected = per_instance_search(4, [1, 2, 3], strategy, prune=prune)
+        assert len(expected["violations"]) > 50
+        assert got.to_json_dict() == expected
+
+    @pytest.mark.parametrize("group", [None, 5])
+    def test_ratio_ties_go_to_the_first_instance_visited(self, monkeypatch, group):
+        # synthetic counts with many ties at the minimum, placed so that a
+        # later (M, f) batch holds an earlier tied hypergraph
+        def counts(H, M, f):
+            value = (3 * len(H.edges) + M + len(f.kind) + sum(H.edges)) % 4 + 1
+            return value, value
+
+        def count_many(Hs, M, f):
+            return tuple(np.array(c) for c in zip(*(counts(H, M, f) for H in Hs)))
+
+        monkeypatch.setattr(search, "conjectured_Y", lambda M, n: 4)
+        monkeypatch.setattr(search, "conjectured_Y1", lambda M, n: 4)
+        monkeypatch.setattr(search, "_count_many", count_many)
+        if group:
+            monkeypatch.setattr(search, "_GROUP", group)
+        got = conjecture_search(3, [2, 3], PRESETS).to_json_dict()
+        expected = per_instance_search(3, [2, 3], PRESETS, counts=counts)
+        assert got == expected
+        # the tie is real: the instances at the minimum include one that
+        # comes later in the walk but from an earlier (M, f) batch, here
+        # H 2 at M = 3 against H 3 at M = 2, both on two vertices
+        Hs = {n: list(enumerate_hypergraphs(n, inclusion_free=True)) for n in (1, 2, 3)}
+        order = []
+        for n in (1, 2, 3):
+            for h, H in enumerate(Hs[n]):
+                for i, M in enumerate((2, 3)):
+                    for j, f in enumerate(PRESETS.candidates(M, n)):
+                        if counts(H, M, f)[0] == 1:
+                            order.append((n, h, i, j))
+        first = order[0]
+        assert first == (2, 2, 1, 0)
+        assert got["witness_total"]["hypergraph"] == Hs[first[0]][first[1]].to_json_dict()
+        assert any(k[0] == first[0] and k[1] > first[1] and k[2:] < first[2:] for k in order)
+
+    def test_budget_is_checked_where_the_walk_first_yields(self):
+        # with pruning nothing is yielded below n = 3, so the first refusal
+        # is 2^3 rows there, not 2^2 rows at n = 2
+        with pytest.raises(BudgetExceededError, match=r"^2\^3 = 8 weight evaluations exceed budget 3$"):
+            conjecture_search(3, [2], PRESETS, prune=True, count_budget=3)
+        with pytest.raises(BudgetExceededError, match=r"^3\^2 = 9 weight evaluations exceed budget 8$"):
+            conjecture_search(3, [2, 3], PRESETS, count_budget=8)
 
     def test_prune_restricts_the_family(self):
         full = conjecture_search(3, [2], PRESETS)

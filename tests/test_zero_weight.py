@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from isobench import (
     BudgetExceededError,
     Hypergraph,
+    Objective,
     count_isolating,
+    edge_vertices,
     explicit_objective,
     power_set_hypergraph,
     random_hypergraph,
@@ -16,6 +19,9 @@ from isobench import (
     zero_based_identity,
     zero_weight_tightness,
 )
+from isobench import counting
+from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
+from isobench.zero_weight import InjectionFinding
 
 F = Fraction
 
@@ -86,6 +92,85 @@ class TestMaximalInjection:
         assert report.findings == ()
         assert report.injective
         assert report.image_size == (M - 1) ** n
+
+
+def ref_maximal_injection(H, M, f):
+    """The maximal-edge injection one weight at a time: (mapping, findings,
+    injective) as ``tashma_injection_maximal`` reports them."""
+    pairs, findings = [], []
+    for w in itertools.product(range(2, M + 1), repeat=H.n):
+        if not H.edges:
+            pairs.append((w, w))
+            continue
+        mins = min_weight_edges(H, f, w)
+        e = next(e for e in mins if not any(o != e and e & o == e for o in mins))
+        image = subtract_indicator(w, e)
+        pairs.append((w, image))
+        if isolating_edge(H, f, image) != e:
+            reason = f"image does not isolate edge {list(edge_vertices(e))}"
+            findings.append(InjectionFinding(w, image, reason))
+    first = {}
+    for w, image in pairs:
+        if image in first:
+            findings.append(InjectionFinding(w, image, f"collides with {first[image]}"))
+        else:
+            first[image] = w
+    return tuple(pairs), tuple(findings), len(first) == len(pairs)
+
+
+def _scaled(f, scale):
+    return Objective(f.M, tuple(v * scale for v in f.values), zero_allowed=f.zero_allowed)
+
+
+def _reversed_table(f):
+    """f with its scaled values in decreasing order: a map that breaks the
+    injection, so that images fail to isolate and collide."""
+    g = Objective(f.M, f.values, zero_allowed=f.zero_allowed)
+    object.__setattr__(g, "scaled", tuple(reversed(f.scaled)))
+    return g
+
+
+class TestBatchedMaximalInjection:
+    @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_weight_reference(self, seed, scale):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(1, 5))
+        M = int(rng.integers(2, 5))
+        h = random_hypergraph(
+            n, 7, rng, inclusion_free=False, allow_empty_edge=bool(rng.integers(0, 2))
+        )
+        f = _scaled(random_objective(M, rng, zero_allowed=bool(rng.integers(0, 2))), scale)
+        assert counting._int64_safe(f, n) == (scale == 1)
+        for g in (f, _reversed_table(f)):
+            report = tashma_injection_maximal(h, M, g)
+            assert (report.mapping, report.findings, report.injective) == ref_maximal_injection(
+                h, M, g
+            )
+
+    @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+    def test_nested_edges_and_findings_across_blocks(self, monkeypatch, scale):
+        # the empty edge, a chain {1} < {1,2} < {1,2,3} and a zero label;
+        # blocks of 5 rows put block boundaries inside both batches
+        h = Hypergraph.from_edges(
+            4, [[], [1], [1, 2], [1, 2, 3], [3, 4], [2, 4]],
+            allow_empty_edge=True, require_inclusion_free=False,
+        )
+        f = _scaled(explicit_objective([0, 1, 3, 4], zero_allowed=True), scale)
+        monkeypatch.setattr(counting, "_CHUNK", 5)
+        broken = _reversed_table(f)
+        expected = ref_maximal_injection(h, 4, broken)
+        assert expected[1] and not expected[2]  # isolation failures and collisions
+        for g in (f, broken):
+            report = tashma_injection_maximal(h, 4, g)
+            assert (report.mapping, report.findings, report.injective) == ref_maximal_injection(
+                h, 4, g
+            )
+
+    def test_empty_hypergraph_is_identity(self):
+        report = tashma_injection_maximal(Hypergraph(2, ()), 3, zero_based_identity(3))
+        assert report.mapping == tuple((w, w) for w in itertools.product((2, 3), repeat=2))
+        assert report.findings == () and report.injective
 
 
 class TestZeroWeightLowerBound:
