@@ -10,7 +10,6 @@ from .bounds import (
     corollary_Y_bound,
     h_eval,
     main_theorem_bound,
-    singleton_count,
     success_probabilities,
     ta_shma_bound,
     zero_weight_Y,
@@ -26,7 +25,6 @@ from .constructions import (
     descend,
     next_vertex,
     pivot_descend,
-    tashma_injection,
 )
 from .counting import (
     CountReport,

@@ -29,23 +29,32 @@ def ta_shma_bound(M: int, n: int) -> int:
 def conjectured_Y(M: int, n: int) -> int:
     """n * sum_{i=0}^{M-1} i^(n-1), the conjectured exact minimum of |Z|.
 
-    0^0 is taken as 1, which only matters at n = 1 and keeps the value
-    consistent with the singleton hypergraph count there.
+    It is the exact count |Z(S_n, M, f)| of the singleton hypergraph for
+    every f, and for n >= 2 also that of its complement.  0^0 is taken as
+    1, which only matters at n = 1, where every weight isolates {1}.
     """
     _check_mn(M, n)
-    return n * sum(i ** (n - 1) for i in range(M))
+    return n * _power_sum(M, n - 1)
+
+
+def _power_sum(M: int, k: int) -> int:
+    """sum_{i=0}^{M-1} i^k (0^0 = 1) in O(k^2) integer steps, whatever M:
+    i^k = sum_j S(k, j) j! C(i, j) with Stirling numbers of the second
+    kind S, and C(i, j) summed over i < M is C(M, j + 1)."""
+    stirling = [1]
+    for r in range(1, k + 1):
+        stirling = [0] + [j * stirling[j] + stirling[j - 1] for j in range(1, r)] + [1]
+    total, falling = 0, M
+    for j, s in enumerate(stirling):
+        total += s * (falling // (j + 1))  # j! C(M, j + 1)
+        falling *= M - j - 1
+    return total
 
 
 def conjectured_Y1(M: int, n: int) -> int:
     """n (M-1)^(n-1), the conjectured exact minimum of |Z_1|."""
     _check_mn(M, n)
     return n * (M - 1) ** (n - 1)
-
-
-def singleton_count(M: int, n: int) -> int:
-    """Exact |Z(S_n, M, f)| = |Z(complement of S_n, M, f)| for every f."""
-    _check_mn(M, n)
-    return n * sum(i ** (n - 1) for i in range(1, M))
 
 
 def main_theorem_bound(M: int, n: int) -> int:

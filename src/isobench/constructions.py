@@ -1,6 +1,7 @@
-"""Constructive maps from arbitrary weights to isolating weights, the
+"""Verified descents from arbitrary weights to isolating weights, the
 bipartite witness graphs they support, and exact checkers for the
-vertex-removal / disjoint-union counting inequalities.
+vertex-removal / disjoint-union counting inequalities.  The Ta-Shma
+injection lives in ``zero_weight``.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ def next_vertex(i: int, e: int) -> int:
     return vs[0]
 
 
-def _domain(n: int, M: int) -> list[tuple[int, ...]]:
-    """{2..M}^n in lexicographic order."""
-    return list(itertools.product(range(2, M + 1), repeat=n))
-
-
 def _assert_isolates(
     H: Hypergraph, f: Objective, W: np.ndarray, edges: np.ndarray, what: str
 ) -> None:
@@ -112,36 +108,6 @@ def _assert_isolates(
             f"{what} failed to isolate edge {edge_vertices(H.edges[edges[k]])}"
             f" at weight {tuple(W[k].tolist())}"
         )
-
-
-def tashma_injection(
-    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The injection {2..M}^n -> Z(H, M, f): subtract the indicator of the
-    lexicographically smallest min-weight edge (identity on weights that
-    are already isolating because H has no edges).
-
-    Every image is verified isolating; the inverse adds the isolated
-    edge's indicator back.
-    """
-    if M < 2:
-        raise ValueError("injection requires M >= 2")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    _require_inclusion_free(H)
-    domain_size = (M - 1) ** H.n
-    if domain_size > budget:
-        raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    domain = _domain(H.n, M)
-    if not H.edges:
-        return {w: w for w in domain}
-    W = np.array(domain, dtype=np.int64)
-    e = _classify_rows(H, f, W)[1].argmax(axis=1)
-    images = W - _edge_members(H).T[e]
-    _assert_isolates(H, f, images, e, "injection image")
-    mapping = dict(zip(domain, map(tuple, images.tolist())))
-    assert len(set(mapping.values())) == len(mapping), "injection collision"
-    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +143,7 @@ class WitnessGraph:
 
 def _left_nodes(n: int, M: int) -> list[tuple[int, ...]]:
     """Weights with exactly one entry 1, in (position, remainder) order."""
-    rests = _domain(n - 1, M)
+    rests = list(itertools.product(range(2, M + 1), repeat=n - 1))
     return [rest[:pos] + (1,) + rest[pos:] for pos in range(n) for rest in rests]
 
 

@@ -16,6 +16,11 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError
 
+# Dedekind numbers D(0..8) (OEIS A000372), the antichains of subsets of
+# [n]: an inclusion-free walk visits the D(n) - 1 antichains of nonempty
+# sets.  D grows with n, so past the table D(8) - 1 bounds the walk below.
+_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
+
 
 def edge_mask(vertices: Iterable[int], n: int) -> int:
     """Build an edge bitmask from 1-based vertices, validating the range."""
@@ -301,7 +306,9 @@ def enumerate_hypergraphs(
     yield time.  Every edge set the walk visits counts against
     ``max_count``, whether or not the filters let it through, so a
     filtered walk is bounded too; BudgetExceededError is raised when the
-    walk would visit more than ``max_count`` edge sets.
+    walk would visit more than ``max_count`` edge sets.  An unrestricted
+    or inclusion-free walk whose size is known in advance is refused
+    before its first visit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -315,6 +322,9 @@ def enumerate_hypergraphs(
             raise BudgetExceededError(
                 f"2^{len(candidates)} hypergraphs exceeds budget {max_count}"
             )
+    if inclusion_free and not linear and uniform_r is None:
+        if _DEDEKIND[min(n, len(_DEDEKIND) - 1)] - 1 > max_count:
+            raise BudgetExceededError(f"enumeration exceeds budget {max_count}")
 
     def compatible(e: int, chosen: list[int]) -> bool:
         for other in chosen:

@@ -14,45 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify_rows
+from .counting import DEFAULT_BUDGET, _classify_rows, _decode_rows, _edge_members
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
-from .weights import Objective
+from .weights import Objective, identity_objective
+
+# f(1) = 1, f(2) = 2: an edge weighs |e| + #(weight-2 vertices in e)
+_UNIT = identity_objective(2)
 
 
-def _two_weight_tuple(T: int, n: int) -> tuple[int, ...]:
-    """Weight tuple for the set T of weight-2 vertices."""
-    return tuple(1 + ((T >> i) & 1) for i in range(n))
-
-
-def _special_scan(H: Hypergraph) -> tuple[list[int], np.ndarray]:
-    """Scan [2]^n; return the weight-2 sets of the special weights plus a
-    per-edge histogram of their unique min-weight edges."""
-    n = H.n
-    size = 1 << n
-    full = size - 1
-    T = np.arange(size, dtype=np.int64)
-    m = H.m
-    if m == 0:
-        return list(range(size)), np.zeros(0, dtype=np.int64)
-    edges = np.array(H.edges, dtype=np.int64)
-    cards = np.array([e.bit_count() for e in H.edges], dtype=np.int64)
-    # w(e) = |e| + #(weight-2 vertices in e) under unit weights
-    sums = np.empty((m, size), dtype=np.int64)
-    cond1 = np.empty((m, size), dtype=bool)
-    for t, e in enumerate(H.edges):
-        in2 = np.bitwise_count(T & e).astype(np.int64)
-        sums[t] = cards[t] + in2
-        ones_outside = (~T & full) & ~e & full
-        cond1[t] = (in2 == 0) | (ones_outside == 0)
-    lo = sums.min(axis=0)
-    at_min = sums == lo
-    unique = at_min.sum(axis=0) == 1
-    argmin = at_min.argmax(axis=0)
-    ok = unique & np.take_along_axis(cond1, argmin[None, :], axis=0)[0]
-    specials = [int(t) for t in T[ok]]
-    hist = np.bincount(argmin[ok], minlength=m)
-    return specials, hist
+def _special_scan(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Scan [2]^n; return the special weights, as rows in lexicographic
+    order, plus a per-edge histogram of their unique min-weight edges
+    under unit weights."""
+    W = _decode_rows(H.n, 2, 0, 1 << H.n)[0]
+    if not H.edges:
+        return W, np.zeros(0, dtype=np.int64)
+    iso, at_min = _classify_rows(H, _UNIT, W)
+    first = at_min.argmax(axis=1)
+    inside = _edge_members(H).T[first] == 1
+    # condition 1: no weight-2 vertex inside the edge or no weight-1 vertex outside
+    cond1 = ~(inside & (W == 2)).any(axis=1) | ~(~inside & (W == 1)).any(axis=1)
+    ok = iso & cond1
+    return W[ok], np.bincount(first[ok], minlength=H.m)
 
 
 def special_isolating_weights(
@@ -62,8 +46,7 @@ def special_isolating_weights(
     hypergraph returns all of [2]^n by convention."""
     if (1 << H.n) > budget:
         raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
-    specials, _ = _special_scan(H)
-    return sorted(_two_weight_tuple(t, H.n) for t in specials)
+    return list(map(tuple, _special_scan(H)[0].tolist()))
 
 
 def min_cardinality_subgraph(H: Hypergraph) -> tuple[int, Hypergraph]:

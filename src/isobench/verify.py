@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,12 +24,18 @@ from .bounds import (
     ta_shma_bound,
     zero_weight_Y,
 )
-from .constructions import build_witness_graph_A, build_witness_graph_B, tashma_injection
+from .constructions import build_witness_graph_A, build_witness_graph_B
 from .counting import DEFAULT_BUDGET, _classify_rows, count_isolating
-from .hypergraph import Hypergraph, enumerate_hypergraphs, is_inclusion_free, is_linear
+from .hypergraph import (
+    Hypergraph,
+    enumerate_hypergraphs,
+    is_inclusion_free,
+    is_linear,
+    one_degenerate_order,
+)
 from .special_m2 import check_min_cardinality_reduction, special_isolating_weights
 from .weights import Objective, preset_objectives
-from .hypergraph import one_degenerate_order
+from .zero_weight import tashma_injection_maximal
 
 
 @dataclass(frozen=True)
@@ -57,13 +63,7 @@ def _instance_doc(H: Hypergraph, M: int, f: Objective) -> dict:
 
 
 def instance_checks(
-    H: Hypergraph,
-    M: int,
-    f: Objective,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    with_witness: bool = True,
-    with_injection: bool = True,
+    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Every applicable check for one (H, M, f) instance.
 
@@ -102,7 +102,7 @@ def instance_checks(
     rhs = conjectured_Y(M, n)
     add("total_ge_conjecture1", kind, total, rhs, total >= rhs)
 
-    if with_witness and M >= 2:
+    if M >= 2:
         G = build_witness_graph_A(H, M, f, budget=budget)
         right = np.array(G.right, dtype=np.int64)
         ok_count = int((_classify_rows(H, f, right)[0] & (right.min(axis=1) == 1)).sum())
@@ -131,9 +131,11 @@ def instance_checks(
             charge_B = GB.total_charge()
             add("witnessB_charge_bound", "theorem", charge_B, rhs, charge_B >= rhs)
 
-    if with_injection and M >= 2:
-        mapping = tashma_injection(H, M, f, budget=budget)
-        image = set(mapping.values())
+        # on an inclusion-free H every min-weight edge is maximal, so this is
+        # the plain injection; a collision or a failed image shows as a
+        # failed check here
+        injection = tashma_injection_maximal(H, M, f, budget=budget)
+        image = {img for _, img in injection.mapping}
         rhs = (M - 1) ** n
         add("injection_image_size", "theorem", len(image), rhs, len(image) == rhs)
         iso_count = int(_classify_rows(H, f, list(image))[0].sum())
@@ -201,49 +203,22 @@ def summarize(results: Iterable[CheckResult], instances: int) -> VerifySummary:
     )
 
 
-def grid_instances(
-    n_values: Sequence[int],
-    M_values: Sequence[int],
-    objective_factory: Optional[Callable[[int, int], Sequence[Objective]]] = None,
-    *,
-    inclusion_free: bool = True,
-    enum_budget: int = 1_000_000,
-) -> Iterator[tuple[Hypergraph, int, Objective]]:
-    """All (H, M, f) instances of a sweep, in deterministic order."""
-    factory = objective_factory or preset_objectives
-    for n in n_values:
-        families = {M: list(factory(M, n)) for M in M_values}
-        for H in enumerate_hypergraphs(n, inclusion_free=inclusion_free, max_count=enum_budget):
-            for M in M_values:
-                for f in families[M]:
-                    yield H, M, f
-
-
 def verify_grid(
     n_values: Sequence[int],
     M_values: Sequence[int],
-    objective_factory: Optional[Callable[[int, int], Sequence[Objective]]] = None,
     *,
     budget: int = DEFAULT_BUDGET,
     enum_budget: int = 1_000_000,
-    with_witness: bool = True,
-    with_injection: bool = True,
 ) -> VerifySummary:
-    """Run every instance check over an exhaustive inclusion-free grid."""
+    """Run every instance check with the preset objectives over an
+    exhaustive inclusion-free grid, in deterministic order."""
     all_results: list[CheckResult] = []
     instances = 0
-    for H, M, f in grid_instances(
-        n_values, M_values, objective_factory, enum_budget=enum_budget
-    ):
-        instances += 1
-        all_results.extend(
-            instance_checks(
-                H,
-                M,
-                f,
-                budget=budget,
-                with_witness=with_witness,
-                with_injection=with_injection,
-            )
-        )
+    for n in n_values:
+        families = {M: preset_objectives(M, n) for M in M_values}
+        for H in enumerate_hypergraphs(n, inclusion_free=True, max_count=enum_budget):
+            for M in M_values:
+                for f in families[M]:
+                    instances += 1
+                    all_results.extend(instance_checks(H, M, f, budget=budget))
     return summarize(all_results, instances)

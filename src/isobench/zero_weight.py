@@ -1,6 +1,7 @@
-"""The zero-allowed objective setting: the modified injection that picks
-inclusion-wise maximal min-weight edges (hypergraphs may contain nested
-edges and the empty edge here), and the tight power-set instance.
+"""The Ta-Shma injection {2..M}^n -> Z(H, M, f) in the form that also
+covers the zero-allowed objective setting: it picks inclusion-wise maximal
+min-weight edges (hypergraphs may contain nested edges and the empty edge
+here).  Also the tight power-set instance.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ def tashma_injection_maximal(
     """Map each w in {2..M}^n to w minus the indicator of an inclusion-wise
     maximal min-weight edge (lexicographically smallest among the maximal
     ones).  Works for hypergraphs with nested edges and zero-allowed
-    objectives; every image is verified isolating.
+    objectives; every image is verified isolating.  On an inclusion-free
+    hypergraph every min-weight edge is maximal, so this is the plain
+    injection along the lexicographically smallest min-weight edge; the
+    inverse adds the isolated edge's indicator back.
     """
     if M < 2:
         raise ValueError("injection requires M >= 2")

@@ -22,6 +22,7 @@ from isobench import (
     check_disjoint_union_reduction,
     check_min_cardinality_reduction,
     complement_singleton_hypergraph,
+    conjectured_Y,
     conjectured_Y1,
     corollary_Y_bound,
     count_isolating,
@@ -43,11 +44,9 @@ from isobench import (
     sample_layer1,
     sample_uniform,
     shift_objective_up,
-    singleton_count,
     singleton_hypergraph,
     success_probabilities,
     ta_shma_bound,
-    tashma_injection,
     tashma_injection_maximal,
     zero_based_identity,
     zero_weight_tightness,
@@ -80,14 +79,17 @@ def test_criterion_1_singleton_exactness():
     t0 = time.monotonic()
     failures = []
     instances = 0
-    for n in range(2, 6):
+    for n in range(1, 6):
         for M in range(2, 6):
             rng = np.random.default_rng([1001, n, M])
             objectives = list(preset_objectives(M, n)) + [
                 random_objective(M, rng) for _ in range(3)
             ]
-            expected = singleton_count(M, n)
-            for H in (singleton_hypergraph(n), complement_singleton_hypergraph(n)):
+            expected = conjectured_Y(M, n)
+            family = [singleton_hypergraph(n)]
+            if n >= 2:  # the complement of S_1 would be the empty edge
+                family.append(complement_singleton_hypergraph(n))
+            for H in family:
                 for f in objectives:
                     instances += 1
                     got = count_isolating(H, M, f).total
@@ -247,12 +249,15 @@ def test_criterion_7_injections(sweep_grid):
     grid, _ = sweep_grid
     failures = []
     for H, M, f, rep in grid:
-        inj = tashma_injection(H, M, f)
+        report = tashma_injection_maximal(H, M, f)
+        inj = report.mapping_dict()
         image = set(inj.values())
         if len(inj) != (M - 1) ** H.n or len(image) != len(inj):
             failures.append(("size", H.vertex_sets(), M, f.kind))
         if not all(is_isolating(H, f, u) for u in image):
             failures.append(("isolating", H.vertex_sets(), M, f.kind))
+        if report.findings:
+            failures.append(("findings", H.vertex_sets(), M, f.kind))
 
     findings_total = 0
     maximal_instances = []

@@ -14,12 +14,12 @@ from isobench import (
     h_eval,
     identity_objective,
     main_theorem_bound,
-    singleton_count,
     singleton_hypergraph,
     success_probabilities,
     ta_shma_bound,
     zero_weight_Y,
 )
+from isobench.bounds import _power_sum
 
 F = Fraction
 
@@ -67,8 +67,18 @@ class TestClosedForms:
         assert zero_weight_Y(1, 1) == 0
 
     def test_singleton_count(self):
-        assert singleton_count(3, 2) == 6
-        assert singleton_count(6, 6) == 26550
+        """conjectured_Y is the exact singleton count, n = 1 included."""
+        assert conjectured_Y(3, 2) == 6
+        assert conjectured_Y(6, 6) == 26550
+        S1 = singleton_hypergraph(1)
+        for M in (1, 2, 3):
+            assert count_isolating(S1, M, identity_objective(M)).total == conjectured_Y(M, 1) == M
+
+    def test_power_sum_matches_direct_sum(self):
+        for M in range(1, 20):
+            for k in range(12):
+                assert _power_sum(M, k) == sum(i**k for i in range(M))
+        assert _power_sum(10**6, 3) == (10**6 * (10**6 - 1) // 2) ** 2
 
 
 class TestIdentities:

@@ -93,15 +93,15 @@ class TestVerify:
 
     def test_failed_internal_check_exits_4(self, s2_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
-            raise AssertionError("injection image failed to isolate edge (1,) at weight (2, 2)")
+            raise AssertionError("pivot descent failed to isolate edge (1,) at weight (1, 2)")
 
-        monkeypatch.setattr(isobench.verify, "tashma_injection", broken)
+        monkeypatch.setattr(isobench.verify, "build_witness_graph_A", broken)
         assert main(["verify", "--hypergraph", s2_path, "--M", "2"]) == EXIT_INTERNAL == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: internal check failed: injection image failed to isolate"
-            " edge (1,) at weight (2, 2)\n"
+            "error: internal check failed: pivot descent failed to isolate"
+            " edge (1,) at weight (1, 2)\n"
         )
         assert "Traceback" not in captured.err
 
@@ -157,6 +157,9 @@ class TestSearch:
         [
             ("--n-max 3 --M 2 --prune --budget 3", "2^3 = 8 weight evaluations exceed budget 3"),
             ("--n-max 3 --M 2,3 --budget 8", "3^2 = 9 weight evaluations exceed budget 8"),
+            # n = 6 exceeds both budgets (2^6 = 64 > 40); the enumeration's
+            # refusal comes before the walk, so before the count's
+            ("--n-max 6 --M 2 --budget 40", "enumeration exceeds budget 1000000"),
         ],
     )
     def test_budget_errors(self, argv, message, capsys):

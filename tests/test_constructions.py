@@ -30,7 +30,7 @@ from isobench import (
     pivot_descend,
     preset_objectives,
     singleton_hypergraph,
-    tashma_injection,
+    tashma_injection_maximal,
 )
 from isobench import constructions
 from isobench.verify import instance_checks
@@ -139,21 +139,31 @@ class TestNextVertex:
 
 
 class TestInjection:
+    """The Ta-Shma injection on inclusion-free hypergraphs, where the
+    maximal-edge version picks the lexicographically smallest min-weight
+    edge."""
+
+    @staticmethod
+    def injection(h, M, f):
+        report = tashma_injection_maximal(h, M, f)
+        assert report.findings == ()
+        return report.mapping_dict()
+
     def test_singleton_pair(self):
-        inj = tashma_injection(singleton_hypergraph(2), 2, identity_objective(2))
+        inj = self.injection(singleton_hypergraph(2), 2, identity_objective(2))
         assert inj == {(2, 2): (1, 2)}
 
     def test_empty_hypergraph_is_identity(self):
-        inj = tashma_injection(Hypergraph(2, ()), 2, identity_objective(2))
+        inj = self.injection(Hypergraph(2, ()), 2, identity_objective(2))
         assert inj == {(2, 2): (2, 2)}
 
     def test_complement_singletons(self):
-        inj = tashma_injection(complement_singleton_hypergraph(3), 2, identity_objective(2))
+        inj = self.injection(complement_singleton_hypergraph(3), 2, identity_objective(2))
         assert inj == {(2, 2, 2): (1, 1, 2)}
 
     def test_rejects_M1(self):
         with pytest.raises(ValueError):
-            tashma_injection(singleton_hypergraph(2), 1, identity_objective(1))
+            tashma_injection_maximal(singleton_hypergraph(2), 1, identity_objective(1))
 
     @given(counting_instances(max_n=3, max_M=3))
     @settings(max_examples=50, deadline=None)
@@ -161,7 +171,7 @@ class TestInjection:
         h, M, f = instance
         if M < 2:
             return
-        inj = tashma_injection(h, M, f)
+        inj = self.injection(h, M, f)
         assert len(inj) == (M - 1) ** h.n
         assert len(set(inj.values())) == len(inj)
         for w, image in inj.items():

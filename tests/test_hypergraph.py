@@ -235,6 +235,26 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(enumerate_hypergraphs(4, max_count=50, **pruned))
 
+    def test_inclusion_free_walk_refused_before_first_visit(self):
+        """The inclusion-free walk visits the D(n) - 1 antichains of
+        nonempty sets (Dedekind numbers), pruned or not, so a smaller
+        budget is refused before the first yield.  A walk of unknown size
+        keeps the visit counter."""
+        pruned = dict(connected=True, min_degree_at_least=2)
+        for n, visits in ((1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)):
+            assert len(list(enumerate_hypergraphs(n, inclusion_free=True))) == visits
+            list(enumerate_hypergraphs(n, inclusion_free=True, max_count=visits, **pruned))
+            for filters in ({}, pruned):
+                walk = enumerate_hypergraphs(
+                    n, inclusion_free=True, max_count=visits - 1, **filters
+                )
+                with pytest.raises(BudgetExceededError, match="^enumeration exceeds budget"):
+                    next(walk)
+        walk = enumerate_hypergraphs(4, linear=True, max_count=10)
+        assert next(walk).edges == ()
+        with pytest.raises(BudgetExceededError, match="^enumeration exceeds budget 10$"):
+            list(walk)
+
     def test_pruning_filters(self):
         pruned = list(
             enumerate_hypergraphs(3, inclusion_free=True, connected=True, min_degree_at_least=2)

@@ -13,6 +13,7 @@ from isobench import (
     count_isolating,
     edge_mask,
     edge_vertices,
+    enumerate_hypergraphs,
     explicit_objective,
     identity_objective,
     min_cardinality_subgraph,
@@ -49,8 +50,30 @@ class TestSpecialWeights:
     @given(small_hypergraphs(max_n=4))
     @settings(max_examples=80, deadline=None)
     def test_matches_definition_oracle(self, h):
-        vsets = [list(edge_vertices(e)) for e in h.edges]
-        assert special_isolating_weights(h) == sorted(oracle.special_weights(h.n, vsets))
+        check_against_oracle(h)
+
+    def test_uniform_histograms_match_oracle(self):
+        """Every uniform hypergraph on n <= 4 vertices."""
+        for n in range(1, 5):
+            for r in range(1, n + 1):
+                for h in enumerate_hypergraphs(n, uniform_r=r):
+                    check_against_oracle(h)
+
+
+def check_against_oracle(h):
+    """The special weights equal the oracle's; on a uniform h, so do the
+    per-edge counts of ``rich_edge_report``, taken by isolated edge."""
+    vsets = [list(edge_vertices(e)) for e in h.edges]
+    specials = oracle.special_weights(h.n, vsets)
+    assert special_isolating_weights(h) == sorted(specials)
+    if len({len(e) for e in vsets}) == 1:
+        per_edge = [0] * h.m
+        for w in specials:
+            sums = [sum(w[v - 1] for v in e) for e in vsets]
+            per_edge[sums.index(min(sums))] += 1
+        report = rich_edge_report(h)
+        assert [e.s_exact for e in report.edges] == per_edge
+        assert report.total_special == len(specials)
 
 
 class TestMinCardinalitySubgraph:

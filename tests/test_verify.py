@@ -1,5 +1,7 @@
+import isobench.verify
 from isobench import (
     Hypergraph,
+    MaximalInjectionReport,
     identity_objective,
     power_set_hypergraph,
     singleton_hypergraph,
@@ -38,6 +40,24 @@ class TestInstanceChecks:
         H = Hypergraph.from_edges(3, [[1, 2]])
         names = {r.name for r in instance_checks(H, 2, identity_objective(2))}
         assert "m2_single_edge_count" in names
+
+
+    def test_broken_injection_is_a_failed_theorem_check(self, monkeypatch):
+        """A collision or a non-isolating image fails the injection checks,
+        which carry the instance; nothing raises."""
+        H, f = singleton_hypergraph(2), identity_objective(3)
+        mapping = isobench.verify.tashma_injection_maximal(H, 3, f).mapping
+        assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
+        broken = {
+            "injection_image_size": [(w, (1, 2)) for w, _ in mapping],
+            "injection_images_isolating": [(mapping[0][0], (2, 2)), *mapping[1:]],
+        }
+        for name, pairs in broken.items():
+            report = MaximalInjectionReport(tuple(pairs), (), injective=False)
+            monkeypatch.setattr(isobench.verify, "tashma_injection_maximal", lambda *a, **k: report)
+            failed = [r for r in instance_checks(H, 3, f) if not r.holds]
+            assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]
+            assert failed[0].instance["hypergraph"] == H.to_json_dict()
 
 
 class TestSummaries:
