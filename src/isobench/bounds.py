@@ -7,9 +7,7 @@ decisions never depend on the h-functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 
@@ -134,50 +132,3 @@ def success_probabilities(
     denom = M**H.n - (M - 1) ** H.n
     q = Fraction(report.layer1, denom) if denom else Fraction(1)
     return p, q
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """All closed-form bound values at one (M, n), keyed by their usual
-    names; ``bounded_edge`` is present only when an r was supplied."""
-
-    M: int
-    n: int
-    ta_shma: int
-    theorem_main: Optional[int]
-    corollary_Y: int
-    conjecture_1: int
-    conjecture_2: int
-    zero_weight: int
-    bounded_edge_r: Optional[int] = None
-    bounded_edge: Optional[Fraction] = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "M": self.M,
-            "n": self.n,
-            "ta_shma": self.ta_shma,
-            "theorem_main": self.theorem_main,
-            "corollary_Y": self.corollary_Y,
-            "conjecture_1": self.conjecture_1,
-            "conjecture_2": self.conjecture_2,
-            "zero_weight": self.zero_weight,
-        }
-        if self.bounded_edge is not None:
-            doc["bounded_edge"] = {"r": self.bounded_edge_r, "value": str(self.bounded_edge)}
-        return doc
-
-
-def bound_set(M: int, n: int, r: Optional[int] = None) -> BoundSet:
-    return BoundSet(
-        M=M,
-        n=n,
-        ta_shma=ta_shma_bound(M, n),
-        theorem_main=main_theorem_bound(M, n) if M >= 2 else None,
-        corollary_Y=corollary_Y_bound(M, n),
-        conjecture_1=conjectured_Y(M, n),
-        conjecture_2=conjectured_Y1(M, n),
-        zero_weight=zero_weight_Y(M, n),
-        bounded_edge_r=r,
-        bounded_edge=bounded_edge_bound(M, n, r) if r is not None else None,
-    )

@@ -63,7 +63,10 @@ def _parse_objective(spec: str, M: int, n: int, *, zero_allowed: bool) -> Object
     if spec == "generic_low":
         return generic_low_objective(M, n)
     if spec.startswith("explicit:"):
-        values = [Fraction(part) for part in spec[len("explicit:") :].split(",")]
+        try:
+            values = [Fraction(part) for part in spec[len("explicit:") :].split(",")]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"objective spec {spec!r} has a zero denominator") from exc
         f = explicit_objective(values, zero_allowed=zero_allowed)
         if f.M != M:
             raise ValueError(f"explicit objective has {f.M} values, expected M={M}")
@@ -73,11 +76,12 @@ def _parse_objective(spec: str, M: int, n: int, *, zero_allowed: bool) -> Object
 
 def _parse_strategy(spec: str, seed: int) -> ObjectiveStrategy:
     if spec == "presets":
-        return ObjectiveStrategy(kind="presets")
+        return ObjectiveStrategy(kind="presets", seed=seed)
     if spec.startswith("random:"):
         return ObjectiveStrategy(kind="random_rational", count=int(spec.split(":")[1]), seed=seed)
     if spec.startswith("integers:"):
-        return ObjectiveStrategy(kind="exhaustive_integer", bound=int(spec.split(":")[1]))
+        bound = int(spec.split(":")[1])
+        return ObjectiveStrategy(kind="exhaustive_integer", bound=bound, seed=seed)
     raise ValueError(f"unknown strategy spec {spec!r}")
 
 
@@ -160,13 +164,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    strategy = _parse_strategy(args.strategy, args.seed)
     report = conjecture_search(
         args.n_max,
         _parse_m_list(args.M),
-        strategy,
+        _parse_strategy(args.strategy, args.seed),
         prune=args.prune,
-        seed=args.seed,
         count_budget=args.budget,
     )
     if args.format == "csv":

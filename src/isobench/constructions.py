@@ -1,7 +1,6 @@
-"""Verified descents from arbitrary weights to isolating weights, the
-bipartite witness graphs they support, and exact checkers for the
-vertex-removal / disjoint-union counting inequalities.  The Ta-Shma
-injection lives in ``zero_weight``.
+"""The bipartite witness graphs, built from verified descents to isolating
+weights, and exact checkers for the vertex-removal / disjoint-union
+counting inequalities.  The Ta-Shma injection lives in ``zero_weight``.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,75 +23,12 @@ from .hypergraph import (
     is_linear,
     remove_vertex,
 )
-from .weights import (
-    Objective,
-    check_weight,
-    isolating_edge,
-    min_weight_edges,
-    subtract_indicator,
-)
+from .weights import Objective
 
 
 def _require_inclusion_free(H: Hypergraph) -> None:
     if not is_inclusion_free(H):
         raise ValueError("construction requires an inclusion-free hypergraph")
-
-
-def descend(H: Hypergraph, f: Objective, w: Sequence[int], e: int) -> tuple[int, ...]:
-    """Subtract the indicator of a min-weight edge e, producing an isolating
-    weight whose isolated edge is e.
-
-    Requires every entry of w on e to be >= 2 (in particular any
-    w in {2..M}^n qualifies) and an inclusion-free hypergraph.  The result
-    is re-verified; a failure would indicate a broken precondition check.
-    """
-    _require_inclusion_free(H)
-    check_weight(w, H.n, f.M)
-    if e not in H.edges:
-        raise ValueError(f"{edge_vertices(e)} is not an edge of H")
-    if e not in min_weight_edges(H, f, w):
-        raise ValueError(f"{edge_vertices(e)} is not a min-weight edge for w")
-    out = subtract_indicator(w, e)
-    assert isolating_edge(H, f, out) == e, "descent failed to isolate its edge"
-    return out
-
-
-def pivot_descend(
-    H: Hypergraph, f: Objective, w: Sequence[int], pivot: int, e: int
-) -> tuple[int, ...]:
-    """Subtract the indicator of e minus the pivot vertex.
-
-    Valid when every min-weight edge of w contains the pivot, e is one of
-    them, and all entries of w except possibly the pivot's are >= 2; the
-    result isolates e.
-    """
-    _require_inclusion_free(H)
-    check_weight(w, H.n, f.M)
-    if not 1 <= pivot <= H.n:
-        raise ValueError(f"pivot {pivot} out of range 1..{H.n}")
-    mins = min_weight_edges(H, f, w)
-    bit = 1 << (pivot - 1)
-    if any(not (m & bit) for m in mins):
-        raise ValueError("every min-weight edge must contain the pivot")
-    if e not in mins:
-        raise ValueError(f"{edge_vertices(e)} is not a min-weight edge for w")
-    if any(x < 2 for i, x in enumerate(w, start=1) if i != pivot):
-        raise ValueError("all entries except the pivot's must be >= 2")
-    out = subtract_indicator(w, e & ~bit)
-    assert isolating_edge(H, f, out) == e, "pivot descent failed to isolate its edge"
-    return out
-
-
-def next_vertex(i: int, e: int) -> int:
-    """Cyclically next vertex of edge e after i: the smallest j in e with
-    j > i, else the smallest element of e."""
-    vs = edge_vertices(e)
-    if i not in vs:
-        raise ValueError(f"vertex {i} is not in edge {vs}")
-    for j in vs:
-        if j > i:
-            return j
-    return vs[0]
 
 
 def _assert_isolates(
@@ -177,8 +113,9 @@ def _pivot_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
 
 
 def _next_vertex_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-    """The vertex a next-vertex descent lowers: ``next_vertex(pivot, e)``
-    for the charged edge e, as a one-hot row."""
+    """The vertex a next-vertex descent lowers, as a one-hot row: the
+    smallest vertex of the charged edge after the pivot, else its smallest
+    vertex."""
     after = edge_rows & (np.arange(edge_rows.shape[1]) > pivot[:, None])
     j = np.where(after.any(axis=1), after.argmax(axis=1), edge_rows.argmax(axis=1))
     return np.arange(edge_rows.shape[1]) == j[:, None]

@@ -67,9 +67,6 @@ class CountReport:
     def layer1(self) -> int:
         return self.per_layer[0]
 
-    def per_edge_dict(self) -> dict[int, int]:
-        return dict(self.per_edge)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -108,15 +105,18 @@ def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.
 
 
 def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isolation of each column of an (edges, rows) array of edge weights.
+    """Isolation of each row of an array of edge weights with the edges on
+    axis -2: shape (edges, rows), or (hypergraphs, edges, rows).
 
-    Returns the isolating mask per row and the (edges, rows) mask of edges
-    at the row's minimum.  With no edges every row is isolating.
+    Returns the isolating mask, of the shape of ``sums`` without the edge
+    axis, and the mask of edges at the row's minimum, of the shape of
+    ``sums``.  With no edges every row is isolating.
     """
-    if not sums.shape[0]:
-        return np.ones(sums.shape[1], dtype=bool), np.zeros(sums.shape, dtype=bool)
-    at_min = sums == sums.min(axis=0)
-    return at_min.sum(axis=0) == 1, at_min
+    if not sums.shape[-2]:
+        iso = np.ones(sums.shape[:-2] + sums.shape[-1:], dtype=bool)
+        return iso, np.zeros(sums.shape, dtype=bool)
+    at_min = sums == sums.min(axis=-2, keepdims=True)
+    return at_min.sum(axis=-2) == 1, at_min
 
 
 def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -151,15 +151,14 @@ def _suffix_len(n: int, M: int) -> int:
 
 @dataclass(frozen=True)
 class _Part:
-    """Decoded rows of one side of the split, their minima and the per-edge
-    weight over that side's coordinates, shape (edges, rows)."""
+    """The minima of one side's decoded rows and the per-edge weight over
+    that side's coordinates, shape (edges, rows)."""
 
-    rows: np.ndarray
     low: np.ndarray
     sums: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Part":
-        return _Part(self.rows[keep], self.low[keep], self.sums[:, keep])
+        return _Part(self.low[keep], self.sums[:, keep])
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,8 +182,8 @@ def _split(
     prefix, prefix_low = _decode_rows(p, M, start, stop)
     suffix, suffix_low = _suffix_table(k, M)
     return (
-        _Part(prefix, prefix_low, _edge_sums(prefix, table, members[:p])),
-        _Part(suffix, suffix_low, _edge_sums(suffix, table, members[p:])),
+        _Part(prefix_low, _edge_sums(prefix, table, members[:p])),
+        _Part(suffix_low, _edge_sums(suffix, table, members[p:])),
     )
 
 
@@ -192,18 +191,18 @@ def _blocks(prefix: _Part, suffix: _Part) -> Iterator[tuple]:
     """Classify every (prefix, suffix) row in prefix-major order, in blocks
     of about _CHUNK rows.
 
-    Yields (first prefix of the block, isolating mask, layer, edges at the
-    minimum), flat over the block's rows.
+    Yields (isolating mask, layer, edges at the minimum), flat over the
+    block's rows.
     """
     m, width = suffix.sums.shape
     if not width:
         return
     step = max(1, _CHUNK // width)
-    for a in range(0, prefix.rows.shape[0], step):
-        b = min(a + step, prefix.rows.shape[0])
+    for a in range(0, prefix.low.shape[0], step):
+        b = min(a + step, prefix.low.shape[0])
         sums = prefix.sums[:, a:b, None] + suffix.sums[:, None, :]
         iso, at_min = _classify(sums.reshape(m, (b - a) * width))
-        yield a, iso, np.minimum.outer(prefix.low[a:b], suffix.low).ravel(), at_min
+        yield iso, np.minimum.outer(prefix.low[a:b], suffix.low).ravel(), at_min
 
 
 def _tally(
@@ -214,7 +213,7 @@ def _tally(
     total = 0
     per_layer = np.zeros(M + 1, dtype=np.int64)
     per_edge = np.zeros(H.m, dtype=np.int64)
-    for _, iso, layer, at_min in _blocks(*_split(H, f, M, k, start, stop)):
+    for iso, layer, at_min in _blocks(*_split(H, f, M, k, start, stop)):
         total += int(iso.sum())
         per_layer += np.bincount(layer[iso], minlength=M + 1)
         per_edge += np.count_nonzero(at_min & iso, axis=1)
@@ -273,7 +272,7 @@ def _count_layer1(H: Hypergraph, f: Objective, M: int, k: int) -> int:
     hit = prefix.low == 1
     total = 0
     for pre, suf in ((prefix.take(hit), suffix), (prefix.take(~hit), suffix.take(suffix.low == 1))):
-        for _, iso, _, _ in _blocks(pre, suf):
+        for iso, _, _ in _blocks(pre, suf):
             total += int(iso.sum())
     return total
 
@@ -290,37 +289,14 @@ def count_layer1(
     return _count_layer1(H, f, M, _suffix_len(H.n, M))
 
 
-def _isolating_weights(H: Hypergraph, f: Objective, M: int, k: int) -> list[tuple[int, ...]]:
-    prefix, suffix = _split(H, f, M, k)
-    width = suffix.rows.shape[0]
-    out: list[tuple[int, ...]] = []
-    for a, iso, _, _ in _blocks(prefix, suffix):
-        i, j = np.nonzero(iso.reshape(-1, width))
-        rows = np.concatenate([prefix.rows[a + i], suffix.rows[j]], axis=1)
-        out.extend(map(tuple, rows.tolist()))
-    return out
-
-
-def isolating_weights(
-    H: Hypergraph,
-    M: int,
-    f: Objective,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """Materialize Z(H, M, f) as a lexicographically ordered list."""
-    _check(f, M, M**H.n, budget)
-    return _isolating_weights(H, f, M, _suffix_len(H.n, M))
-
-
 def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
     """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, as int64
     arrays in the order of Hs; the caller checks the budget.
 
     Each block of [M]^n rows sums the distinct edges of Hs once.  The
     hypergraphs with m edges gather their edge weights into one array of
-    shape (hypergraphs, m, rows), whose minimum over axis 1 and number of
-    edges at it classify every row of every one of them.  Blocks of rows
+    shape (hypergraphs, m, rows), and one ``_classify`` step classifies
+    every row of every one of them.  Blocks of rows
     and groups of hypergraphs keep rows times gathered edges under _GATHER.
     """
     n = Hs[0].n
@@ -350,8 +326,7 @@ def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndar
         sums = _edge_sums(W, table, members)
         hit = low == 1
         for which, cols in groups:
-            weights = sums[cols]
-            iso = np.count_nonzero(weights == weights.min(axis=1, keepdims=True), axis=1) == 1
+            iso = _classify(sums[cols])[0]
             total[which] += np.count_nonzero(iso, axis=1)
             layer1[which] += np.count_nonzero(iso[:, hit], axis=1)
     return total, layer1

@@ -20,6 +20,7 @@ from .errors import BudgetExceededError
 # [n]: an inclusion-free walk visits the D(n) - 1 antichains of nonempty
 # sets.  D grows with n, so past the table D(8) - 1 bounds the walk below.
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
+_POWER_SET_EDGES = 1 << 16  # the largest power-set hypergraph built
 
 
 def edge_mask(vertices: Iterable[int], n: int) -> int:
@@ -120,6 +121,14 @@ class Hypergraph:
             edges = doc["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed hypergraph document: {exc}") from exc
+        if not isinstance(edges, list):
+            kind = type(edges).__name__
+            raise ValueError(f"malformed hypergraph document: edges must be a list, not {kind}")
+        for e in edges:
+            if not isinstance(e, list) or not all(type(v) is int for v in e):
+                raise ValueError(
+                    f"malformed hypergraph document: edge {e!r} is not a list of integers"
+                )
         return cls.from_edges(
             n,
             edges,
@@ -190,12 +199,12 @@ def complement_singleton_hypergraph(n: int) -> Hypergraph:
     return Hypergraph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
-def power_set_hypergraph(n: int, *, max_edges: int = 1 << 16) -> Hypergraph:
+def power_set_hypergraph(n: int) -> Hypergraph:
     """All 2^n subsets of {1..n} including the empty edge."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if 1 << n > max_edges:
-        raise BudgetExceededError(f"2^{n} edges exceeds budget {max_edges}")
+    if 1 << n > _POWER_SET_EDGES:
+        raise BudgetExceededError(f"2^{n} edges exceeds budget {_POWER_SET_EDGES}")
     return Hypergraph(
         n,
         tuple(range(1 << n)),

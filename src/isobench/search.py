@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import conjectured_Y, conjectured_Y1, h_eval
+from .bounds import conjectured_Y, conjectured_Y1, h_eval, success_probabilities
 from .counting import (
     DEFAULT_BUDGET,
     ObjectiveStrategy,
@@ -19,12 +19,13 @@ from .counting import (
     _classify_rows,
     _count_many,
     count_isolating,
-    count_layer1,
 )
 from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .weights import Objective
 
 _GROUP = 1024  # hypergraphs counted per batch
+_BATCH = 1 << 14  # weight rows a sampler draws at a time
+_EXACT_BUDGET = 1_000_000  # the most rows a sampler's exact count scans
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,6 @@ def conjecture_search(
     strategy: ObjectiveStrategy,
     *,
     prune: bool = False,
-    seed: int = 0,
-    enum_budget: int = 1_000_000,
     count_budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exhaustive sweep of inclusion-free hypergraphs on up to n_max
@@ -103,17 +102,13 @@ def conjecture_search(
 
     ``prune`` restricts to connected hypergraphs with minimum degree two,
     the shape any minimal counterexample must have.  Deterministic given
-    the seed (which feeds the strategy's random objectives).
+    the strategy, whose seed feeds its random objectives.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     M_values = tuple(M_values)
     if not M_values or any(M < 1 for M in M_values):
         raise ValueError("M_values must be a nonempty list of positive integers")
-    if strategy.kind == "random_rational" and strategy.seed != seed:
-        strategy = ObjectiveStrategy(
-            kind=strategy.kind, count=strategy.count, seed=seed, bound=strategy.bound
-        )
 
     instances = 0
     # Each instance is keyed by the order of the per-instance walk,
@@ -128,7 +123,6 @@ def conjecture_search(
             inclusion_free=True,
             connected=prune,
             min_degree_at_least=2 if prune else 0,
-            max_count=enum_budget,
         )
         first = next(walk, None)
         if first is None:
@@ -166,7 +160,7 @@ def conjecture_search(
         M_values=M_values,
         strategy=strategy.to_json_dict(),
         prune=prune,
-        seed=seed,
+        seed=strategy.seed,
         instances=instances,
         min_ratio_total=ratios[0],
         min_ratio_layer1=ratios[1],
@@ -241,60 +235,12 @@ def _h_values(n: int, M: int) -> tuple[Fraction, float, float, float]:
     )
 
 
-def sample_uniform(
-    H: Hypergraph,
-    M: int,
-    f: Objective,
-    trials: int,
-    seed: int,
-    *,
-    exact_budget: int = 1_000_000,
-    batch: int = 1 << 14,
-) -> SampleReport:
+def sample_uniform(H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
     """Estimate p = |Z|/M^n from seeded uniform draws over [M]^n."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    rng = np.random.default_rng(seed)
-    successes = 0
-    done = 0
-    while done < trials:
-        take = min(batch, trials - done)
-        W = rng.integers(1, M + 1, size=(take, H.n), dtype=np.int64)
-        successes += int(_classify_rows(H, f, W)[0].sum())
-        done += take
-    exact = None
-    if M**H.n <= exact_budget:
-        exact = Fraction(count_isolating(H, M, f, budget=exact_budget).total, M**H.n)
-    phi, h0, h1, h2 = _h_values(H.n, M)
-    return SampleReport(
-        kind="uniform",
-        n=H.n,
-        M=M,
-        trials=trials,
-        seed=seed,
-        successes=successes,
-        draws=trials,
-        estimate=successes / trials,
-        exact=exact,
-        phi=phi,
-        h0=h0,
-        h1=h1,
-        h2=h2,
-    )
+    return _sample("uniform", H, M, f, trials, seed)
 
 
-def sample_layer1(
-    H: Hypergraph,
-    M: int,
-    f: Objective,
-    trials: int,
-    seed: int,
-    *,
-    exact_budget: int = 1_000_000,
-    batch: int = 1 << 14,
-) -> SampleReport:
+def sample_layer1(H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
     """Estimate q = |Z_1|/(M^n - (M-1)^n) from uniform draws over the
     layer-1 weights, implemented by rejecting draws with no entry 1.
 
@@ -302,38 +248,41 @@ def sample_layer1(
     rejections stays small for phi = n/M bounded away from 0.  The total
     number of raw draws is reported.
     """
+    return _sample("layer1", H, M, f, trials, seed)
+
+
+def _sample(kind: str, H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
+    """Classify the first ``trials`` accepted rows of seeded uniform draws
+    over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
+    rows with some entry 1 for ``layer1``.  The exact probability comes
+    with the estimate when M^n is at most _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
     rng = np.random.default_rng(seed)
-    successes = 0
-    accepted = 0
-    draws = 0
+    successes = accepted = batches = 0
     while accepted < trials:
-        W = rng.integers(1, M + 1, size=(batch, H.n), dtype=np.int64)
-        draws += batch
-        keep = (W == 1).any(axis=1)
-        W = W[keep]
-        if W.shape[0] > trials - accepted:
-            W = W[: trials - accepted]
-        if W.shape[0]:
-            successes += int(_classify_rows(H, f, W)[0].sum())
-            accepted += W.shape[0]
+        W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
+        batches += 1
+        if kind == "layer1":
+            W = W[(W == 1).any(axis=1)]
+        W = W[: trials - accepted]
+        successes += int(_classify_rows(H, f, W)[0].sum())
+        accepted += W.shape[0]
     exact = None
-    if M**H.n <= exact_budget:
-        denom = M**H.n - (M - 1) ** H.n
-        z1 = count_layer1(H, M, f, budget=exact_budget)
-        exact = Fraction(z1, denom) if denom else Fraction(1)
+    if M**H.n <= _EXACT_BUDGET:
+        p, q = success_probabilities(H, M, f, count_isolating(H, M, f, budget=_EXACT_BUDGET))
+        exact = q if kind == "layer1" else p
     phi, h0, h1, h2 = _h_values(H.n, M)
     return SampleReport(
-        kind="layer1",
+        kind=kind,
         n=H.n,
         M=M,
         trials=trials,
         seed=seed,
         successes=successes,
-        draws=draws,
+        draws=batches * _BATCH if kind == "layer1" else trials,
         estimate=successes / trials,
         exact=exact,
         phi=phi,

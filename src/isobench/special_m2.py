@@ -21,6 +21,7 @@ from .weights import Objective, identity_objective
 
 # f(1) = 1, f(2) = 2: an edge weighs |e| + #(weight-2 vertices in e)
 _UNIT = identity_objective(2)
+_COVER_VERTICES = 20  # the most vertices an exact cover search tries subsets of
 
 
 def _special_scan(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +87,7 @@ def check_min_cardinality_reduction(
     return SubsetCheck(holds=not bad, special_count=len(specials), counterexamples=bad)
 
 
-def min_vertex_cover(G: Hypergraph, *, max_used: int = 20) -> tuple[int, ...]:
+def min_vertex_cover(G: Hypergraph) -> tuple[int, ...]:
     """Exact minimum vertex cover by smallest-first exhaustive search over
     the vertices that occur in edges; ties broken to the lexicographically
     smallest cover.  Rejects hypergraphs with an empty edge (uncoverable).
@@ -96,8 +97,8 @@ def min_vertex_cover(G: Hypergraph, *, max_used: int = 20) -> tuple[int, ...]:
     if not G.edges:
         return ()
     used = sorted({v for e in G.edges for v in edge_vertices(e)})
-    if len(used) > max_used:
-        raise BudgetExceededError(f"exact cover search limited to {max_used} vertices")
+    if len(used) > _COVER_VERTICES:
+        raise BudgetExceededError(f"exact cover search limited to {_COVER_VERTICES} vertices")
     for k in range(1, len(used) + 1):
         for combo in itertools.combinations(used, k):
             mask = 0

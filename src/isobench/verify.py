@@ -179,12 +179,6 @@ class VerifySummary:
     def ok(self) -> bool:
         return not self.violations
 
-    def theorem_violations(self) -> tuple[CheckResult, ...]:
-        return tuple(v for v in self.violations if v.kind == "theorem")
-
-    def conjecture_violations(self) -> tuple[CheckResult, ...]:
-        return tuple(v for v in self.violations if v.kind == "conjecture")
-
     def to_json_dict(self) -> dict:
         return {
             "checks_run": self.checks_run,
@@ -208,7 +202,6 @@ def verify_grid(
     M_values: Sequence[int],
     *,
     budget: int = DEFAULT_BUDGET,
-    enum_budget: int = 1_000_000,
 ) -> VerifySummary:
     """Run every instance check with the preset objectives over an
     exhaustive inclusion-free grid, in deterministic order."""
@@ -216,7 +209,7 @@ def verify_grid(
     instances = 0
     for n in n_values:
         families = {M: preset_objectives(M, n) for M in M_values}
-        for H in enumerate_hypergraphs(n, inclusion_free=True, max_count=enum_budget):
+        for H in enumerate_hypergraphs(n, inclusion_free=True):
             for M in M_values:
                 for f in families[M]:
                     instances += 1

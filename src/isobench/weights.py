@@ -116,28 +116,6 @@ def random_objective(M: int, rng, *, zero_allowed: bool = False) -> Objective:
     return Objective(M, tuple(values), zero_allowed=zero_allowed)
 
 
-def objective_from_json(doc: dict, *, n: Optional[int] = None) -> Objective:
-    """Rebuild an objective from its JSON document.
-
-    Generic kinds need the intended vertex count ``n`` (taken from the
-    accompanying hypergraph when deserializing a full run config).
-    """
-    kind = doc.get("kind")
-    M = doc.get("M")
-    if not isinstance(M, int):
-        raise ValueError("objective document missing integer 'M'")
-    if kind == "identity":
-        return identity_objective(M)
-    if kind in ("generic_high", "generic_low"):
-        if n is None:
-            raise ValueError(f"{kind} objective needs the vertex count n")
-        return generic_high_objective(M, n) if kind == "generic_high" else generic_low_objective(M, n)
-    if kind == "explicit":
-        values = [Fraction(s) for s in doc["values"]]
-        return Objective(M, tuple(values), zero_allowed=bool(doc.get("zero_allowed", False)))
-    raise ValueError(f"unknown objective kind {kind!r}")
-
-
 def preset_objectives(M: int, n: int) -> tuple[Objective, ...]:
     """The three preset objectives used throughout the verification suites."""
     return (identity_objective(M), generic_high_objective(M, n), generic_low_objective(M, n))
@@ -153,15 +131,6 @@ def check_weight(w: Sequence[int], n: int, M: int) -> None:
     for x in w:
         if not 1 <= x <= M:
             raise ValueError(f"weight entry {x} out of range 1..{M}")
-
-
-def edge_weight(f: Objective, w: Sequence[int], e: int) -> Fraction:
-    """Sum of f(w(i)) over the vertices of edge bitmask ``e``; 0 for the
-    empty edge."""
-    total = Fraction(0)
-    for v in edge_vertices(e):
-        total += f(w[v - 1])
-    return total
 
 
 def _scaled_edge_weights(H: Hypergraph, f: Objective, w: Sequence[int]) -> list[int]:
@@ -223,13 +192,6 @@ def subtract_indicator(w: Sequence[int], S: int) -> tuple[int, ...]:
             raise ValueError(f"entry {v} is 1; subtracting would leave the range")
         out[v - 1] -= 1
     return tuple(out)
-
-
-def shift_objective_down(f: Objective, j: int) -> Objective:
-    """Restriction g(k) = f(k + j - 1) on labels 1..M-j+1."""
-    if not 1 <= j <= f.M:
-        raise ValueError(f"layer index {j} out of range 1..{f.M}")
-    return Objective(f.M - j + 1, f.values[j - 1 :], zero_allowed=f.zero_allowed)
 
 
 def shift_objective_up(f: Objective, j: int, M: int) -> Objective:

@@ -41,15 +41,6 @@ def count_isolating(n, edges, M, fvalues):
     return total, per_layer, per_edge
 
 
-def isolating_weights(n, edges, M, fvalues):
-    values = [None, *fvalues]
-    return [
-        w
-        for w in itertools.product(range(1, M + 1), repeat=n)
-        if classify(edges, values, w)[0]
-    ]
-
-
 def special_weights(n, edges):
     """Special isolating weights over {1,2}^n by direct definition:
     some edge is the unique unit-weight minimum and its vertices weigh no

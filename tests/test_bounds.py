@@ -5,7 +5,6 @@ import pytest
 
 from isobench import (
     Hypergraph,
-    bound_set,
     bounded_edge_bound,
     conjectured_Y,
     conjectured_Y1,
@@ -17,9 +16,8 @@ from isobench import (
     singleton_hypergraph,
     success_probabilities,
     ta_shma_bound,
-    zero_weight_Y,
 )
-from isobench.bounds import _power_sum
+from isobench.bounds import _power_sum, zero_weight_Y
 
 F = Fraction
 
@@ -178,13 +176,3 @@ class TestSuccessProbabilities:
         with pytest.raises(ValueError):
             success_probabilities(singleton_hypergraph(3), 2, f, rep)
 
-
-class TestBoundSet:
-    def test_json_keys(self):
-        doc = bound_set(3, 4, r=2).to_json_dict()
-        assert doc["ta_shma"] == 16
-        assert doc["theorem_main"] == main_theorem_bound(3, 4)
-        assert doc["conjecture_1"] == conjectured_Y(3, 4)
-        assert doc["conjecture_2"] == conjectured_Y1(3, 4)
-        assert doc["bounded_edge"] == {"r": 2, "value": str(bounded_edge_bound(3, 4, 2))}
-        assert "theorem_main" in bound_set(1, 2).to_json_dict()

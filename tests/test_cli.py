@@ -62,6 +62,35 @@ class TestCount:
         bad.write_text("{not json")
         assert main(["count", "--hypergraph", str(bad), "--M", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([1, 2], "edge 1 is not a list of integers"),
+            ([["a"]], "edge ['a'] is not a list of integers"),
+            ([[1.5]], "edge [1.5] is not a list of integers"),
+        ],
+        ids=["int-edge", "str-vertex", "float-vertex"],
+    )
+    def test_malformed_edges_exit_code(self, tmp_path, capsys, edges, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "edges": edges}))
+        assert main(["count", "--hypergraph", str(bad), "--M", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed hypergraph document: {message}\n"
+
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_zero_denominator_exit_code(self, s2_path, capsys, command):
+        argv = [command, "--hypergraph", s2_path, "--M", "2", "--objective", "explicit:1/0,2"]
+        if command == "sample":
+            argv += ["--trials", "10", "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: objective spec 'explicit:1/0,2' has a zero denominator\n",
+        )
+
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["count", "--M", "2"]) == 2
 

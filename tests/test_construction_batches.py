@@ -26,7 +26,6 @@ from isobench import (
     Objective,
     build_witness_graph_A,
     build_witness_graph_B,
-    edge_vertices,
     identity_objective,
     is_linear,
     singleton_hypergraph,
@@ -34,6 +33,7 @@ from isobench import (
 )
 from isobench.constructions import _assert_isolates
 from isobench.counting import _CHUNK, _int64_safe
+from isobench.hypergraph import edge_vertices
 
 SCALES = (1, 2**70)
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,24 +17,20 @@ from isobench import (
     check_degree_zero_reduction,
     check_disjoint_union_reduction,
     complement_singleton_hypergraph,
-    descend,
-    edge_mask,
     enumerate_hypergraphs,
     identity_objective,
     is_isolating,
     is_linear,
-    isolating_edge,
     layer,
     main_theorem_bound,
-    min_weight_edges,
-    next_vertex,
-    pivot_descend,
     preset_objectives,
     singleton_hypergraph,
     tashma_injection_maximal,
 )
 from isobench import constructions
+from isobench.hypergraph import edge_mask
 from isobench.verify import instance_checks
+from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 
 F = Fraction
 
@@ -42,34 +39,27 @@ def H(n, *edges, **kw):
     return Hypergraph.from_edges(n, edges, **kw)
 
 
+def pivot_descents(h, W, pivots, edges):
+    """Each weight row minus ``_pivot_step`` of the charged edge (an index
+    into h.edges) at its 1-based pivot."""
+    members = constructions._edge_members(h).T.astype(bool)
+    step = constructions._pivot_step(members[np.array(edges, dtype=np.intp)], np.array(pivots) - 1)
+    return np.array(W, dtype=np.int64).reshape(-1, h.n) - step
+
+
 class TestDescend:
-    def test_examples(self):
-        f = identity_objective(3)
-        f2 = identity_objective(2)
-        out = descend(singleton_hypergraph(2), f2, (2, 2), edge_mask([1], 2))
-        assert out == (1, 2)
-        assert descend(H(2, [1, 2]), f, (2, 3), edge_mask([1, 2], 2)) == (1, 2)
-        out = descend(complement_singleton_hypergraph(3), f2, (2, 2, 2), edge_mask([1, 2], 3))
-        assert out == (1, 1, 2)
-
-    def test_rejects_non_min_edge(self):
-        f = identity_objective(2)
-        with pytest.raises(ValueError, match="min-weight"):
-            descend(singleton_hypergraph(2), f, (1, 2), edge_mask([2], 2))
-
-    def test_rejects_low_entry_on_edge(self):
-        f = identity_objective(2)
-        with pytest.raises(ValueError):
-            descend(singleton_hypergraph(2), f, (1, 2), edge_mask([1], 2))
+    """The descent along a min-weight edge, as the injection applies it."""
 
     def test_rejects_nested_hypergraph(self):
         nested = H(2, [1], [1, 2], require_inclusion_free=False)
-        with pytest.raises(ValueError, match="inclusion-free"):
-            descend(nested, identity_objective(2), (2, 2), edge_mask([1], 2))
+        for build in (build_witness_graph_A, build_witness_graph_B):
+            with pytest.raises(ValueError, match="inclusion-free"):
+                build(nested, 2, identity_objective(2))
 
     def test_exhaustive_small_instances(self):
-        """Every valid (w, e) input isolates its edge, over all
-        inclusion-free hypergraphs on <= 4 vertices and the presets."""
+        """Over all inclusion-free hypergraphs on <= 4 vertices and the
+        presets, each injection image is w minus the first min-weight edge
+        of w, and isolates that edge."""
         for n in range(1, 5):
             Ms = (2, 3) if n < 4 else (2,)
             for M in Ms:
@@ -78,39 +68,30 @@ class TestDescend:
                     if not h.edges:
                         continue
                     for f in fams:
-                        for w in itertools.product(range(2, M + 1), repeat=n):
-                            for e in min_weight_edges(h, f, w):
-                                out = descend(h, f, w, e)
-                                assert isolating_edge(h, f, out) == e
+                        for w, out in tashma_injection_maximal(h, M, f).mapping:
+                            e = min_weight_edges(h, f, w)[0]
+                            assert out == subtract_indicator(w, e)
+                            assert isolating_edge(h, f, out) == e
 
 
 class TestPivotDescend:
     def test_examples(self):
-        f = identity_objective(3)
         h = H(3, [1, 2], [1, 3])
-        assert pivot_descend(h, f, (1, 2, 3), 1, edge_mask([1, 2], 3)) == (1, 1, 3)
-        assert pivot_descend(h, f, (2, 2, 3), 1, edge_mask([1, 2], 3)) == (2, 1, 3)
-        h1 = H(1, [1])
-        assert pivot_descend(h1, identity_objective(1), (1,), 1, 1) == (1,)
-
-    def test_rejects_uncovered_min_edge(self):
-        f = identity_objective(2)
-        with pytest.raises(ValueError, match="pivot"):
-            pivot_descend(singleton_hypergraph(2), f, (2, 2), 1, edge_mask([1], 2))
-
-    def test_rejects_low_entries_off_pivot(self):
-        h = H(3, [1, 2], [1, 3])
-        f = identity_objective(3)
-        with pytest.raises(ValueError, match=">= 2"):
-            pivot_descend(h, f, (1, 1, 3), 1, edge_mask([1, 2], 3))
+        e = h.edges.index(edge_mask([1, 2], 3))
+        out = pivot_descents(h, [(1, 2, 3), (2, 2, 3)], [1, 1], [e, e])
+        assert out.tolist() == [[1, 1, 3], [2, 1, 3]]
+        assert pivot_descents(H(1, [1]), [(1,)], [1], [0]).tolist() == [[1]]
 
     def test_exhaustive_small_instances(self):
+        """Every valid (w, pivot, e) input isolates e: all entries but the
+        pivot's are >= 2, and every min-weight edge of w holds the pivot."""
         for n in range(1, 4):
             for M in (2, 3):
                 f = identity_objective(M)
                 for h in enumerate_hypergraphs(n, inclusion_free=True):
                     if not h.edges:
                         continue
+                    cases = []
                     for pivot in range(1, n + 1):
                         bit = 1 << (pivot - 1)
                         others = [i for i in range(n) if i != pivot - 1]
@@ -120,22 +101,24 @@ class TestPivotDescend:
                             mins = min_weight_edges(h, f, w)
                             if any(not (e & bit) for e in mins):
                                 continue
-                            for e in mins:
-                                out = pivot_descend(h, f, w, pivot, e)
-                                assert isolating_edge(h, f, out) == e
+                            cases.extend((w, pivot, h.edges.index(e)) for e in mins)
+                    if not cases:
+                        continue
+                    W, pivots, edges = zip(*cases)
+                    for out, e in zip(pivot_descents(h, W, pivots, edges).tolist(), edges):
+                        assert isolating_edge(h, f, tuple(out)) == h.edges[e]
 
 
 class TestNextVertex:
     def test_examples(self):
-        e = edge_mask([2, 5, 7], 7)
-        assert next_vertex(2, e) == 5
-        assert next_vertex(5, e) == 7
-        assert next_vertex(7, e) == 2
-        assert next_vertex(4, edge_mask([4], 4)) == 4
+        def next_vertices(n, vertex_sets, pivots):
+            rows = np.array([[v in vs for v in range(1, n + 1)] for vs in vertex_sets])
+            step = constructions._next_vertex_step(rows, np.array(pivots) - 1)
+            assert (step.sum(axis=1) == 1).all()
+            return (step.argmax(axis=1) + 1).tolist()
 
-    def test_rejects_outside_vertex(self):
-        with pytest.raises(ValueError):
-            next_vertex(3, edge_mask([2, 5], 5))
+        assert next_vertices(7, [[2, 5, 7]] * 3, [2, 5, 7]) == [5, 7, 2]
+        assert next_vertices(4, [[4]], [4]) == [4]
 
 
 class TestInjection:

@@ -15,16 +15,15 @@ from isobench import (
     ObjectiveStrategy,
     count_isolating,
     count_layer1,
-    count_min_over_objectives,
-    edge_vertices,
     enumerate_hypergraphs,
     explicit_objective,
     generic_high_objective,
     identity_objective,
-    isolating_weights,
     random_objective,
     singleton_hypergraph,
 )
+from isobench.counting import count_min_over_objectives
+from isobench.hypergraph import edge_vertices
 
 F = Fraction
 
@@ -41,16 +40,12 @@ def oracle_counts(h, M, f):
     return total, tuple(per_layer), {h.edges[i]: c for i, c in per_edge.items()}
 
 
-def oracle_weights(h, M, f):
-    return oracle.isolating_weights(h.n, [list(edge_vertices(e)) for e in h.edges], M, f.values)
-
-
 class TestCountIsolating:
     def test_singleton_pair(self):
         rep = count_isolating(singleton_hypergraph(2), 3, identity_objective(3))
         assert rep.total == 6
         assert rep.per_layer == (4, 2, 0)
-        assert sum(rep.per_edge_dict().values()) == 6
+        assert sum(dict(rep.per_edge).values()) == 6
 
     def test_disjoint_pair(self):
         rep = count_isolating(H(4, [1, 2], [3, 4]), 2, identity_objective(2))
@@ -105,7 +100,7 @@ class TestCountIsolating:
         rep = count_isolating(h, M, f)
         assert rep.total == total
         assert rep.per_layer == per_layer
-        assert rep.per_edge_dict() == per_edge
+        assert dict(rep.per_edge) == per_edge
 
     @pytest.mark.parametrize("shift", [0, 1 << 70], ids=["int64", "object"])
     @given(counting_instances())
@@ -118,25 +113,23 @@ class TestCountIsolating:
             f = explicit_objective([v + shift for v in f.values])
         assert counting._int64_safe(f, h.n) == (not shift)
         total, per_layer, per_edge = oracle_counts(h, M, f)
-        weights = oracle_weights(h, M, f)
         for k in range(h.n + 1):
             got_total, got_layers, got_edges = counting._tally(h, f, M, k)
             assert got_total == total
             assert tuple(got_layers[1:]) == per_layer
             assert {e: c for e, c in zip(h.edges, got_edges) if c} == per_edge
             assert counting._count_layer1(h, f, M, k) == per_layer[0]
-            assert counting._isolating_weights(h, f, M, k) == weights
 
     def test_block_boundaries(self, monkeypatch):
         # blocks of a few prefixes, the last one short, give the same counts
-        # and order as one block per scan
+        # as one block per scan
         h, f = H(6, [1, 2], [2, 5, 6], [3, 4], [4, 6]), identity_objective(3)
 
         def scans():
             for k in range(h.n + 1):
                 total, per_layer, per_edge = counting._tally(h, f, 3, k)
                 yield total, per_layer.tolist(), per_edge.tolist()
-                yield counting._count_layer1(h, f, 3, k), counting._isolating_weights(h, f, 3, k)
+                yield counting._count_layer1(h, f, 3, k)
 
         expected = list(scans())
         monkeypatch.setattr(counting, "_CHUNK", 20)
@@ -169,7 +162,7 @@ class TestCountIsolating:
     def test_report_invariants_and_json(self):
         rep = count_isolating(singleton_hypergraph(3), 2, identity_objective(2))
         assert rep.total == sum(rep.per_layer)
-        assert rep.total == sum(rep.per_edge_dict().values())
+        assert rep.total == sum(dict(rep.per_edge).values())
         doc = rep.to_json_dict()
         assert doc["total"] == 3
         json.dumps(doc)  # serializable
@@ -293,14 +286,6 @@ class TestMonotonicityInM:
         small = count_isolating(h, M, f).total
         large = count_isolating(h, M + 1, extended).total
         assert small <= large
-
-
-class TestIsolatingWeights:
-    @given(counting_instances(max_n=3, max_M=3))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_oracle_set(self, instance):
-        h, M, f = instance
-        assert isolating_weights(h, M, f) == oracle_weights(h, M, f)
 
 
 class TestMinOverObjectives:

@@ -7,21 +7,23 @@ from conftest import small_hypergraphs
 from isobench import (
     BudgetExceededError,
     Hypergraph,
-    canonical_key,
     complement_singleton_hypergraph,
-    disjoint_union,
-    edge_mask,
-    edge_vertices,
     enumerate_hypergraphs,
-    is_connected,
-    is_inclusion_free,
     is_linear,
     one_degenerate_order,
     power_set_hypergraph,
     random_hypergraph,
     random_uniform_hypergraph,
-    remove_vertex,
     singleton_hypergraph,
+)
+from isobench.hypergraph import (
+    canonical_key,
+    disjoint_union,
+    edge_mask,
+    edge_vertices,
+    is_connected,
+    is_inclusion_free,
+    remove_vertex,
 )
 
 
@@ -120,7 +122,7 @@ class TestGenerators:
 
     def test_power_set_budget(self):
         with pytest.raises(BudgetExceededError):
-            power_set_hypergraph(10, max_edges=100)
+            power_set_hypergraph(17)  # 2^17 edges, refused before any is built
 
 
 class TestRemoveVertex:

@@ -110,8 +110,8 @@ class TestConjectureSearch:
 
     def test_deterministic_given_seed(self):
         strat = ObjectiveStrategy(kind="random_rational", count=2, seed=3)
-        a = conjecture_search(2, [2, 3], strat, seed=3)
-        b = conjecture_search(2, [2, 3], strat, seed=3)
+        a = conjecture_search(2, [2, 3], strat)
+        b = conjecture_search(2, [2, 3], strat)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
@@ -129,7 +129,7 @@ class TestConjectureSearch:
         raise_conjectures(monkeypatch, 3)
         if group:
             monkeypatch.setattr(search, "_GROUP", group)
-        got = conjecture_search(4, [1, 2, 3], strategy, prune=prune, seed=strategy.seed)
+        got = conjecture_search(4, [1, 2, 3], strategy, prune=prune)
         expected = per_instance_search(4, [1, 2, 3], strategy, prune=prune)
         assert len(expected["violations"]) > 50
         assert got.to_json_dict() == expected
@@ -214,15 +214,16 @@ class TestSamplers:
             sample_uniform(singleton_hypergraph(2), 2, identity_objective(2), 0, 1)
 
     @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
-    def test_objective_beyond_int64_takes_the_object_path(self, sampler):
+    def test_objective_beyond_int64_takes_the_object_path(self, sampler, monkeypatch):
         """Scaling f by a positive constant keeps every isolation decision,
         so a 2^70 multiple (object table) matches the plain objective."""
         H = Hypergraph.from_edges(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
         f = explicit_objective([1, 3, 4])
         big = explicit_objective([v * 2**70 for v in f.values])
         assert not _int64_safe(big, H.n)
-        plain = sampler(H, 3, f, 3000, 11, batch=1000)
-        scaled = sampler(H, 3, big, 3000, 11, batch=1000)
+        monkeypatch.setattr(search, "_BATCH", 1000)
+        plain = sampler(H, 3, f, 3000, 11)
+        scaled = sampler(H, 3, big, 3000, 11)
         assert (scaled.successes, scaled.draws, scaled.exact) == (
             plain.successes,
             plain.draws,

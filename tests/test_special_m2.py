@@ -11,16 +11,17 @@ from isobench import (
     Hypergraph,
     check_min_cardinality_reduction,
     count_isolating,
-    edge_mask,
-    edge_vertices,
     enumerate_hypergraphs,
     explicit_objective,
     identity_objective,
-    min_cardinality_subgraph,
-    min_vertex_cover,
     random_uniform_hypergraph,
     rich_edge_report,
     singleton_hypergraph,
+)
+from isobench.hypergraph import edge_mask, edge_vertices
+from isobench.special_m2 import (
+    min_cardinality_subgraph,
+    min_vertex_cover,
     special_isolating_weights,
 )
 

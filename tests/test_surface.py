@@ -1,0 +1,50 @@
+"""The package's public surface: ``isobench`` exports only names that its
+callers use, meaning the CLI, the scripts, the benchmark harness and the
+acceptance suite, so a name that only unit tests reach does not creep
+back into ``__init__``."""
+
+import ast
+import types
+from pathlib import Path
+
+import isobench
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = (
+    ROOT / "src" / "isobench" / "cli.py",
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "scripts").rglob("*.py")),
+    *sorted((ROOT / "benchmark").rglob("*.py")),
+)
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name, attribute and imported name in the file's code (not in
+    its strings or comments)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def exports() -> set[str]:
+    """The public names of the package namespace, its submodules aside."""
+    return {
+        name
+        for name, value in vars(isobench).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_every_export_has_a_caller():
+    used = set().union(*map(identifiers, CALLERS))
+    assert sorted(exports() - used) == []
+
+
+def test_all_lists_every_export():
+    assert sorted(isobench.__all__) == sorted(exports())

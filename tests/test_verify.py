@@ -1,13 +1,13 @@
 import isobench.verify
 from isobench import (
     Hypergraph,
-    MaximalInjectionReport,
     identity_objective,
     power_set_hypergraph,
     singleton_hypergraph,
     zero_based_identity,
 )
 from isobench.verify import CheckResult, instance_checks, summarize, verify_grid
+from isobench.zero_weight import MaximalInjectionReport
 
 
 class TestInstanceChecks:
@@ -66,8 +66,7 @@ class TestSummaries:
         bad = CheckResult("y", "conjecture", 0, 1, False, {})
         summary = summarize([good, bad], instances=1)
         assert not summary.ok
-        assert summary.conjecture_violations() == (bad,)
-        assert summary.theorem_violations() == ()
+        assert summary.violations == (bad,)
 
     def test_small_grid_clean(self):
         summary = verify_grid([1, 2], [2])

@@ -1,31 +1,28 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import counting_instances, small_hypergraphs
+from isobench import counting
 from isobench import (
     Hypergraph,
     Objective,
-    edge_mask,
-    edge_weight,
     explicit_objective,
     generic_high_objective,
     generic_low_objective,
     identity_objective,
     is_isolating,
-    isolating_edge,
     layer,
-    min_weight_edges,
-    objective_from_json,
-    singleton_hypergraph,
-    shift_objective_down,
     shift_objective_up,
-    subtract_indicator,
+    singleton_hypergraph,
 )
+from isobench.hypergraph import edge_mask
+from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 
 F = Fraction
 
@@ -58,25 +55,40 @@ class TestObjective:
         assert generic_low_objective(2, 3).values == (1 + F(1, 9), 1 + F(2, 9))
 
     def test_json_roundtrip(self):
+        # explicit values rebuild the objective; the generic kinds name only
+        # their kind and M, since n comes with the hypergraph
         f = explicit_objective([F(1, 2), F(2)])
-        assert objective_from_json(f.to_json_dict()) == f
-        g = generic_high_objective(3, 4)
-        assert objective_from_json(g.to_json_dict(), n=4) == g
-        with pytest.raises(ValueError):
-            objective_from_json(g.to_json_dict())  # generic kinds need n
+        assert f.to_json_dict() == {"kind": "explicit", "M": 2, "values": ["1/2", "2"]}
+        assert explicit_objective(f.to_json_dict()["values"]) == f
+        assert generic_high_objective(3, 4).to_json_dict() == {"kind": "generic_high", "M": 3}
+        z = Objective(2, (F(0), F(1)), zero_allowed=True)
+        assert z.to_json_dict() == {
+            "kind": "explicit", "M": 2, "values": ["0", "1"], "zero_allowed": True
+        }
+        assert explicit_objective(z.to_json_dict()["values"], zero_allowed=True) == z
 
 
 class TestEdgeWeight:
+    """Edge weights as the counting kernel sums them: the objective's
+    denominator-cleared values over the edge's vertices."""
+
+    @staticmethod
+    def edge_sum(f, w, vertices):
+        h = Hypergraph.from_edges(len(w), [vertices], allow_empty_edge=True)
+        table = np.array(f.int_table(), dtype=np.int64)
+        return int(counting._edge_sums(np.array([w]), table, counting._edge_members(h))[0, 0])
+
     def test_identity_sum(self):
-        f = identity_objective(3)
-        assert edge_weight(f, (1, 2, 3), edge_mask([1, 3], 3)) == 4
+        assert self.edge_sum(identity_objective(3), (1, 2, 3), [1, 3]) == 4
 
     def test_empty_edge_is_zero(self):
-        assert edge_weight(identity_objective(2), (2, 1), 0) == 0
+        assert self.edge_sum(identity_objective(2), (2, 1), []) == 0
 
     def test_fractional(self):
+        # f(1) + f(1) = 1/2 + 1/2 = 1, that is 2 in units of 1/2
         f = explicit_objective([F(1, 2), F(2)])
-        assert edge_weight(f, (1, 1), edge_mask([1, 2], 2)) == 1
+        assert f.scaled == (1, 4)
+        assert self.edge_sum(f, (1, 1), [1, 2]) == 2
 
 
 class TestIsolation:
@@ -146,12 +158,6 @@ class TestSubtractIndicator:
 
 
 class TestObjectiveShifts:
-    def test_shift_down(self):
-        f = identity_objective(3)
-        assert shift_objective_down(f, 2).values == (F(2), F(3))
-        assert shift_objective_down(f, 1).values == f.values
-        assert shift_objective_down(explicit_objective([1, 4, 9]), 3).values == (F(9),)
-
     def test_shift_up_examples(self):
         g = shift_objective_up(identity_objective(2), 2, 3)
         assert g.values == (F(1, 6), F(1), F(2))

@@ -9,7 +9,6 @@ from isobench import (
     Hypergraph,
     Objective,
     count_isolating,
-    edge_vertices,
     explicit_objective,
     power_set_hypergraph,
     random_hypergraph,
@@ -20,6 +19,7 @@ from isobench import (
     zero_weight_tightness,
 )
 from isobench import counting
+from isobench.hypergraph import edge_vertices
 from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 from isobench.zero_weight import InjectionFinding
 
