@@ -189,7 +189,7 @@ def _cmd_sample(args) -> int:
     H = _load_hypergraph(args.hypergraph)
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     sampler = sample_layer1 if args.layer1 else sample_uniform
-    report = sampler(H, args.M, f, args.trials, args.seed)
+    report = sampler(H, args.M, f, args.trials, args.seed, budget=args.budget)
     doc = report.to_json_dict()
     rows = compare_to_asymptotics(
         H.n,

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify_rows, _edge_members, count_isolating, count_layer1
+from .counting import DEFAULT_BUDGET, _classify_rows, _plan, count_isolating, count_layer1
 from .errors import BudgetExceededError
 from .hypergraph import (
     Hypergraph,
@@ -142,7 +142,7 @@ def _witness(
         return _assemble(lefts, targets, np.zeros(len(lefts), dtype=bool))
     pivot = (left == 1).argmax(axis=1)
     iso, at_min = _classify_rows(H, f, left)
-    members = _edge_members(H).T.astype(bool)
+    members = _plan((H,)).members.T.astype(bool)
     avoiding = at_min & ~members[:, pivot].T
     free = avoiding.any(axis=1)
     targets[free, 0] -= members[avoiding[free].argmax(axis=1)]

@@ -3,20 +3,21 @@
 Every row of [M]^n (for ``count_layer1``, every row with some entry 1) is
 classified, in exact integers: edge weights use the objective's
 denominator-cleared values, held as Python integers (``dtype=object``) when
-an edge sum could overflow int64, so ties are detected exactly.  The scan
-splits the coordinates into a prefix and a suffix of length k
-(meet-in-the-middle, after Horowitz and Sahni 1974): each edge's weight is
-summed once per suffix and once per prefix, and a block of rows is one
-broadcast addition of the two.  Prefix-major order keeps the rows
-lexicographic; ``count_isolating`` can split the prefixes across worker
-processes by rank.  Explicit weight rows (the constructions' weights, the
-samplers' draws) go through the same classify step in blocks.
+an edge sum could overflow int64, so ties are detected exactly.
 
-The conjecture sweep counts many hypergraphs on the same n at once
-(``_count_many``): per (M, f), each block of rows sums the distinct edges
-of the whole batch in one matmul, and the hypergraphs with the same
-number of edges are classified together, as one gathered array per edge
-count.
+One generator, ``_blocks``, walks [M]^n for a tuple of hypergraphs on the
+same n.  It splits the coordinates into a prefix and a suffix of length k
+(meet-in-the-middle, after Horowitz and Sahni 1974): each distinct edge's
+weight is summed once per suffix and once per prefix, and a block of rows
+is one broadcast addition of the two.  One hypergraph is classified in
+place; a batch is classified group by group, the hypergraphs with the same
+number of edges gathered into one array.  Three reducers sum its blocks:
+``count_isolating`` (per layer and per edge, with the prefixes optionally
+split across worker processes by rank), ``count_layer1`` (the rows with
+some entry 1 only) and the conjecture sweep's ``_count_many`` (|Z| and
+|Z_1| of every hypergraph of a batch).  Explicit weight rows (the
+constructions' weights, the samplers' draws) go through the same classify
+step in blocks.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
-from .weights import (
-    Objective,
-    generic_high_objective,
-    generic_low_objective,
-    identity_objective,
-    random_objective,
-)
+from .weights import Objective, preset_objectives, random_objective
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
@@ -79,13 +74,33 @@ class CountReport:
         }
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """``members``: the read-only (n, edges) 0/1 matrix of a tuple's distinct
+    edges in first-seen order (so (H,) keeps H's order), [v - 1, t] = 1 when
+    vertex v is in edge t.  ``groups``: (positions in the tuple, edge columns
+    of shape (hypergraphs, m)) per edge count m, the empty hypergraphs too."""
+
+    members: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 @functools.lru_cache(maxsize=256)
-def _edge_members(H: Hypergraph) -> np.ndarray:
-    """(n, edges) 0/1 matrix, read-only: entry [v - 1, t] is 1 when vertex v
-    is in edge t."""
-    members = np.array([[e >> v & 1 for e in H.edges] for v in range(H.n)], dtype=np.int64)
+def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
+    column = {e: c for c, e in enumerate(dict.fromkeys(e for H in Hs for e in H.edges))}
+    members = np.array([[e >> v & 1 for e in column] for v in range(Hs[0].n)], dtype=np.int64)
     members.flags.writeable = False
-    return members
+    by_size: dict[int, list[int]] = {}
+    for i, H in enumerate(Hs):
+        by_size.setdefault(H.m, []).append(i)
+    groups = tuple(
+        (
+            np.array(which, dtype=np.intp),
+            np.array([[column[e] for e in Hs[i].edges] for i in which], dtype=np.intp),
+        )
+        for which in by_size.values()
+    )
+    return _Plan(members, groups)
 
 
 def _int64_safe(f: Objective, n: int) -> bool:
@@ -135,7 +150,7 @@ def _classify_rows(H: Hypergraph, f: Objective, W) -> tuple[np.ndarray, np.ndarr
     """
     W = np.asarray(W, dtype=np.int64).reshape(-1, H.n)
     table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, H.n) else object)
-    members = _edge_members(H)
+    members = _plan((H,)).members
     starts = range(0, max(W.shape[0], 1), _CHUNK)
     iso, at_min = zip(*(_classify(_edge_sums(W[a : a + _CHUNK], table, members)) for a in starts))
     return np.concatenate(iso), np.concatenate(at_min, axis=1).T
@@ -158,7 +173,8 @@ class _Part:
     sums: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Part":
-        return _Part(self.low[keep], self.sums[:, keep])
+        # compress keeps the rows C-contiguous, where sums[:, keep] would not
+        return _Part(self.low[keep], self.sums.compress(keep, axis=1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -169,55 +185,69 @@ def _suffix_table(k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, low
 
 
-def _split(
-    H: Hypergraph, f: Objective, M: int, k: int, start: int = 0, stop: Optional[int] = None
-) -> tuple[_Part, _Part]:
-    """The prefix ranks [start, stop) and all M^k suffixes of [M]^n."""
-    p = H.n - k
-    if stop is None:
-        stop = M**p
+def _blocks(
+    Hs: tuple[Hypergraph, ...],
+    f: Objective,
+    M: int,
+    k: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+    layer1: bool = False,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Classify the rows of [M]^n whose (n - k)-prefix has rank in [start,
+    stop), or with ``layer1`` only those with some entry 1, for every
+    hypergraph of Hs (one n).  Yields (positions in Hs, isolating mask
+    (hypergraphs, rows), edges at the minimum (hypergraphs, m, rows), layer
+    per row) per block, a range of prefixes times a range of suffixes, and
+    group.  Blocks hold at most _CHUNK rows, and for a batch at most _GATHER
+    rows times edges."""
+    p = Hs[0].n - k
+    plan = _plan(Hs)
     # Python integers when an edge sum could overflow int64
-    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, H.n) else object)
-    members = _edge_members(H)
-    prefix, prefix_low = _decode_rows(p, M, start, stop)
+    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, Hs[0].n) else object)
+    prefix, prefix_low = _decode_rows(p, M, start, M**p if stop is None else stop)
     suffix, suffix_low = _suffix_table(k, M)
-    return (
-        _Part(prefix_low, _edge_sums(prefix, table, members[:p])),
-        _Part(suffix_low, _edge_sums(suffix, table, members[p:])),
-    )
-
-
-def _blocks(prefix: _Part, suffix: _Part) -> Iterator[tuple]:
-    """Classify every (prefix, suffix) row in prefix-major order, in blocks
-    of about _CHUNK rows.
-
-    Yields (isolating mask, layer, edges at the minimum), flat over the
-    block's rows.
-    """
-    m, width = suffix.sums.shape
-    if not width:
-        return
-    step = max(1, _CHUNK // width)
-    for a in range(0, prefix.low.shape[0], step):
-        b = min(a + step, prefix.low.shape[0])
-        sums = prefix.sums[:, a:b, None] + suffix.sums[:, None, :]
-        iso, at_min = _classify(sums.reshape(m, (b - a) * width))
-        yield iso, np.minimum.outer(prefix.low[a:b], suffix.low).ravel(), at_min
+    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.members[:p]))
+    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.members[p:]))
+    pairs = [(pre, suf)]
+    if layer1:  # prefixes holding a 1 take every suffix, the others the suffixes holding a 1
+        hit = pre.low == 1
+        pairs = [(pre.take(hit), suf), (pre.take(~hit), suf.take(suf.low == 1))]
+    edges = plan.members.shape[1]  # no hypergraph has more
+    bound = _CHUNK if len(Hs) == 1 else max(1, min(_CHUNK, _GATHER // max(edges, 1)))
+    for pre, suf in pairs:
+        heads, width = pre.low.shape[0], suf.low.shape[0]
+        if not width:
+            continue
+        step, span = max(1, bound // width), min(width, bound)
+        for a, c in itertools.product(range(0, heads, step), range(0, width, span)):
+            b, d = min(a + step, heads), min(c + span, width)
+            block = pre.sums[:, a:b, None] + suf.sums[:, None, c:d]
+            block = block.reshape(edges, (b - a) * (d - c))
+            low = pre.low[a:b], suf.low[c:d]
+            if len(Hs) == 1:
+                # in place, with no gathered copy; holding the layer across
+                # the yield slowed some shapes by a tenth
+                yield (plan.groups[0][0], *_classify(block[None]), np.minimum.outer(*low).ravel())
+                continue
+            layer = np.minimum.outer(*low).ravel()
+            for which, cols in plan.groups:
+                per = max(1, _GATHER // (max(cols.shape[1], 1) * layer.shape[0]))
+                for g in range(0, len(which), per):
+                    yield (which[g : g + per], *_classify(block[cols[g : g + per]]), layer)
 
 
 def _tally(
     H: Hypergraph, f: Objective, M: int, k: int, start: int = 0, stop: Optional[int] = None
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(total, per-layer counts indexed by layer, per-edge counts) over the
-    prefix ranks [start, stop) with suffix length k."""
-    total = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(per-layer counts indexed by layer, per-edge counts) over the prefix
+    ranks [start, stop) with suffix length k."""
     per_layer = np.zeros(M + 1, dtype=np.int64)
     per_edge = np.zeros(H.m, dtype=np.int64)
-    for iso, layer, at_min in _blocks(*_split(H, f, M, k, start, stop)):
-        total += int(iso.sum())
-        per_layer += np.bincount(layer[iso], minlength=M + 1)
-        per_edge += np.count_nonzero(at_min & iso, axis=1)
-    return total, per_layer, per_edge
+    for _, iso, at_min, layer in _blocks((H,), f, M, k, start, stop):
+        per_layer += np.bincount(layer[iso[0]], minlength=M + 1)
+        per_edge += np.count_nonzero(at_min[0] & iso[0], axis=1)
+    return per_layer, per_edge
 
 
 def _check(f: Objective, M: int, rows: int, budget: int, label: str = "") -> None:
@@ -252,29 +282,15 @@ def count_isolating(
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             parts = list(pool.map(_tally, *fixed, cuts[:-1], cuts[1:]))
-    total = sum(p[0] for p in parts)
-    per_layer = sum(p[1] for p in parts)
-    per_edge = sum(p[2] for p in parts)
+    per_layer, per_edge = map(sum, zip(*parts))
     pairs = tuple((e, int(c)) for e, c in zip(H.edges, per_edge) if c)
     return CountReport(
         n=H.n,
         M=M,
-        total=total,
+        total=int(per_layer.sum()),
         per_layer=tuple(int(x) for x in per_layer[1:]),
         per_edge=pairs,
     )
-
-
-def _count_layer1(H: Hypergraph, f: Objective, M: int, k: int) -> int:
-    """Isolating rows with some entry 1: prefixes holding a 1 take every
-    suffix, the other prefixes only the suffixes holding a 1."""
-    prefix, suffix = _split(H, f, M, k)
-    hit = prefix.low == 1
-    total = 0
-    for pre, suf in ((prefix.take(hit), suffix), (prefix.take(~hit), suffix.take(suffix.low == 1))):
-        for iso, _, _ in _blocks(pre, suf):
-            total += int(iso.sum())
-    return total
 
 
 def count_layer1(
@@ -286,49 +302,18 @@ def count_layer1(
 ) -> int:
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1."""
     _check(f, M, M**H.n - (M - 1) ** H.n, budget)
-    return _count_layer1(H, f, M, _suffix_len(H.n, M))
+    blocks = _blocks((H,), f, M, _suffix_len(H.n, M), layer1=True)
+    return sum(int(iso.sum()) for _, iso, _, _ in blocks)
 
 
 def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
     """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, as int64
-    arrays in the order of Hs; the caller checks the budget.
-
-    Each block of [M]^n rows sums the distinct edges of Hs once.  The
-    hypergraphs with m edges gather their edge weights into one array of
-    shape (hypergraphs, m, rows), and one ``_classify`` step classifies
-    every row of every one of them.  Blocks of rows
-    and groups of hypergraphs keep rows times gathered edges under _GATHER.
-    """
-    n = Hs[0].n
-    rows = M**n
+    arrays in the order of Hs; the caller checks the budget."""
     total = np.zeros(len(Hs), dtype=np.int64)
     layer1 = np.zeros(len(Hs), dtype=np.int64)
-    by_size: dict[int, list[int]] = {}
-    for i, H in enumerate(Hs):
-        if H.edges:
-            by_size.setdefault(H.m, []).append(i)
-        else:  # every row isolates, by convention
-            total[i], layer1[i] = rows, rows - (M - 1) ** n
-    if not by_size:
-        return total, layer1
-    distinct = sorted({e for H in Hs for e in H.edges})
-    column = {e: c for c, e in enumerate(distinct)}
-    members = np.array([[e >> v & 1 for e in distinct] for v in range(n)], dtype=np.int64)
-    step = min(rows, max(1, _GATHER // max(len(distinct), *by_size)))
-    groups = []  # (positions in Hs, edge columns of shape (hypergraphs, m))
-    for m, which in by_size.items():
-        cols = np.array([[column[e] for e in Hs[i].edges] for i in which], dtype=np.intp)
-        per = max(1, _GATHER // (m * step))
-        groups.extend((which[a : a + per], cols[a : a + per]) for a in range(0, len(which), per))
-    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, n) else object)
-    for r in range(0, rows, step):
-        W, low = _decode_rows(n, M, r, min(r + step, rows))
-        sums = _edge_sums(W, table, members)
-        hit = low == 1
-        for which, cols in groups:
-            iso = _classify(sums[cols])[0]
-            total[which] += np.count_nonzero(iso, axis=1)
-            layer1[which] += np.count_nonzero(iso[:, hit], axis=1)
+    for which, iso, _, layer in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
+        total[which] += np.count_nonzero(iso, axis=1)
+        layer1[which] += np.count_nonzero(iso & (layer == 1), axis=1)
     return total, layer1
 
 
@@ -362,11 +347,7 @@ class ObjectiveStrategy:
 
     def candidates(self, M: int, n: int) -> list[Objective]:
         if self.kind == "presets":
-            return [
-                identity_objective(M),
-                generic_high_objective(M, n),
-                generic_low_objective(M, n),
-            ]
+            return list(preset_objectives(M, n))
         if self.kind == "random_rational":
             rng = np.random.default_rng([self.seed, M, n])
             return [random_objective(M, rng) for _ in range(self.count)]

@@ -121,20 +121,26 @@ class Hypergraph:
             edges = doc["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed hypergraph document: {exc}") from exc
+        if type(n) is not int:
+            kind = type(n).__name__
+            raise ValueError(f"malformed hypergraph document: n must be an integer, not {kind}")
         if not isinstance(edges, list):
             kind = type(edges).__name__
             raise ValueError(f"malformed hypergraph document: edges must be a list, not {kind}")
+        flags = {
+            "allow_empty_edge": doc.get("allow_empty_edge", False),
+            "require_inclusion_free": doc.get("require_inclusion_free", True),
+        }
+        for name, value in flags.items():
+            if type(value) is not bool:
+                kind = type(value).__name__
+                raise ValueError(f"malformed hypergraph document: {name} must be boolean, not {kind}")
         for e in edges:
             if not isinstance(e, list) or not all(type(v) is int for v in e):
                 raise ValueError(
                     f"malformed hypergraph document: edge {e!r} is not a list of integers"
                 )
-        return cls.from_edges(
-            n,
-            edges,
-            allow_empty_edge=bool(doc.get("allow_empty_edge", False)),
-            require_inclusion_free=bool(doc.get("require_inclusion_free", True)),
-        )
+        return cls.from_edges(n, edges, **flags)
 
 
 def is_inclusion_free(H: Hypergraph) -> bool:

@@ -235,12 +235,16 @@ def _h_values(n: int, M: int) -> tuple[Fraction, float, float, float]:
     )
 
 
-def sample_uniform(H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
+def sample_uniform(
+    H: Hypergraph, M: int, f: Objective, trials: int, seed: int, *, budget: int = DEFAULT_BUDGET
+) -> SampleReport:
     """Estimate p = |Z|/M^n from seeded uniform draws over [M]^n."""
-    return _sample("uniform", H, M, f, trials, seed)
+    return _sample("uniform", H, M, f, trials, seed, budget)
 
 
-def sample_layer1(H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
+def sample_layer1(
+    H: Hypergraph, M: int, f: Objective, trials: int, seed: int, *, budget: int = DEFAULT_BUDGET
+) -> SampleReport:
     """Estimate q = |Z_1|/(M^n - (M-1)^n) from uniform draws over the
     layer-1 weights, implemented by rejecting draws with no entry 1.
 
@@ -248,18 +252,20 @@ def sample_layer1(H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -
     rejections stays small for phi = n/M bounded away from 0.  The total
     number of raw draws is reported.
     """
-    return _sample("layer1", H, M, f, trials, seed)
+    return _sample("layer1", H, M, f, trials, seed, budget)
 
 
-def _sample(kind: str, H: Hypergraph, M: int, f: Objective, trials: int, seed: int) -> SampleReport:
+def _sample(
+    kind: str, H: Hypergraph, M: int, f: Objective, trials: int, seed: int, budget: int
+) -> SampleReport:
     """Classify the first ``trials`` accepted rows of seeded uniform draws
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
-    rows with some entry 1 for ``layer1``.  The exact probability comes
-    with the estimate when M^n is at most _EXACT_BUDGET."""
+    rows with some entry 1 for ``layer1``.  More trials than ``budget`` are
+    refused before the first draw.  The exact probability comes with the
+    estimate when M^n is at most _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
+    _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
     successes = accepted = batches = 0
     while accepted < trials:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify_rows, _decode_rows, _edge_members
+from .counting import DEFAULT_BUDGET, _classify_rows, _decode_rows, _plan
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
 from .weights import Objective, identity_objective
@@ -33,7 +33,7 @@ def _special_scan(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
         return W, np.zeros(0, dtype=np.int64)
     iso, at_min = _classify_rows(H, _UNIT, W)
     first = at_min.argmax(axis=1)
-    inside = _edge_members(H).T[first] == 1
+    inside = _plan((H,)).members.T[first] == 1
     # condition 1: no weight-2 vertex inside the edge or no weight-1 vertex outside
     cond1 = ~(inside & (W == 2)).any(axis=1) | ~(~inside & (W == 1)).any(axis=1)
     ok = iso & cond1

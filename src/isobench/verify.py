@@ -132,14 +132,14 @@ def instance_checks(
             add("witnessB_charge_bound", "theorem", charge_B, rhs, charge_B >= rhs)
 
         # on an inclusion-free H every min-weight edge is maximal, so this is
-        # the plain injection; a collision or a failed image shows as a
-        # failed check here
+        # the plain injection; a collision or an image that does not isolate
+        # its edge (which the injection reports) shows as a failed check here
         injection = tashma_injection_maximal(H, M, f, budget=budget)
-        image = {img for _, img in injection.mapping}
-        rhs = (M - 1) ** n
-        add("injection_image_size", "theorem", len(image), rhs, len(image) == rhs)
-        iso_count = int(_classify_rows(H, f, list(image))[0].sum())
-        add("injection_images_isolating", "theorem", iso_count, len(image), iso_count == len(image))
+        size, rhs = injection.image_size, (M - 1) ** n
+        add("injection_image_size", "theorem", size, rhs, size == rhs)
+        failed = {x.image for x in injection.findings if x.reason.startswith("image does not")}
+        iso_count = size - len(failed)
+        add("injection_images_isolating", "theorem", iso_count, size, iso_count == size)
 
     if M == 2:
         subset = check_min_cardinality_reduction(H, f, budget=budget)

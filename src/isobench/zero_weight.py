@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, CountReport, _classify_rows, _edge_members, count_isolating
+from .counting import DEFAULT_BUDGET, CountReport, _classify_rows, _plan, count_isolating
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices, power_set_hypergraph
 from .weights import Objective
@@ -76,7 +76,7 @@ def tashma_injection_maximal(
         # inside[a, b]: edge a is a strict subset of edge b
         inside = np.array([[a != b and a & b == a for b in H.edges] for a in H.edges])
         e = (at_min & ~(at_min @ inside.T)).argmax(axis=1)
-        lowered = W - _edge_members(H).T[e]
+        lowered = W - _plan((H,)).members.T[e]
         iso, hit = _classify_rows(H, f, lowered)
         pairs = list(zip(domain, map(tuple, lowered.tolist())))
         for k in np.flatnonzero(~(iso & hit[np.arange(len(domain)), e])).tolist():

@@ -15,6 +15,15 @@ def s2_path(tmp_path):
 
 
 @pytest.fixture
+def h8_path(tmp_path):
+    # 3^8 rows split into 3 prefixes of 3^7 suffixes, so --workers 2 splits
+    path = tmp_path / "h8.json"
+    edges = [[1, 2], [2, 3, 5], [4, 6, 7], [1, 8], [3, 6, 8]]
+    path.write_text(json.dumps({"n": 8, "edges": edges}))
+    return str(path)
+
+
+@pytest.fixture
 def power2_path(tmp_path):
     doc = {"n": 2, "edges": [[], [1], [2], [1, 2]], "allow_empty_edge": True,
            "require_inclusion_free": False}
@@ -103,6 +112,47 @@ class TestCount:
         assert main(["count", "--hypergraph", s2_path, "--M", "3", "--workers", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == 6
 
+    # sha256 of stdout on h8 at M = 3, recorded before the three scans were
+    # folded into one block generator
+    GOLDEN = {
+        "": "c59a5e7e416984ffb4d87d0366b755d19627fc53299bb260fbd3d5fb23521d90",
+        "--objective explicit:1000000000000000000,2000000000000000001,4000000000000000000": (
+            "0c19e588f1ddd9c6fae3e5c6221feb7effd40d2edda3bb54b7f6291a7a627993"
+        ),
+        "--workers 2": "c59a5e7e416984ffb4d87d0366b755d19627fc53299bb260fbd3d5fb23521d90",
+        "--format csv": "7790d2a4bdd98f80fd5a6dd2eadeb844ca3ee823a63cab32000d04706ccc1746",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN))
+    def test_golden_outputs(self, flags, h8_path, capsys):
+        assert main(["count", "--hypergraph", h8_path, "--M", "3", *flags.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[flags]
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"n": True, "edges": [[1]]}, "n must be an integer, not bool"),
+            ({"n": 2.0, "edges": [[1]]}, "n must be an integer, not float"),
+            (
+                {"n": 2, "edges": [[1], [1, 2]], "require_inclusion_free": "no"},
+                "require_inclusion_free must be boolean, not str",
+            ),
+            (
+                {"n": 2, "edges": [[1]], "allow_empty_edge": 0},
+                "allow_empty_edge must be boolean, not int",
+            ),
+        ],
+        ids=["bool-n", "float-n", "str-flag", "int-flag"],
+    )
+    def test_strict_document_types(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["count", "--hypergraph", str(bad), "--M", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed hypergraph document: {message}\n"
+
 
 class TestVerify:
     def test_instance_mode(self, s2_path, capsys):
@@ -119,6 +169,14 @@ class TestVerify:
 
     def test_needs_some_mode(self, capsys):
         assert main(["verify", "--M", "2"]) == 2
+
+    def test_golden_grid_output(self, capsys):
+        # sha256 of stdout, recorded before the scans were folded into one
+        # block generator
+        assert main(["verify", "--n-max", "4", "--M", "2,3"]) == 0
+        out = capsys.readouterr().out
+        digest = "87e9d18488ab0fd8fa082667f65163f20888debeee6ef0d8844118d817f90751"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failed_internal_check_exits_4(self, s2_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -227,6 +285,16 @@ class TestSample:
             ["sample", "--hypergraph", s2_path, "--M", "2", "--trials", "0", "--seed", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("layer1", [[], ["--layer1"]], ids=["uniform", "layer1"])
+    def test_budget_refuses_trials_before_drawing(self, s2_path, capsys, layer1):
+        argv = ["sample", "--hypergraph", s2_path, "--M", "2", "--trials", "100000"]
+        assert main([*argv, "--seed", "1", "--budget", "10", *layer1]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: 100000 weight evaluations exceed budget 10\n",
+        )
 
     def test_csv(self, s2_path, capsys):
         code = main(

@@ -42,7 +42,7 @@ def H(n, *edges, **kw):
 def pivot_descents(h, W, pivots, edges):
     """Each weight row minus ``_pivot_step`` of the charged edge (an index
     into h.edges) at its 1-based pivot."""
-    members = constructions._edge_members(h).T.astype(bool)
+    members = constructions._plan((h,)).members.T.astype(bool)
     step = constructions._pivot_step(members[np.array(edges, dtype=np.intp)], np.array(pivots) - 1)
     return np.array(W, dtype=np.int64).reshape(-1, h.n) - step
 

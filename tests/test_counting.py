@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from isobench import (
 )
 from isobench.counting import count_min_over_objectives
 from isobench.hypergraph import edge_vertices
+from isobench.search import conjecture_search
 
 F = Fraction
 
@@ -38,6 +40,12 @@ def oracle_counts(h, M, f):
     vsets = [list(edge_vertices(e)) for e in h.edges]
     total, per_layer, per_edge = oracle.count_isolating(h.n, vsets, M, f.values)
     return total, tuple(per_layer), {h.edges[i]: c for i, c in per_edge.items()}
+
+
+def layer1_with_suffix(h, M, f, k):
+    """count_layer1 with the suffix length fixed at k."""
+    with mock.patch.object(counting, "_suffix_len", lambda n, M: k):
+        return count_layer1(h, M, f)
 
 
 class TestCountIsolating:
@@ -114,11 +122,11 @@ class TestCountIsolating:
         assert counting._int64_safe(f, h.n) == (not shift)
         total, per_layer, per_edge = oracle_counts(h, M, f)
         for k in range(h.n + 1):
-            got_total, got_layers, got_edges = counting._tally(h, f, M, k)
-            assert got_total == total
+            got_layers, got_edges = counting._tally(h, f, M, k)
+            assert got_layers.sum() == total
             assert tuple(got_layers[1:]) == per_layer
             assert {e: c for e, c in zip(h.edges, got_edges) if c} == per_edge
-            assert counting._count_layer1(h, f, M, k) == per_layer[0]
+            assert layer1_with_suffix(h, M, f, k) == per_layer[0]
 
     def test_block_boundaries(self, monkeypatch):
         # blocks of a few prefixes, the last one short, give the same counts
@@ -127,9 +135,9 @@ class TestCountIsolating:
 
         def scans():
             for k in range(h.n + 1):
-                total, per_layer, per_edge = counting._tally(h, f, 3, k)
-                yield total, per_layer.tolist(), per_edge.tolist()
-                yield counting._count_layer1(h, f, 3, k)
+                per_layer, per_edge = counting._tally(h, f, 3, k)
+                yield per_layer.tolist(), per_edge.tolist()
+                yield layer1_with_suffix(h, 3, f, k)
 
         expected = list(scans())
         monkeypatch.setattr(counting, "_CHUNK", 20)
@@ -158,6 +166,13 @@ class TestCountIsolating:
         assert counting._suffix_table(3, 4)[0] is rows
         assert rows.shape == (64, 3) and low.shape == (64,)
         assert not rows.flags.writeable and not low.flags.writeable
+
+    def test_layer1_take_is_c_contiguous(self):
+        suffix, low = counting._suffix_table(3, 4)
+        part = counting._Part(low, np.ascontiguousarray(suffix.T))
+        taken = part.take(low == 1)
+        assert taken.sums.flags.c_contiguous
+        assert taken.sums.tolist() == suffix[low == 1].T.tolist()
 
     def test_report_invariants_and_json(self):
         rep = count_isolating(singleton_hypergraph(3), 2, identity_objective(2))
@@ -231,6 +246,35 @@ class TestCountMany:
         monkeypatch.setattr(counting, "_GATHER", gather)
         assert batch_counts(Hs, 3, f) == expected
 
+    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "object"])
+    @pytest.mark.parametrize("chunk,gather", [(1 << 15, 1 << 16), (7, 5), (3, 40)])
+    def test_prefix_split_matches_oracle(self, monkeypatch, chunk, gather, scale):
+        # a suffix table of at most 9 rows makes the sweep split every
+        # n >= 3 into prefixes and suffixes; small block bounds cut both
+        # sides; empty hypergraphs sit among the others
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", 9)
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+        monkeypatch.setattr(counting, "_GATHER", gather)
+        empty = Hypergraph(5, ())
+        Hs = [empty, H(5, [1, 2], [3, 4, 5]), singleton_hypergraph(5), empty]
+        Hs += [H(5, [1, 2, 3], [3, 4], [2, 5], [1, 5]), H(5, [4]), empty]
+        for M in (2, 3):
+            assert counting._suffix_len(5, M) < 5
+            f = explicit_objective([scale * v for v in (2, 3, 7)[:M]])
+            expected = []
+            for h in Hs:
+                total, per_layer, _ = oracle_counts(h, M, f)
+                expected.append((total, per_layer[0]))
+            assert batch_counts(Hs, M, f) == expected
+
+    def test_plan_built_once_per_group(self):
+        # n = 1..4 each walk fits one group; the 2 x 3 (M, f) pairs of a
+        # group share its plan
+        counting._plan.cache_clear()
+        report = conjecture_search(4, (2, 3), ObjectiveStrategy(kind="presets"))
+        assert report.instances == (2 + 5 + 19 + 167) * 6
+        assert counting._plan.cache_info().misses == 4
+
     def test_only_empty_hypergraphs(self):
         Hs = [Hypergraph(3, ())] * 3
         assert batch_counts(Hs, 3, identity_objective(3)) == [(27, 27 - 8)] * 3
@@ -255,7 +299,7 @@ class TestCountLayer1:
         classify = counting._classify
 
         def counting_classify(sums):
-            seen.append(sums.shape[1])
+            seen.append(sums.shape[-1])
             return classify(sums)
 
         monkeypatch.setattr(counting, "_classify", counting_classify)

@@ -7,7 +7,7 @@ from isobench import (
     zero_based_identity,
 )
 from isobench.verify import CheckResult, instance_checks, summarize, verify_grid
-from isobench.zero_weight import MaximalInjectionReport
+from isobench.zero_weight import InjectionFinding, MaximalInjectionReport
 
 
 class TestInstanceChecks:
@@ -48,12 +48,14 @@ class TestInstanceChecks:
         H, f = singleton_hypergraph(2), identity_objective(3)
         mapping = isobench.verify.tashma_injection_maximal(H, 3, f).mapping
         assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
+        # the injection reports an image that does not isolate its edge
+        tie = InjectionFinding(mapping[0][0], (2, 2), "image does not isolate edge [1]")
         broken = {
-            "injection_image_size": [(w, (1, 2)) for w, _ in mapping],
-            "injection_images_isolating": [(mapping[0][0], (2, 2)), *mapping[1:]],
+            "injection_image_size": ([(w, (1, 2)) for w, _ in mapping], ()),
+            "injection_images_isolating": ([(mapping[0][0], (2, 2)), *mapping[1:]], (tie,)),
         }
-        for name, pairs in broken.items():
-            report = MaximalInjectionReport(tuple(pairs), (), injective=False)
+        for name, (pairs, findings) in broken.items():
+            report = MaximalInjectionReport(tuple(pairs), findings, injective=False)
             monkeypatch.setattr(isobench.verify, "tashma_injection_maximal", lambda *a, **k: report)
             failed = [r for r in instance_checks(H, 3, f) if not r.holds]
             assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]

@@ -76,7 +76,7 @@ class TestEdgeWeight:
     def edge_sum(f, w, vertices):
         h = Hypergraph.from_edges(len(w), [vertices], allow_empty_edge=True)
         table = np.array(f.int_table(), dtype=np.int64)
-        return int(counting._edge_sums(np.array([w]), table, counting._edge_members(h))[0, 0])
+        return int(counting._edge_sums(np.array([w]), table, counting._plan((h,)).members)[0, 0])
 
     def test_identity_sum(self):
         assert self.edge_sum(identity_objective(3), (1, 2, 3), [1, 3]) == 4
