@@ -18,7 +18,7 @@ from .constructions import (
     check_degree_zero_reduction,
     check_disjoint_union_reduction,
 )
-from .counting import ObjectiveStrategy, count_isolating, count_layer1
+from .counting import count_isolating, count_layer1
 from .errors import BudgetExceededError
 from .hypergraph import (
     Hypergraph,
@@ -31,7 +31,13 @@ from .hypergraph import (
     random_uniform_hypergraph,
     singleton_hypergraph,
 )
-from .search import compare_to_asymptotics, conjecture_search, sample_layer1, sample_uniform
+from .search import (
+    ObjectiveStrategy,
+    compare_to_asymptotics,
+    conjecture_search,
+    sample_layer1,
+    sample_uniform,
+)
 from .special_m2 import check_min_cardinality_reduction, rich_edge_report
 from .verify import instance_checks, verify_grid
 from .weights import (

@@ -19,7 +19,9 @@ _DPS = 40
 
 
 def ta_shma_bound(M: int, n: int) -> int:
-    """(M-1)^n, the classical injection lower bound on |Z(H, M, f)|."""
+    """(M-1)^n, the classical injection lower bound on |Z(H, M, f)|.  It
+    still holds, and is tight (on the power-set hypergraph), once zero
+    objective values are allowed."""
     _check_mn(M, n)
     return (M - 1) ** n
 
@@ -80,13 +82,6 @@ def bounded_edge_bound(M: int, n: int, r: int) -> Fraction:
         raise ValueError("bounded-edge bound requires r >= 2")
     _check_mn(M, n)
     return Fraction(2, r) * n * (M - 1) ** (n - 1)
-
-
-def zero_weight_Y(M: int, n: int) -> int:
-    """(M-1)^n: the exact minimum of |Z| once zero objective values are
-    allowed (tight on the power-set hypergraph)."""
-    _check_mn(M, n)
-    return (M - 1) ** n
 
 
 def _check_mn(M: int, n: int) -> None:

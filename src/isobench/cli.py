@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import success_probabilities
-from .counting import DEFAULT_BUDGET, ObjectiveStrategy, count_isolating
+from .counting import DEFAULT_BUDGET, count_isolating
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 from .search import (
+    ObjectiveStrategy,
     asymptotic_rows_to_csv,
     compare_to_asymptotics,
     conjecture_search,
@@ -42,8 +43,6 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-WORKERS_ENV = "ISOBENCH_WORKERS"
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -104,15 +103,10 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_count(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ValueError(f"--workers must be in 1..{cpus}, got {args.workers}")
     H = _load_hypergraph(args.hypergraph)
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
@@ -233,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="exact isolating-weight counts")
     common(p_count, needs_hypergraph=True)
-    p_count.add_argument("--workers", type=int, default=_default_workers())
+    p_count.add_argument("--workers", type=int, default=1, help="processes for the scan, 1..cpu count")
     p_count.set_defaults(func=_cmd_count)
 
     p_verify = sub.add_parser("verify", help="check every applicable bound")

@@ -27,14 +27,13 @@ import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
-from .weights import Objective, preset_objectives, random_objective
+from .weights import Objective
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
@@ -315,100 +314,3 @@ def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndar
         total[which] += np.count_nonzero(iso, axis=1)
         layer1[which] += np.count_nonzero(iso & (layer == 1), axis=1)
     return total, layer1
-
-
-# ---------------------------------------------------------------------------
-# Minimization over a finite objective family
-
-
-@dataclass(frozen=True)
-class ObjectiveStrategy:
-    """A finite, reportable family of objectives standing in for the
-    minimization over all strictly increasing f.
-
-    kinds: ``presets`` (identity + the two generic presets),
-    ``random_rational`` (``count`` seeded random objectives), and
-    ``exhaustive_integer`` (all strictly increasing integer objectives
-    with values in 1..bound).
-    """
-
-    kind: str
-    count: int = 0
-    seed: int = 0
-    bound: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("presets", "random_rational", "exhaustive_integer"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "random_rational" and self.count < 1:
-            raise ValueError("random_rational strategy needs count >= 1")
-        if self.kind == "exhaustive_integer" and self.bound < 1:
-            raise ValueError("exhaustive_integer strategy needs bound >= 1")
-
-    def candidates(self, M: int, n: int) -> list[Objective]:
-        if self.kind == "presets":
-            return list(preset_objectives(M, n))
-        if self.kind == "random_rational":
-            rng = np.random.default_rng([self.seed, M, n])
-            return [random_objective(M, rng) for _ in range(self.count)]
-        cands = [
-            Objective(M, tuple(Fraction(v) for v in combo))
-            for combo in itertools.combinations(range(1, self.bound + 1), M)
-        ]
-        if not cands:
-            raise ValueError(
-                f"exhaustive_integer bound {self.bound} admits no strictly increasing objective on {M} labels"
-            )
-        return cands
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.kind == "random_rational":
-            doc["count"] = self.count
-            doc["seed"] = self.seed
-        if self.kind == "exhaustive_integer":
-            doc["bound"] = self.bound
-        return doc
-
-
-@dataclass(frozen=True)
-class MinimizationResult:
-    """Minimum counts over a strategy's objective family (an upper bound
-    on the true minimum over all strictly increasing objectives)."""
-
-    report: CountReport
-    objective: Objective
-    min_layer1: int
-    layer1_objective: Objective
-    candidates: int
-
-
-def count_min_over_objectives(
-    H: Hypergraph,
-    M: int,
-    strategy: ObjectiveStrategy,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> MinimizationResult:
-    """Minimum |Z| (and, separately, minimum |Z_1|) over the strategy's
-    finite objective family, deterministic given the strategy seed."""
-    family = strategy.candidates(M, H.n)
-    best: Optional[CountReport] = None
-    best_f: Optional[Objective] = None
-    best_l1: Optional[int] = None
-    best_l1_f: Optional[Objective] = None
-    for f in family:
-        report = count_isolating(H, M, f, budget=budget)
-        if best is None or report.total < best.total:
-            best, best_f = report, f
-        if best_l1 is None or report.layer1 < best_l1:
-            best_l1, best_l1_f = report.layer1, f
-    assert best is not None and best_f is not None
-    assert best_l1 is not None and best_l1_f is not None
-    return MinimizationResult(
-        report=best,
-        objective=best_f,
-        min_layer1=best_l1,
-        layer1_objective=best_l1_f,
-        candidates=len(family),
-    )

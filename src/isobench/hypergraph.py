@@ -21,6 +21,7 @@ from .errors import BudgetExceededError
 # sets.  D grows with n, so past the table D(8) - 1 bounds the walk below.
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
 _POWER_SET_EDGES = 1 << 16  # the largest power-set hypergraph built
+_MAX_COUNT = 1_000_000  # the most antichains an enumeration walks
 
 
 def edge_mask(vertices: Iterable[int], n: int) -> int:
@@ -277,104 +278,41 @@ def one_degenerate_order(H: Hypergraph) -> Optional[tuple[int, ...]]:
     return tuple(order)
 
 
-def canonical_key(H: Hypergraph, *, max_n: int = 7) -> tuple[int, ...]:
-    """Isomorphism-class key: the minimum relabeled edge tuple over all
-    vertex permutations.  Intended only for small-n deduplication.
-    """
-    if H.n > max_n:
-        raise BudgetExceededError(f"canonical form limited to n <= {max_n}")
-    best = None
-    for perm in itertools.permutations(range(H.n)):
-        relabeled = []
-        for e in H.edges:
-            mask = 0
-            rest = e
-            i = 0
-            while rest:
-                if rest & 1:
-                    mask |= 1 << perm[i]
-                rest >>= 1
-                i += 1
-            relabeled.append(mask)
-        key = tuple(sorted(relabeled))
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
+def enumerate_hypergraphs(n: int, *, prune: bool = False) -> Iterator[Hypergraph]:
+    """Yield every inclusion-free hypergraph on n vertices, each exactly
+    once, in a deterministic order (depth-first over the canonical
+    candidate-edge order, empty edge set first).  Edges are nonempty.
 
-
-def enumerate_hypergraphs(
-    n: int,
-    *,
-    inclusion_free: bool = False,
-    linear: bool = False,
-    uniform_r: Optional[int] = None,
-    connected: bool = False,
-    min_degree_at_least: int = 0,
-    max_count: int = 1_000_000,
-) -> Iterator[Hypergraph]:
-    """Yield every labeled hypergraph on n vertices passing the filters.
-
-    Each hypergraph is yielded exactly once, in a deterministic order
-    (depth-first over the canonical candidate-edge order, empty edge set
-    first).  Edges are nonempty.  ``inclusion_free`` and ``linear`` prune
-    the recursion; ``connected`` and ``min_degree_at_least`` filter at
-    yield time.  Every edge set the walk visits counts against
-    ``max_count``, whether or not the filters let it through, so a
-    filtered walk is bounded too; BudgetExceededError is raised when the
-    walk would visit more than ``max_count`` edge sets.  An unrestricted
-    or inclusion-free walk whose size is known in advance is refused
-    before its first visit.
+    ``prune`` yields only the connected ones with minimum degree at least
+    two, the shape any minimal counterexample must have.  The walk visits
+    the D(n) - 1 antichains of nonempty sets (Dedekind numbers), pruned or
+    not, so one of more than _MAX_COUNT is refused with
+    BudgetExceededError before its first visit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if _DEDEKIND[min(n, len(_DEDEKIND) - 1)] - 1 > _MAX_COUNT:
+        raise BudgetExceededError(f"enumeration exceeds budget {_MAX_COUNT}")
     candidates = sorted(range(1, 1 << n), key=edge_vertices)
-    if uniform_r is not None:
-        if not 1 <= uniform_r <= n:
-            raise ValueError(f"uniform_r must be in 1..{n}")
-        candidates = [c for c in candidates if c.bit_count() == uniform_r]
-    if not (inclusion_free or linear) and len(candidates) < 63:
-        if 1 << len(candidates) > max_count:
-            raise BudgetExceededError(
-                f"2^{len(candidates)} hypergraphs exceeds budget {max_count}"
-            )
-    if inclusion_free and not linear and uniform_r is None:
-        if _DEDEKIND[min(n, len(_DEDEKIND) - 1)] - 1 > max_count:
-            raise BudgetExceededError(f"enumeration exceeds budget {max_count}")
+    chosen: list[int] = []
 
-    def compatible(e: int, chosen: list[int]) -> bool:
+    def compatible(e: int) -> bool:
         for other in chosen:
             inter = e & other
-            if inclusion_free and (inter == e or inter == other):
-                return False
-            if linear and inter.bit_count() > 1:
+            if inter == e or inter == other:
                 return False
         return True
 
-    visited = 0
-    chosen: list[int] = []
-
-    def emit() -> Optional[Hypergraph]:
-        H = Hypergraph(n, tuple(chosen), require_inclusion_free=inclusion_free)
-        if connected and not is_connected(H):
-            return None
-        if min_degree_at_least and min_degree(H) < min_degree_at_least:
-            return None
-        return H
-
     # Recursive DFS over candidate indices: each call extends the chosen
     # edges by compatible candidates from `start` on.  Preorder emission
-    # keeps the stream ordering independent of the filters.
+    # keeps the stream ordering independent of ``prune``.
     def walk(start: int) -> Iterator[Hypergraph]:
-        nonlocal visited
-        visited += 1
-        if visited > max_count:
-            raise BudgetExceededError(f"enumeration exceeds budget {max_count}")
-        H = emit()
-        if H is not None:
+        H = Hypergraph(n, tuple(chosen))
+        if not prune or (is_connected(H) and min_degree(H) >= 2):
             yield H
         for k in range(start, len(candidates)):
             e = candidates[k]
-            if compatible(e, chosen):
+            if compatible(e):
                 chosen.append(e)
                 yield from walk(k + 1)
                 chosen.pop()

@@ -7,25 +7,74 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bounds import conjectured_Y, conjectured_Y1, h_eval, success_probabilities
 from .counting import (
     DEFAULT_BUDGET,
-    ObjectiveStrategy,
     _check,
     _classify_rows,
     _count_many,
     count_isolating,
 )
 from .hypergraph import Hypergraph, enumerate_hypergraphs
-from .weights import Objective
+from .weights import Objective, preset_objectives, random_objective
 
 _GROUP = 1024  # hypergraphs counted per batch
 _BATCH = 1 << 14  # weight rows a sampler draws at a time
 _EXACT_BUDGET = 1_000_000  # the most rows a sampler's exact count scans
+
+
+@dataclass(frozen=True)
+class ObjectiveStrategy:
+    """A finite, reportable family of objectives standing in for the
+    minimization over all strictly increasing f.
+
+    kinds: ``presets`` (identity + the two generic presets),
+    ``random_rational`` (``count`` seeded random objectives), and
+    ``exhaustive_integer`` (all strictly increasing integer objectives
+    with values in 1..bound).
+    """
+
+    kind: str
+    count: int = 0
+    seed: int = 0
+    bound: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("presets", "random_rational", "exhaustive_integer"):
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.kind == "random_rational" and self.count < 1:
+            raise ValueError("random_rational strategy needs count >= 1")
+        if self.kind == "exhaustive_integer" and self.bound < 1:
+            raise ValueError("exhaustive_integer strategy needs bound >= 1")
+
+    def candidates(self, M: int, n: int) -> list[Objective]:
+        if self.kind == "presets":
+            return list(preset_objectives(M, n))
+        if self.kind == "random_rational":
+            rng = np.random.default_rng([self.seed, M, n])
+            return [random_objective(M, rng) for _ in range(self.count)]
+        cands = [
+            Objective(M, tuple(Fraction(v) for v in combo))
+            for combo in itertools.combinations(range(1, self.bound + 1), M)
+        ]
+        if not cands:
+            raise ValueError(
+                f"exhaustive_integer bound {self.bound} admits no strictly increasing objective on {M} labels"
+            )
+        return cands
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {"kind": self.kind}
+        if self.kind == "random_rational":
+            doc["count"] = self.count
+            doc["seed"] = self.seed
+        if self.kind == "exhaustive_integer":
+            doc["bound"] = self.bound
+        return doc
 
 
 @dataclass(frozen=True)
@@ -89,6 +138,32 @@ class SearchReport:
         }
 
 
+def _grid(
+    n_values: Iterable[int],
+    M_values: Sequence[int],
+    candidates: Callable[[int, int], Sequence[Objective]],
+    budget: int,
+    prune: bool = False,
+) -> list[tuple[int, dict, Iterator[Hypergraph]]]:
+    """(n, objectives per M, walk) for each vertex count whose inclusion-free
+    walk yields a hypergraph.  Every walk is started and every (n, M, f)
+    scan checked against ``budget`` before this returns, in the order a
+    sweep one vertex count at a time meets them, so a grid is refused with
+    that sweep's first error before its first count."""
+    grid = []
+    for n in n_values:
+        families = {M: candidates(M, n) for M in M_values}
+        walk = enumerate_hypergraphs(n, prune=prune)
+        first = next(walk, None)
+        if first is None:
+            continue
+        for M in M_values:
+            for f in families[M]:
+                _check(f, M, M**n, budget, f"{M}^{n} = ")
+        grid.append((n, families, itertools.chain([first], walk)))
+    return grid
+
+
 def conjecture_search(
     n_max: int,
     M_values: Sequence[int],
@@ -116,21 +191,8 @@ def conjecture_search(
     # to the first instance in that order, and violations are listed in it.
     witness: list[Optional[tuple]] = [None, None]  # (ratio, key, instance) for |Z|, |Z_1|
     violations: list[tuple] = []  # (key, instance)
-    for n in range(1, n_max + 1):
-        families = {M: strategy.candidates(M, n) for M in M_values}
-        walk = enumerate_hypergraphs(
-            n,
-            inclusion_free=True,
-            connected=prune,
-            min_degree_at_least=2 if prune else 0,
-        )
-        first = next(walk, None)
-        if first is None:
-            continue
-        for M in M_values:
-            for f in families[M]:
-                _check(f, M, M**n, count_budget, f"{M}^{n} = ")
-        walk = itertools.chain([first], walk)
+    grid = _grid(range(1, n_max + 1), M_values, strategy.candidates, count_budget, prune)
+    for n, families, walk in grid:
         offset = 0
         while group := list(itertools.islice(walk, _GROUP)):
             for i, M in enumerate(M_values):
@@ -262,7 +324,7 @@ def _sample(
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
     rows with some entry 1 for ``layer1``.  More trials than ``budget`` are
     refused before the first draw.  The exact probability comes with the
-    estimate when M^n is at most _EXACT_BUDGET."""
+    estimate when M^n is at most both ``budget`` and _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check(f, M, trials, budget)
@@ -277,7 +339,7 @@ def _sample(
         successes += int(_classify_rows(H, f, W)[0].sum())
         accepted += W.shape[0]
     exact = None
-    if M**H.n <= _EXACT_BUDGET:
+    if M**H.n <= min(budget, _EXACT_BUDGET):
         p, q = success_probabilities(H, M, f, count_isolating(H, M, f, budget=_EXACT_BUDGET))
         exact = q if kind == "layer1" else p
     phi, h0, h1, h2 = _h_values(H.n, M)

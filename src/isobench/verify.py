@@ -22,17 +22,11 @@ from .bounds import (
     corollary_Y_bound,
     main_theorem_bound,
     ta_shma_bound,
-    zero_weight_Y,
 )
 from .constructions import build_witness_graph_A, build_witness_graph_B
 from .counting import DEFAULT_BUDGET, _classify_rows, count_isolating
-from .hypergraph import (
-    Hypergraph,
-    enumerate_hypergraphs,
-    is_inclusion_free,
-    is_linear,
-    one_degenerate_order,
-)
+from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
+from .search import _grid
 from .special_m2 import check_min_cardinality_reduction, special_isolating_weights
 from .weights import Objective, preset_objectives
 from .zero_weight import tashma_injection_maximal
@@ -81,7 +75,7 @@ def instance_checks(
         results.append(CheckResult(name, kind, lhs, rhs, holds, doc))
 
     if f.zero_allowed or not is_inclusion_free(H):
-        rhs = zero_weight_Y(M, n)
+        rhs = ta_shma_bound(M, n)
         add("total_ge_zero_weight_bound", "theorem", total, rhs, total >= rhs)
         return results
 
@@ -204,12 +198,13 @@ def verify_grid(
     budget: int = DEFAULT_BUDGET,
 ) -> VerifySummary:
     """Run every instance check with the preset objectives over an
-    exhaustive inclusion-free grid, in deterministic order."""
+    exhaustive inclusion-free grid, in deterministic order.  The grid is
+    refused before its first check when a walk or a scan exceeds its
+    budget."""
     all_results: list[CheckResult] = []
     instances = 0
-    for n in n_values:
-        families = {M: preset_objectives(M, n) for M in M_values}
-        for H in enumerate_hypergraphs(n, inclusion_free=True):
+    for _, families, walk in _grid(n_values, M_values, preset_objectives, budget):
+        for H in walk:
             for M in M_values:
                 for f in families[M]:
                     instances += 1

@@ -68,7 +68,7 @@ def sweep_grid():
     out = []
     for n in range(1, 5):
         fams = {M: preset_objectives(M, n) for M in (2, 3)}
-        for H in enumerate_hypergraphs(n, inclusion_free=True):
+        for H in enumerate_hypergraphs(n):
             for M in (2, 3):
                 for f in fams[M]:
                     out.append((H, M, f, count_isolating(H, M, f)))
@@ -135,7 +135,7 @@ def test_criterion_3_proven_conjecture_classes():
             fams[M] = list(preset_objectives(M, n)) + [
                 random_objective(M, rng) for _ in range(3)
             ]
-        for H in enumerate_hypergraphs(n, inclusion_free=True):
+        for H in enumerate_hypergraphs(n):
             lin = is_linear(H)
             deg = one_degenerate_order(H) is not None
             for M in (2, 3, 4):

@@ -17,7 +17,7 @@ from isobench import (
     success_probabilities,
     ta_shma_bound,
 )
-from isobench.bounds import _power_sum, zero_weight_Y
+from isobench.bounds import _power_sum
 
 F = Fraction
 
@@ -60,9 +60,9 @@ class TestClosedForms:
             bounded_edge_bound(3, 4, 1)
 
     def test_zero_weight(self):
-        assert zero_weight_Y(2, 2) == 1
-        assert zero_weight_Y(3, 2) == 4
-        assert zero_weight_Y(1, 1) == 0
+        assert ta_shma_bound(2, 2) == 1
+        assert ta_shma_bound(3, 2) == 4
+        assert ta_shma_bound(1, 1) == 0
 
     def test_singleton_count(self):
         """conjectured_Y is the exact singleton count, n = 1 included."""

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 
 import pytest
 
+import isobench.counting
+import isobench.search
 import isobench.verify
-from isobench.cli import EXIT_INTERNAL, main
+from isobench.cli import EXIT_INTERNAL, build_parser, main
 
 
 @pytest.fixture
@@ -108,7 +111,8 @@ class TestCount:
         assert main(["count", "--hypergraph", s2_path, "--M", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"] == 2
 
-    def test_workers_flag(self, s2_path, capsys):
+    def test_workers_flag(self, s2_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(["count", "--hypergraph", s2_path, "--M", "3", "--workers", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == 6
 
@@ -124,10 +128,31 @@ class TestCount:
     }
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN))
-    def test_golden_outputs(self, flags, h8_path, capsys):
+    def test_golden_outputs(self, flags, h8_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(["count", "--hypergraph", h8_path, "--M", "3", *flags.split()]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[flags]
+
+    @pytest.mark.parametrize("workers", ["0", "-5", "3", "64"])
+    def test_workers_outside_the_cpu_count_refused(self, workers, h8_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(isobench.counting, "ProcessPoolExecutor", no_pool)
+        argv = ["count", "--hypergraph", h8_path, "--M", "3", "--workers", workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: --workers must be in 1..2, got {workers}\n",
+        )
+
+    def test_workers_default_ignores_the_environment(self, s2_path, monkeypatch):
+        monkeypatch.setenv("ISOBENCH_WORKERS", "5")
+        args = build_parser().parse_args(["count", "--hypergraph", s2_path, "--M", "2"])
+        assert args.workers == 1
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -191,6 +216,29 @@ class TestVerify:
             " edge (1,) at weight (1, 2)\n"
         )
         assert "Traceback" not in captured.err
+
+
+class TestGridRefusals:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("verify --n-max 6 --M 2", "enumeration exceeds budget 1000000"),
+            ("search --n-max 6 --M 2,3,4,5", "enumeration exceeds budget 1000000"),
+            (
+                "verify --n-max 5 --M 2,3 --budget 200",
+                "3^5 = 243 weight evaluations exceed budget 200",
+            ),
+        ],
+    )
+    def test_refused_before_the_first_count(self, argv, message, capsys, monkeypatch):
+        def counted(*args, **kwargs):
+            raise AssertionError("a refused grid was counted")
+
+        monkeypatch.setattr(isobench.search, "_count_many", counted)
+        monkeypatch.setattr(isobench.verify, "instance_checks", counted)
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestSearch:
@@ -295,6 +343,13 @@ class TestSample:
             "",
             "error: 100000 weight evaluations exceed budget 10\n",
         )
+
+    @pytest.mark.parametrize("budget,exact", [("100", None), ("10000", "1304/2187")])
+    def test_exact_count_only_within_budget(self, h8_path, capsys, budget, exact):
+        # 3^8 = 6,561 rows: the exact count is left out under a smaller budget
+        argv = ["sample", "--hypergraph", h8_path, "--M", "3", "--trials", "10", "--seed", "1"]
+        assert main([*argv, "--budget", budget]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == exact
 
     def test_csv(self, s2_path, capsys):
         code = main(

@@ -64,7 +64,7 @@ class TestDescend:
             Ms = (2, 3) if n < 4 else (2,)
             for M in Ms:
                 fams = preset_objectives(M, n)
-                for h in enumerate_hypergraphs(n, inclusion_free=True):
+                for h in enumerate_hypergraphs(n):
                     if not h.edges:
                         continue
                     for f in fams:
@@ -88,7 +88,7 @@ class TestPivotDescend:
         for n in range(1, 4):
             for M in (2, 3):
                 f = identity_objective(M)
-                for h in enumerate_hypergraphs(n, inclusion_free=True):
+                for h in enumerate_hypergraphs(n):
                     if not h.edges:
                         continue
                     cases = []

@@ -23,7 +23,6 @@ from isobench import (
     random_objective,
     singleton_hypergraph,
 )
-from isobench.counting import count_min_over_objectives
 from isobench.hypergraph import edge_vertices
 from isobench.search import conjecture_search
 
@@ -211,7 +210,7 @@ class TestCountMany:
     def test_every_inclusion_free_hypergraph_up_to_4_vertices(self, M, scale):
         seen = 0
         for n in range(1, 5):
-            Hs = list(enumerate_hypergraphs(n, inclusion_free=True))
+            Hs = list(enumerate_hypergraphs(n))
             seen += len(Hs)
             family = ObjectiveStrategy(kind="presets").candidates(M, n)
             family.append(random_objective(M, np.random.default_rng([M, n])))
@@ -330,32 +329,3 @@ class TestMonotonicityInM:
         small = count_isolating(h, M, f).total
         large = count_isolating(h, M + 1, extended).total
         assert small <= large
-
-
-class TestMinOverObjectives:
-    def test_presets_on_singletons(self):
-        res = count_min_over_objectives(
-            singleton_hypergraph(2), 2, ObjectiveStrategy(kind="presets")
-        )
-        assert res.report.total == 2
-        assert res.min_layer1 == 2
-        assert res.candidates == 3
-
-    def test_exhaustive_integers(self):
-        res = count_min_over_objectives(
-            singleton_hypergraph(3), 2, ObjectiveStrategy(kind="exhaustive_integer", bound=3)
-        )
-        assert res.report.total == 3
-
-    def test_random_strategy_deterministic(self):
-        strat = ObjectiveStrategy(kind="random_rational", count=3, seed=9)
-        a = count_min_over_objectives(singleton_hypergraph(2), 3, strat)
-        b = count_min_over_objectives(singleton_hypergraph(2), 3, strat)
-        assert a.report == b.report and a.objective == b.objective
-
-    def test_empty_strategies_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectiveStrategy(kind="random_rational", count=0)
-        strat = ObjectiveStrategy(kind="exhaustive_integer", bound=1)
-        with pytest.raises(ValueError):
-            count_min_over_objectives(singleton_hypergraph(2), 2, strat)

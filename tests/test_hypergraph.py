@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from isobench import (
     random_uniform_hypergraph,
     singleton_hypergraph,
 )
+from isobench import hypergraph
 from isobench.hypergraph import (
-    canonical_key,
     disjoint_union,
     edge_mask,
     edge_vertices,
@@ -195,89 +197,72 @@ class TestOneDegenerateOrder:
 
 
 class TestEnumeration:
-    def test_counts_without_filters_match_direct_subsets(self):
-        for n in (1, 2, 3):
-            got = sum(1 for _ in enumerate_hypergraphs(n))
-            assert got == 2 ** (2**n - 1)
-
     def test_inclusion_free_n2_lists_all_five(self):
-        hs = list(enumerate_hypergraphs(2, inclusion_free=True))
+        hs = list(enumerate_hypergraphs(2))
         families = {h.vertex_sets() for h in hs}
         assert families == {(), ((1,),), ((2,),), ((1, 2),), ((1,), (2,))}
 
     def test_inclusion_free_matches_antichain_oracle(self):
         for n in (1, 2, 3):
-            got = {h.edges for h in enumerate_hypergraphs(n, inclusion_free=True)}
+            got = {h.edges for h in enumerate_hypergraphs(n)}
             want = {tuple(sorted(a, key=edge_vertices)) for a in oracle.antichains(list(range(1, 2**n)))}
             assert got == want
 
     def test_uniform_filter(self):
-        hs = list(enumerate_hypergraphs(3, uniform_r=3))
+        """Every r-uniform edge set is an antichain, so filtering the walk on
+        one edge cardinality lists all 2^C(n, r) of them, the empty one too."""
+        for n in (1, 2, 3, 4):
+            for r in range(1, n + 1):
+                got = [h for h in enumerate_hypergraphs(n) if set(h.cardinalities()) <= {r}]
+                assert len(got) == 2 ** math.comb(n, r)
+        hs = [h for h in enumerate_hypergraphs(3) if set(h.cardinalities()) <= {3}]
         assert [h.vertex_sets() for h in hs] == [(), ((1, 2, 3),)]
 
     def test_each_exactly_once_and_deterministic(self):
-        a = [h.edges for h in enumerate_hypergraphs(3, inclusion_free=True)]
-        b = [h.edges for h in enumerate_hypergraphs(3, inclusion_free=True)]
+        a = [h.edges for h in enumerate_hypergraphs(3)]
+        b = [h.edges for h in enumerate_hypergraphs(3)]
         assert a == b
         assert len(a) == len(set(a))
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "_MAX_COUNT", 10)
         with pytest.raises(BudgetExceededError):
-            list(enumerate_hypergraphs(3, max_count=10))
+            list(enumerate_hypergraphs(3))
 
-    def test_budget_counts_visited_edge_sets(self):
-        """The filters reject most of the walk: 167 inclusion-free edge sets
+    def test_budget_counts_visited_edge_sets(self, monkeypatch):
+        """The pruning rejects most of the walk: 167 inclusion-free edge sets
         on 4 vertices are visited for a handful of pruned yields, and the
         budget bounds the visits, not the yields."""
-        pruned = dict(inclusion_free=True, connected=True, min_degree_at_least=2)
-        kept = list(enumerate_hypergraphs(4, **pruned))
-        assert len(list(enumerate_hypergraphs(4, inclusion_free=True))) == 167
-        assert len(list(enumerate_hypergraphs(4, max_count=167, **pruned))) == len(kept)
+        kept = list(enumerate_hypergraphs(4, prune=True))
+        assert len(list(enumerate_hypergraphs(4))) == 167
         assert len(kept) < 50
+        monkeypatch.setattr(hypergraph, "_MAX_COUNT", 167)
+        assert list(enumerate_hypergraphs(4, prune=True)) == kept
+        monkeypatch.setattr(hypergraph, "_MAX_COUNT", 50)
         with pytest.raises(BudgetExceededError):
-            list(enumerate_hypergraphs(4, max_count=50, **pruned))
+            list(enumerate_hypergraphs(4, prune=True))
 
-    def test_inclusion_free_walk_refused_before_first_visit(self):
-        """The inclusion-free walk visits the D(n) - 1 antichains of
-        nonempty sets (Dedekind numbers), pruned or not, so a smaller
-        budget is refused before the first yield.  A walk of unknown size
-        keeps the visit counter."""
-        pruned = dict(connected=True, min_degree_at_least=2)
+    def test_inclusion_free_walk_refused_before_first_visit(self, monkeypatch):
+        """The walk visits the D(n) - 1 antichains of nonempty sets
+        (Dedekind numbers), pruned or not, so a smaller budget is refused
+        before the first yield."""
         for n, visits in ((1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)):
-            assert len(list(enumerate_hypergraphs(n, inclusion_free=True))) == visits
-            list(enumerate_hypergraphs(n, inclusion_free=True, max_count=visits, **pruned))
-            for filters in ({}, pruned):
-                walk = enumerate_hypergraphs(
-                    n, inclusion_free=True, max_count=visits - 1, **filters
-                )
-                with pytest.raises(BudgetExceededError, match="^enumeration exceeds budget"):
+            monkeypatch.setattr(hypergraph, "_MAX_COUNT", visits)
+            assert len(list(enumerate_hypergraphs(n))) == visits
+            list(enumerate_hypergraphs(n, prune=True))
+            monkeypatch.setattr(hypergraph, "_MAX_COUNT", visits - 1)
+            for prune in (False, True):
+                walk = enumerate_hypergraphs(n, prune=prune)
+                with pytest.raises(BudgetExceededError, match=f"^enumeration exceeds budget {visits - 1}$"):
                     next(walk)
-        walk = enumerate_hypergraphs(4, linear=True, max_count=10)
-        assert next(walk).edges == ()
-        with pytest.raises(BudgetExceededError, match="^enumeration exceeds budget 10$"):
-            list(walk)
 
     def test_pruning_filters(self):
-        pruned = list(
-            enumerate_hypergraphs(3, inclusion_free=True, connected=True, min_degree_at_least=2)
-        )
+        pruned = list(enumerate_hypergraphs(3, prune=True))
         for h in pruned:
             assert is_connected(h)
             assert all(h.degree(v) >= 2 for v in range(1, 4))
         # the triangle and {123} and mixed families survive on 3 vertices
         assert H(3, [1, 2], [1, 3], [2, 3]) in pruned
-
-
-class TestCanonicalKey:
-    def test_isomorphic_relabelings_collide(self):
-        a = H(3, [1, 2])
-        b = H(3, [2, 3])
-        assert canonical_key(a) == canonical_key(b)
-        assert canonical_key(a) != canonical_key(H(3, [1, 2], [1, 3]))
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            canonical_key(singleton_hypergraph(8))
 
 
 class TestRandomGenerators:

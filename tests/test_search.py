@@ -37,10 +37,7 @@ def per_instance_search(n_max, M_values, strategy, *, prune=False, counts=None):
     violations = []
     for n in range(1, n_max + 1):
         families = {M: strategy.candidates(M, n) for M in M_values}
-        walk = enumerate_hypergraphs(
-            n, inclusion_free=True, connected=prune, min_degree_at_least=2 if prune else 0
-        )
-        for H in walk:
+        for H in enumerate_hypergraphs(n, prune=prune):
             for M in M_values:
                 for f in families[M]:
                     if counts is None:
@@ -156,7 +153,7 @@ class TestConjectureSearch:
         # the tie is real: the instances at the minimum include one that
         # comes later in the walk but from an earlier (M, f) batch, here
         # H 2 at M = 3 against H 3 at M = 2, both on two vertices
-        Hs = {n: list(enumerate_hypergraphs(n, inclusion_free=True)) for n in (1, 2, 3)}
+        Hs = {n: list(enumerate_hypergraphs(n)) for n in (1, 2, 3)}
         order = []
         for n in (1, 2, 3):
             for h, H in enumerate(Hs[n]):
@@ -182,6 +179,15 @@ class TestConjectureSearch:
         pruned = conjecture_search(3, [2], PRESETS, prune=True)
         assert pruned.instances < full.instances
         assert pruned.violations == ()
+
+
+class TestObjectiveStrategy:
+    def test_empty_strategies_rejected(self):
+        with pytest.raises(ValueError):
+            ObjectiveStrategy(kind="random_rational", count=0)
+        strat = ObjectiveStrategy(kind="exhaustive_integer", bound=1)
+        with pytest.raises(ValueError):
+            strat.candidates(2, 2)
 
 
 class TestSamplers:

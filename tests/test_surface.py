@@ -1,7 +1,8 @@
 """The package's public surface: ``isobench`` exports only names that its
 callers use, meaning the CLI, the scripts, the benchmark harness and the
 acceptance suite, so a name that only unit tests reach does not creep
-back into ``__init__``."""
+back into ``__init__``; and no module keeps a public function or class
+that nothing but unit tests reaches."""
 
 import ast
 import types
@@ -10,6 +11,7 @@ from pathlib import Path
 import isobench
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "isobench").glob("*.py"))
 CALLERS = (
     ROOT / "src" / "isobench" / "cli.py",
     ROOT / "tests" / "test_acceptance.py",
@@ -48,3 +50,20 @@ def test_every_export_has_a_caller():
 
 def test_all_lists_every_export():
     assert sorted(isobench.__all__) == sorted(exports())
+
+
+# per-weight references that the batched tests check the kernels against
+REFERENCES = {"weights.isolating_edge", "weights.subtract_indicator"}
+
+
+def test_every_public_definition_has_a_caller():
+    used = set().union(*map(identifiers, (*MODULES, *CALLERS)))
+    unused = {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert sorted(unused - REFERENCES) == []
