@@ -16,8 +16,7 @@ import sys
 from fractions import Fraction
 
 from isobench import compare_to_asymptotics, conjectured_Y, conjectured_Y1
-from isobench.cli import _parse_m_list
-from isobench.search import asymptotic_rows_to_csv
+from isobench.cli import _parse_m_list, asymptotic_rows_to_csv
 
 
 def main() -> int:

@@ -39,7 +39,7 @@ from .search import (
     sample_uniform,
 )
 from .special_m2 import check_min_cardinality_reduction, rich_edge_report
-from .verify import instance_checks, verify_grid
+from .verify import verify_grid
 from .weights import (
     Objective,
     explicit_objective,
@@ -80,7 +80,6 @@ __all__ = [
     "generic_low_objective",
     "h_eval",
     "identity_objective",
-    "instance_checks",
     "is_isolating",
     "is_linear",
     "layer",

@@ -10,32 +10,32 @@ tightness check did not hold, which means a bug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bounds import success_probabilities
 from .counting import DEFAULT_BUDGET, count_isolating
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .search import (
+    AsymptoticRow,
     ObjectiveStrategy,
-    asymptotic_rows_to_csv,
     compare_to_asymptotics,
     conjecture_search,
     sample_layer1,
     sample_uniform,
 )
-from .verify import instance_checks, summarize, verify_grid
+from .verify import verify_grid
 from .weights import (
     Objective,
     explicit_objective,
     generic_high_objective,
     generic_low_objective,
     identity_objective,
-    preset_objectives,
 )
 
 EXIT_OK = 0
@@ -43,6 +43,8 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+CSV_COLUMNS_ASYMPTOTIC = "quantity,n,M,phi,value,exact,h0,h1,h2,margin_h2,h2_applicable"
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -99,8 +101,29 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _jsonable(value):
+    """The JSON form of a report value that ``json`` does not encode
+    itself: a Fraction as its "p/q" text, a dataclass as its fields."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
+
+
+def asymptotic_rows_to_csv(rows: Iterable[AsymptoticRow]) -> str:
+    lines = [CSV_COLUMNS_ASYMPTOTIC]
+    for r in rows:
+        lines.append(
+            f"{r.quantity},{r.n},{r.M},{r.phi},{r.value!r},"
+            f"{'' if r.exact is None else r.exact},{r.h0!r},{r.h1!r},{r.h2!r},"
+            f"{r.margin_h2!r},{int(r.h2_applicable)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_count(args) -> int:
@@ -111,16 +134,13 @@ def _cmd_count(args) -> int:
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
     p, q = success_probabilities(H, args.M, f, report)
-    doc = report.to_json_dict()
-    doc["p"] = str(p)
-    doc["q"] = str(q)
     if args.format == "csv":
         text = (
             "n,M,total,layer1,p,q\n"
             f"{report.n},{report.M},{report.total},{report.layer1},{p},{q}\n"
         )
     else:
-        text = _json_text(doc)
+        text = _json_text({**report.to_json_dict(), "p": p, "q": q})
     _emit(text, args.out)
     return EXIT_OK
 
@@ -130,19 +150,12 @@ def _cmd_verify(args) -> int:
         raise ValueError("--hypergraph and --n-max are mutually exclusive")
     if args.hypergraph:
         H = _load_hypergraph(args.hypergraph)
-        M_values = _parse_m_list(args.M)
-        results = []
-        instances = 0
-        for M in M_values:
-            for f in preset_objectives(M, H.n):
-                instances += 1
-                results.extend(instance_checks(H, M, f, budget=args.budget))
-        summary = summarize(results, instances)
+        walks = [(H.n, [H])]
     elif args.n_max:
-        M_values = _parse_m_list(args.M)
-        summary = verify_grid(range(1, args.n_max + 1), M_values, budget=args.budget)
+        walks = ((n, enumerate_hypergraphs(n)) for n in range(1, args.n_max + 1))
     else:
         raise ValueError("verify needs --hypergraph PATH or --n-max N")
+    summary = verify_grid(walks, _parse_m_list(args.M), budget=args.budget)
     if args.format == "csv":
         lines = ["checks_run,instances,ok,violations"]
         lines.append(
@@ -152,7 +165,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"# {v.kind} {v.name}: lhs={v.lhs} rhs={v.rhs}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_text(summary.to_json_dict())
+        text = _json_text(summary)
     _emit(text, args.out)
     return EXIT_OK if summary.ok else EXIT_FINDING
 
@@ -172,7 +185,7 @@ def _cmd_search(args) -> int:
             f"{report.min_ratio_total},{report.min_ratio_layer1},{len(report.violations)}\n"
         )
     else:
-        text = _json_text(report.to_json_dict())
+        text = _json_text(report)
     _emit(text, args.out)
     return EXIT_OK if not report.violations else EXIT_FINDING
 
@@ -184,7 +197,6 @@ def _cmd_sample(args) -> int:
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     sampler = sample_layer1 if args.layer1 else sample_uniform
     report = sampler(H, args.M, f, args.trials, args.seed, budget=args.budget)
-    doc = report.to_json_dict()
     rows = compare_to_asymptotics(
         H.n,
         args.M,
@@ -202,8 +214,7 @@ def _cmd_sample(args) -> int:
         if rows:
             text += asymptotic_rows_to_csv(rows)
     else:
-        doc["asymptotics"] = [r.to_json_dict() for r in rows]
-        text = _json_text(doc)
+        text = _json_text({**_jsonable(report), "asymptotics": rows})
     _emit(text, args.out)
     return EXIT_OK
 

@@ -68,14 +68,6 @@ class WitnessGraph:
         den = math.lcm(*(c.denominator for c in self.charges))
         return Fraction(sum(c.numerator * (den // c.denominator) for c in self.charges), den)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "left": [list(w) for w in self.left],
-            "right": [list(w) for w in self.right],
-            "adjacency": [list(nbrs) for nbrs in self.adjacency],
-            "charges": [str(c) for c in self.charges],
-        }
-
 
 def _left_nodes(n: int, M: int) -> list[tuple[int, ...]]:
     """Weights with exactly one entry 1, in (position, remainder) order."""

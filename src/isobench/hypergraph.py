@@ -162,29 +162,17 @@ def is_connected(H: Hypergraph) -> bool:
     """Connectivity over the 'share an edge' vertex graph.
 
     Degree-zero vertices count as separate components, so any uncovered
-    vertex makes the hypergraph disconnected.
+    vertex makes the hypergraph disconnected.  The vertices reached from
+    the first nonempty edge grow by every edge they meet until none adds a
+    vertex.
     """
-    covered = 0
-    for e in H.edges:
-        covered |= e
-    if covered != (1 << H.n) - 1:
-        return False
-    parent = list(range(H.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in H.edges:
-        vs = edge_vertices(e)
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
-    roots = {find(v) for v in range(1, H.n + 1)}
-    return len(roots) == 1
+    reached, before = next((e for e in H.edges if e), 0), -1
+    while reached != before:
+        before = reached
+        for e in H.edges:
+            if e & reached:
+                reached |= e
+    return reached == (1 << H.n) - 1
 
 
 def min_degree(H: Hypergraph) -> int:

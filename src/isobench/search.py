@@ -22,7 +22,6 @@ from .counting import (
 from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .weights import Objective, preset_objectives, random_objective
 
-_GROUP = 1024  # hypergraphs counted per batch
 _BATCH = 1 << 14  # weight rows a sampler draws at a time
 _EXACT_BUDGET = 1_000_000  # the most rows a sampler's exact count scans
 
@@ -89,17 +88,6 @@ class InstanceRecord:
     ratio_total: Optional[Fraction]
     ratio_layer1: Optional[Fraction]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "hypergraph": self.hypergraph,
-            "M": self.M,
-            "objective": self.objective,
-            "total": self.total,
-            "layer1": self.layer1,
-            "ratio_total": None if self.ratio_total is None else str(self.ratio_total),
-            "ratio_layer1": None if self.ratio_layer1 is None else str(self.ratio_layer1),
-        }
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -118,42 +106,22 @@ class SearchReport:
     witness_layer1: Optional[InstanceRecord]
     violations: tuple[InstanceRecord, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "M_values": list(self.M_values),
-            "strategy": self.strategy,
-            "prune": self.prune,
-            "seed": self.seed,
-            "instances": self.instances,
-            "min_ratio_total": None if self.min_ratio_total is None else str(self.min_ratio_total),
-            "min_ratio_layer1": None
-            if self.min_ratio_layer1 is None
-            else str(self.min_ratio_layer1),
-            "witness_total": None if self.witness_total is None else self.witness_total.to_json_dict(),
-            "witness_layer1": None
-            if self.witness_layer1 is None
-            else self.witness_layer1.to_json_dict(),
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
-
 
 def _grid(
-    n_values: Iterable[int],
+    walks: Iterable[tuple[int, Iterable[Hypergraph]]],
     M_values: Sequence[int],
     candidates: Callable[[int, int], Sequence[Objective]],
     budget: int,
-    prune: bool = False,
 ) -> list[tuple[int, dict, Iterator[Hypergraph]]]:
-    """(n, objectives per M, walk) for each vertex count whose inclusion-free
-    walk yields a hypergraph.  Every walk is started and every (n, M, f)
-    scan checked against ``budget`` before this returns, in the order a
-    sweep one vertex count at a time meets them, so a grid is refused with
-    that sweep's first error before its first count."""
+    """(n, objectives per M, walk) for each (n, walk) pair whose walk, an
+    iterable of hypergraphs on n vertices, yields a hypergraph.  Every walk
+    is started and every (n, M, f) scan checked against ``budget`` before
+    this returns, in the order a sweep one walk at a time meets them, so a
+    grid is refused with that sweep's first error before its first count."""
     grid = []
-    for n in n_values:
+    for n, walk in walks:
         families = {M: candidates(M, n) for M in M_values}
-        walk = enumerate_hypergraphs(n, prune=prune)
+        walk = iter(walk)
         first = next(walk, None)
         if first is None:
             continue
@@ -177,7 +145,8 @@ def conjecture_search(
 
     ``prune`` restricts to connected hypergraphs with minimum degree two,
     the shape any minimal counterexample must have.  Deterministic given
-    the strategy, whose seed feeds its random objectives.
+    the strategy, whose seed feeds its random objectives.  Each vertex
+    count's walk is counted whole, one batch per (M, f).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -191,29 +160,27 @@ def conjecture_search(
     # to the first instance in that order, and violations are listed in it.
     witness: list[Optional[tuple]] = [None, None]  # (ratio, key, instance) for |Z|, |Z_1|
     violations: list[tuple] = []  # (key, instance)
-    grid = _grid(range(1, n_max + 1), M_values, strategy.candidates, count_budget, prune)
-    for n, families, walk in grid:
-        offset = 0
-        while group := list(itertools.islice(walk, _GROUP)):
-            for i, M in enumerate(M_values):
-                denoms = (conjectured_Y(M, n), conjectured_Y1(M, n))
-                for j, f in enumerate(families[M]):
-                    counts = _count_many(group, M, f)
-                    instances += len(group)
+    walks = ((n, enumerate_hypergraphs(n, prune=prune)) for n in range(1, n_max + 1))
+    for n, families, walk in _grid(walks, M_values, strategy.candidates, count_budget):
+        Hs = tuple(walk)
+        for i, M in enumerate(M_values):
+            denoms = (conjectured_Y(M, n), conjectured_Y1(M, n))
+            for j, f in enumerate(families[M]):
+                counts = _count_many(Hs, M, f)
+                instances += len(Hs)
 
-                    def keyed(h: int) -> tuple:
-                        return (n, offset + h, i, j), (group[h], M, f, *(c[h] for c in counts))
+                def keyed(h: int) -> tuple:
+                    return (n, h, i, j), (Hs[h], M, f, *(c[h] for c in counts))
 
-                    below = np.zeros(len(group), dtype=bool)
-                    for k, (denom, count) in enumerate(zip(denoms, counts)):
-                        if denom:
-                            h = int(count.argmin())
-                            candidate = (Fraction(int(count[h]), denom), *keyed(h))
-                            if witness[k] is None or candidate[:2] < witness[k][:2]:
-                                witness[k] = candidate
-                            below |= count < denom
-                    violations.extend(map(keyed, np.flatnonzero(below).tolist()))
-            offset += len(group)
+                below = np.zeros(len(Hs), dtype=bool)
+                for k, (denom, count) in enumerate(zip(denoms, counts)):
+                    if denom:
+                        h = int(count.argmin())
+                        candidate = (Fraction(int(count[h]), denom), *keyed(h))
+                        if witness[k] is None or candidate[:2] < witness[k][:2]:
+                            witness[k] = candidate
+                        below |= count < denom
+                violations.extend(map(keyed, np.flatnonzero(below).tolist()))
     violations.sort(key=lambda v: v[0])
     ratios = [None if w is None else w[0] for w in witness]
     records = [None if w is None else _record(*w[2]) for w in witness]
@@ -268,23 +235,6 @@ class SampleReport:
     h0: float
     h1: float
     h2: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "M": self.M,
-            "trials": self.trials,
-            "seed": self.seed,
-            "successes": self.successes,
-            "draws": self.draws,
-            "estimate": self.estimate,
-            "exact": None if self.exact is None else str(self.exact),
-            "phi": str(self.phi),
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-        }
 
 
 def _h_values(n: int, M: int) -> tuple[Fraction, float, float, float]:
@@ -378,26 +328,6 @@ class AsymptoticRow:
     margin_h2: float
     h2_applicable: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "n": self.n,
-            "M": self.M,
-            "phi": str(self.phi),
-            "value": self.value,
-            "exact": None if self.exact is None else str(self.exact),
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-            "margin_h2": self.margin_h2,
-            "h2_applicable": self.h2_applicable,
-        }
-
-
-CSV_COLUMNS_ASYMPTOTIC = (
-    "quantity,n,M,phi,value,exact,h0,h1,h2,margin_h2,h2_applicable"
-)
-
 
 def compare_to_asymptotics(
     n: int,
@@ -433,13 +363,3 @@ def compare_to_asymptotics(
         )
     return tuple(rows)
 
-
-def asymptotic_rows_to_csv(rows: Iterable[AsymptoticRow]) -> str:
-    lines = [CSV_COLUMNS_ASYMPTOTIC]
-    for r in rows:
-        lines.append(
-            f"{r.quantity},{r.n},{r.M},{r.phi},{r.value!r},"
-            f"{'' if r.exact is None else r.exact},{r.h0!r},{r.h1!r},{r.h2!r},"
-            f"{r.margin_h2!r},{int(r.h2_applicable)}"
-        )
-    return "\n".join(lines) + "\n"

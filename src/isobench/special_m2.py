@@ -123,19 +123,6 @@ class EdgeRichness:
     rich: bool
     swaps: tuple[tuple[int, int, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "edge": list(edge_vertices(self.edge)),
-            "C1": list(self.cover1),
-            "C2": list(self.cover2),
-            "C1_size": len(self.cover1),
-            "C2_size": len(self.cover2),
-            "S_lower": self.s_lower,
-            "S_exact": self.s_exact,
-            "rich": self.rich,
-            "K": [{"i": i, "j": j, "value": v} for i, j, v in self.swaps],
-        }
-
 
 @dataclass(frozen=True)
 class RichEdgeReport:
@@ -143,14 +130,6 @@ class RichEdgeReport:
     r: int
     total_special: int
     edges: tuple[EdgeRichness, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "total_special": self.total_special,
-            "edges": [e.to_json_dict() for e in self.edges],
-        }
 
 
 def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdgeReport:

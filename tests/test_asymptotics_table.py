@@ -14,7 +14,7 @@ from isobench import (
     singleton_hypergraph,
     success_probabilities,
 )
-from isobench.search import asymptotic_rows_to_csv
+from isobench.cli import asymptotic_rows_to_csv
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "asymptotics_table.py"
 

@@ -27,6 +27,35 @@ def h8_path(tmp_path):
 
 
 @pytest.fixture
+def c4_path(tmp_path):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
+    return str(path)
+
+
+@pytest.fixture
+def h12_path(tmp_path):
+    # 9 edges on 12 vertices: 2^12 and 3^12 rows fit a budget of 10^6, 4^12 does not
+    edges = [[1, 2, 3], [3, 4, 5], [5, 6, 7], [7, 8, 9], [9, 10, 11], [1, 11, 12],
+             [2, 6, 10], [4, 8, 12], [1, 5, 9]]
+    path = tmp_path / "h12.json"
+    path.write_text(json.dumps({"n": 12, "edges": edges}))
+    return str(path)
+
+
+def triple_conjectures(monkeypatch, module):
+    """Triple both conjectured minima as ``module`` reads them, so that
+    most instances fall below them."""
+    for name in ("conjectured_Y", "conjectured_Y1"):
+        bound = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda M, n, bound=bound: 3 * bound(M, n))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
 def power2_path(tmp_path):
     doc = {"n": 2, "edges": [[], [1], [2], [1, 2]], "allow_empty_edge": True,
            "require_inclusion_free": False}
@@ -217,6 +246,31 @@ class TestVerify:
         )
         assert "Traceback" not in captured.err
 
+    # sha256 of stdout in JSON and CSV, recorded before reports became
+    # plain dataclasses rendered by the CLI
+    GOLDEN = {
+        "--hypergraph {c4} --M 2,3,4": (
+            0,
+            "9c0230d79a8337c040100c18daeb8e1187c9539ca2e99426d4d2e57ea67b5305",
+            "5ee1d3751987e4fe15eeda9c8ae79266868c41d97f8c2b25218f8fbf23b0a041",
+        ),
+        "--n-max 3 --M 2,3 (tripled minima)": (
+            1,
+            "82d36ad767442112de153c0c9b66e6bf03453f42a7aa92c3682be396913c9152",
+            "bfdf7577e1663be8b94bf0d28f72d5e02a8846f2b3e516848f169c7fe0fd0e70",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_outputs(self, case, c4_path, capsys, monkeypatch):
+        argv, tripled, _ = case.partition(" (tripled minima)")
+        if tripled:
+            triple_conjectures(monkeypatch, isobench.verify)
+        code, *digests = self.GOLDEN[case]
+        for fmt, digest in zip(("json", "csv"), digests):
+            assert main(["verify", *argv.format(c4=c4_path).split(), "--format", fmt]) == code
+            assert sha256(capsys.readouterr().out) == digest
+
 
 class TestGridRefusals:
     @pytest.mark.parametrize(
@@ -228,15 +282,21 @@ class TestGridRefusals:
                 "verify --n-max 5 --M 2,3 --budget 200",
                 "3^5 = 243 weight evaluations exceed budget 200",
             ),
+            # M = 2 and 3 fit the budget; the M = 4 scan refuses the run
+            (
+                "verify --hypergraph {h12} --M 2,3,4 --budget 1000000",
+                "4^12 = 16777216 weight evaluations exceed budget 1000000",
+            ),
         ],
     )
-    def test_refused_before_the_first_count(self, argv, message, capsys, monkeypatch):
+    def test_refused_before_the_first_count(self, argv, message, h12_path, capsys, monkeypatch):
         def counted(*args, **kwargs):
             raise AssertionError("a refused grid was counted")
 
         monkeypatch.setattr(isobench.search, "_count_many", counted)
         monkeypatch.setattr(isobench.verify, "instance_checks", counted)
-        assert main(argv.split()) == 3
+        monkeypatch.setattr(isobench.verify, "count_isolating", counted)
+        assert main(argv.format(h12=h12_path).split()) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
@@ -286,6 +346,18 @@ class TestSearch:
             assert main(["search", *grid.split(), "--format", fmt]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_golden_violations(self, capsys, monkeypatch):
+        # sha256 of stdout with both minima tripled, so that the report
+        # lists violations; recorded before reports became plain dataclasses
+        triple_conjectures(monkeypatch, isobench.search)
+        digests = (
+            "716e119653e716029a1c2685a9bcfa188d1682a89ac0f4f970c12fe006c4414a",
+            "fcf6e2fb12b269a25ba01f4190e0c8803420ec01bd79c27a18bd4617002065f6",
+        )
+        for fmt, digest in zip(("json", "csv"), digests):
+            assert main(["search", "--n-max", "3", "--M", "2,3", "--format", fmt]) == 1
+            assert sha256(capsys.readouterr().out) == digest
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -350,6 +422,23 @@ class TestSample:
         argv = ["sample", "--hypergraph", h8_path, "--M", "3", "--trials", "10", "--seed", "1"]
         assert main([*argv, "--budget", budget]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] == exact
+
+    # sha256 of stdout on h8 at M = 3, whose exact value adds an asymptotics
+    # row; recorded before reports became plain dataclasses
+    GOLDEN = {
+        ("", "json"): "b0cb748e8da951f1b1501b4a3e77ea9686f42e4899e67c848e22040f881211c5",
+        ("", "csv"): "08dd892ec28523cc8906d8babc324038425a702ef0f437cc7253f51fae85b7a7",
+        ("--layer1", "json"): "7eb85659bd2cefa462e28d126a7b94066242b2a9e2be6db46364fb31140302c7",
+        ("--layer1", "csv"): "052b70f3e74ca5f6e9cffa2f3b28a624591d8bc8f73658acc31b12463577fb87",
+    }
+
+    @pytest.mark.parametrize("layer1,fmt", sorted(GOLDEN))
+    def test_golden_outputs(self, layer1, fmt, h8_path, capsys):
+        argv = ["sample", "--hypergraph", h8_path, "--M", "3", "--trials", "1000", "--seed", "1"]
+        assert main([*argv, *layer1.split(), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "quantity" in out  # the asymptotics row
+        assert sha256(out) == self.GOLDEN[layer1, fmt]
 
     def test_csv(self, s2_path, capsys):
         code = main(

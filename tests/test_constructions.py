@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from isobench import (
     singleton_hypergraph,
     tashma_injection_maximal,
 )
-from isobench import constructions
+from isobench import cli, constructions
 from isobench.hypergraph import edge_mask
 from isobench.verify import instance_checks
 from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
@@ -204,7 +205,7 @@ class TestWitnessGraphA:
 
     def test_json_dump(self):
         G = build_witness_graph_A(singleton_hypergraph(2), 2, identity_objective(2))
-        doc = G.to_json_dict()
+        doc = json.loads(cli._json_text(G))
         assert doc["charges"] == ["1", "1"]
         assert doc["left"] == [[1, 2], [2, 1]]
 

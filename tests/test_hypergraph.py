@@ -97,6 +97,36 @@ class TestPredicates:
         assert is_connected(H(1, [1]))
         assert not is_connected(Hypergraph(1, ()))
 
+    def test_connectivity_on_every_edge_set(self):
+        # all 65,812 edge sets with n <= 4, the empty edge and nested edges
+        # included, against a component count by depth-first search; an
+        # uncovered vertex makes a hypergraph disconnected, even at n = 1
+        def components(n, edges):
+            seen, count = set(), 0
+            for start in range(1, n + 1):
+                if start in seen:
+                    continue
+                count += 1
+                seen.add(start)
+                stack = [start]
+                while stack:
+                    v = stack.pop()
+                    for u in {u for e in edges if v in e for u in e} - seen:
+                        seen.add(u)
+                        stack.append(u)
+            return count
+
+        checked = 0
+        for n in range(1, 5):
+            for chosen in range(1 << (1 << n)):
+                masks = tuple(e for e in range(1 << n) if chosen >> e & 1)
+                h = Hypergraph(n, masks, allow_empty_edge=True, require_inclusion_free=False)
+                edges = h.vertex_sets()
+                covered = set().union(*edges) == set(range(1, n + 1))
+                assert is_connected(h) == (covered and components(n, edges) == 1), h
+                checked += 1
+        assert checked == 65812
+
 
 class TestGenerators:
     @pytest.mark.parametrize("n", [1, 2, 3])

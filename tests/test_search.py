@@ -20,9 +20,9 @@ from isobench import (
     sample_uniform,
     singleton_hypergraph,
 )
-from isobench import search
+from isobench import cli, counting, search
+from isobench.cli import asymptotic_rows_to_csv
 from isobench.counting import _int64_safe
-from isobench.search import asymptotic_rows_to_csv
 
 F = Fraction
 PRESETS = ObjectiveStrategy(kind="presets")
@@ -109,30 +109,28 @@ class TestConjectureSearch:
         strat = ObjectiveStrategy(kind="random_rational", count=2, seed=3)
         a = conjecture_search(2, [2, 3], strat)
         b = conjecture_search(2, [2, 3], strat)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
-        )
+        assert cli._json_text(a) == cli._json_text(b)
 
-    @pytest.mark.parametrize("group", [None, 1, 7])
+    @pytest.mark.parametrize("gather", [None, 1, 7])
     @pytest.mark.parametrize(
         "strategy",
         [PRESETS, ObjectiveStrategy(kind="random_rational", count=2, seed=4)],
         ids=["presets", "random"],
     )
     @pytest.mark.parametrize("prune", [False, True])
-    def test_violations_match_the_per_instance_sweep(self, monkeypatch, prune, strategy, group):
+    def test_violations_match_the_per_instance_sweep(self, monkeypatch, prune, strategy, gather):
         # raised minima turn most instances into violations; M = 1 has
-        # zero minima for n >= 2, so those ratios are None
+        # zero minima for n >= 2, so those ratios are None.  A small
+        # _GATHER cuts each walk's batch into small blocks.
         raise_conjectures(monkeypatch, 3)
-        if group:
-            monkeypatch.setattr(search, "_GROUP", group)
+        if gather:
+            monkeypatch.setattr(counting, "_GATHER", gather)
         got = conjecture_search(4, [1, 2, 3], strategy, prune=prune)
         expected = per_instance_search(4, [1, 2, 3], strategy, prune=prune)
         assert len(expected["violations"]) > 50
-        assert got.to_json_dict() == expected
+        assert json.loads(cli._json_text(got)) == expected
 
-    @pytest.mark.parametrize("group", [None, 5])
-    def test_ratio_ties_go_to_the_first_instance_visited(self, monkeypatch, group):
+    def test_ratio_ties_go_to_the_first_instance_visited(self, monkeypatch):
         # synthetic counts with many ties at the minimum, placed so that a
         # later (M, f) batch holds an earlier tied hypergraph
         def counts(H, M, f):
@@ -145,9 +143,7 @@ class TestConjectureSearch:
         monkeypatch.setattr(search, "conjectured_Y", lambda M, n: 4)
         monkeypatch.setattr(search, "conjectured_Y1", lambda M, n: 4)
         monkeypatch.setattr(search, "_count_many", count_many)
-        if group:
-            monkeypatch.setattr(search, "_GROUP", group)
-        got = conjecture_search(3, [2, 3], PRESETS).to_json_dict()
+        got = json.loads(cli._json_text(conjecture_search(3, [2, 3], PRESETS)))
         expected = per_instance_search(3, [2, 3], PRESETS, counts=counts)
         assert got == expected
         # the tie is real: the instances at the minimum include one that

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from isobench import (
     rich_edge_report,
     singleton_hypergraph,
 )
+from isobench import cli
 from isobench.hypergraph import edge_mask, edge_vertices
 from isobench.special_m2 import (
     min_cardinality_subgraph,
@@ -179,8 +181,8 @@ class TestRichEdgeReport:
             rich_edge_report(H(3, [1], [2, 3]))
 
     def test_json(self):
-        doc = rich_edge_report(H(2, [1, 2])).to_json_dict()
-        assert doc["edges"][0]["S_exact"] == 4
+        doc = json.loads(cli._json_text(rich_edge_report(H(2, [1, 2]))))
+        assert doc["edges"][0]["s_exact"] == 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_uniform_invariants(self, seed):

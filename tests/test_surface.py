@@ -67,3 +67,23 @@ def test_every_public_definition_has_a_caller():
         and node.name not in used
     }
     assert sorted(unused - REFERENCES) == []
+
+
+# document formats with conditional keys, and the count report whose
+# per-edge bitmasks print as vertex lists; every other report is a plain
+# dataclass that ``isobench.cli`` renders from its fields
+SERIALIZERS = {"Hypergraph", "Objective", "ObjectiveStrategy", "CountReport"}
+
+
+def test_only_document_formats_define_to_json_dict():
+    defining = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
+            for item in node.body
+        )
+    }
+    assert sorted(defining) == sorted(SERIALIZERS)

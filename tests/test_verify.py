@@ -1,6 +1,7 @@
 import isobench.verify
 from isobench import (
     Hypergraph,
+    enumerate_hypergraphs,
     identity_objective,
     power_set_hypergraph,
     singleton_hypergraph,
@@ -64,14 +65,14 @@ class TestInstanceChecks:
 
 class TestSummaries:
     def test_summarize_flags_failures(self):
-        good = CheckResult("x", "theorem", 2, 1, True, {})
-        bad = CheckResult("y", "conjecture", 0, 1, False, {})
+        good = CheckResult("x", "theorem", "2", "1", True, {})
+        bad = CheckResult("y", "conjecture", "0", "1", False, {})
         summary = summarize([good, bad], instances=1)
         assert not summary.ok
         assert summary.violations == (bad,)
 
     def test_small_grid_clean(self):
-        summary = verify_grid([1, 2], [2])
+        summary = verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2)], [2])
         assert summary.ok
         assert summary.instances == (2 + 5) * 3
         assert summary.checks_run > 0
