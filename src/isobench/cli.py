@@ -146,12 +146,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.hypergraph and args.n_max:
+    if args.hypergraph is not None and args.n_max is not None:
         raise ValueError("--hypergraph and --n-max are mutually exclusive")
-    if args.hypergraph:
+    if args.hypergraph is not None:
         H = _load_hypergraph(args.hypergraph)
         walks = [(H.n, [H])]
-    elif args.n_max:
+    elif args.n_max is not None:
+        if args.n_max < 1:
+            raise ValueError("n_max must be >= 1")
         walks = ((n, enumerate_hypergraphs(n)) for n in range(1, args.n_max + 1))
     else:
         raise ValueError("verify needs --hypergraph PATH or --n-max N")

@@ -5,20 +5,28 @@ counting inequalities.  The Ta-Shma injection lives in ``zero_weight``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify_rows, _plan, count_isolating, count_layer1
+from .counting import (
+    DEFAULT_BUDGET,
+    _classify,
+    _decode_rows,
+    _membership,
+    _rank_rows,
+    _stacked_sums,
+    count_isolating,
+    count_layer1,
+)
 from .errors import BudgetExceededError
 from .hypergraph import (
     Hypergraph,
     disjoint_union,
-    edge_vertices,
     is_inclusion_free,
     is_linear,
     remove_vertex,
@@ -32,22 +40,36 @@ def _require_inclusion_free(H: Hypergraph) -> None:
 
 
 def _assert_isolates(
-    H: Hypergraph, f: Objective, W: np.ndarray, edges: np.ndarray, what: str
+    f: Objective,
+    members: np.ndarray,
+    W: np.ndarray,
+    edges: np.ndarray,
+    need: np.ndarray,
+    what: str,
 ) -> None:
-    """Check in one batch that each row of W isolates the edge of the same
-    index in ``edges``; name the first row that does not."""
-    iso, at_min = _classify_rows(H, f, W)
-    bad = ~(iso & at_min[np.arange(W.shape[0]), edges])
+    """Check in one batch that each row of W, shape (graphs, rows, n), where
+    ``need`` holds isolates the edge of the same index in ``edges``
+    (graphs, rows) of its hypergraph in the stack ``members``; name the
+    first row, hypergraph by hypergraph, that does not."""
+    iso, at_min = _classify(_stacked_sums(f, members, W))
+    hit = np.take_along_axis(at_min, edges[:, None, :], axis=1)[:, 0]
+    bad = need & ~(iso & hit)
     if bad.any():
-        k = int(bad.argmax())
+        g, k = np.unravel_index(bad.argmax(), bad.shape)
+        edge = tuple((np.flatnonzero(members[g, edges[g, k]]) + 1).tolist())
         raise AssertionError(
-            f"{what} failed to isolate edge {edge_vertices(H.edges[edges[k]])}"
-            f" at weight {tuple(W[k].tolist())}"
+            f"{what} failed to isolate edge {edge} at weight {tuple(W[g, k].tolist())}"
         )
 
 
 # ---------------------------------------------------------------------------
 # Witness graphs
+
+
+def _charge(a: int, b: int) -> Fraction:
+    """R(w) of a left node whose neighbours have degrees a and b, or only a
+    when b is 0: 1/a, or (a + b)/(ab)."""
+    return Fraction(a + b, a * b) if b else Fraction(1, a)
 
 
 @dataclass(frozen=True)
@@ -69,88 +91,166 @@ class WitnessGraph:
         return Fraction(sum(c.numerator * (den // c.denominator) for c in self.charges), den)
 
 
-def _left_nodes(n: int, M: int) -> list[tuple[int, ...]]:
-    """Weights with exactly one entry 1, in (position, remainder) order."""
-    rests = list(itertools.product(range(2, M + 1), repeat=n - 1))
-    return [rest[:pos] + (1,) + rest[pos:] for pos in range(n) for rest in rests]
+@functools.lru_cache(maxsize=64)
+def _left_nodes(n: int, M: int) -> np.ndarray:
+    """Weights with exactly one entry 1, in (position, remainder) order, as
+    a read-only array of shape (n (M-1)^(n-1), n)."""
+    rests = _decode_rows(n - 1, M - 1, 0, (M - 1) ** (n - 1))[0] + 1
+    left = np.concatenate([np.insert(rests, pos, 1, axis=1) for pos in range(n)])
+    left.flags.writeable = False
+    return left
 
 
-def _assemble(left: list[tuple[int, ...]], targets: np.ndarray, two: np.ndarray) -> WitnessGraph:
-    """Number the targets, shape (left, 2, n), in order of first appearance.
-    Left node k is charged to its first target, and to its second when
-    ``two[k]``; coincident targets merge into one simple edge.  The charge
-    of a left node is 1/a for one neighbour of degree a, (a + b)/(ab) for
-    two."""
-    two = two & (targets[:, 0] != targets[:, 1]).any(axis=1)
-    right_index: dict[tuple[int, ...], int] = {}
-    used = targets[np.stack([np.ones_like(two), two], axis=1)]
-    ids = [right_index.setdefault(t, len(right_index)) for t in map(tuple, used.tolist())]
-    deg = [0] * len(right_index)
-    for u in ids:
-        deg[u] += 1
-    it = iter(ids)
-    adjacency = tuple((next(it), next(it)) if pair else (next(it),) for pair in two.tolist())
-    keys = [tuple(map(deg.__getitem__, nbrs)) for nbrs in adjacency]
-    charge = {
-        k: Fraction(1, k[0]) if len(k) == 1 else Fraction(k[0] + k[1], k[0] * k[1])
-        for k in set(keys)
-    }
-    charges = tuple(map(charge.__getitem__, keys))
-    return WitnessGraph(tuple(left), tuple(right_index), adjacency, charges)
+class _Witnesses(NamedTuple):
+    """The witness graphs of a stack of hypergraphs with one edge count, on
+    their shared left nodes.  ``targets`` (graphs, left nodes, 2, n) holds
+    each left node's targets, the second one charged only where ``two``,
+    and ``ids`` their right-node numbers, the second equal to the first
+    unless ``two``.  The right nodes are each graph's distinct charged
+    targets, graph by graph in order of first appearance: ``first`` is the
+    flat index of each in ``targets``' rows, ``degree`` its degree."""
+
+    left: np.ndarray
+    targets: np.ndarray
+    two: np.ndarray
+    ids: np.ndarray
+    first: np.ndarray
+    degree: np.ndarray
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.targets.reshape(-1, self.left.shape[1])[self.first]
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The graph of each right node."""
+        return self.first // (2 * self.left.shape[0])
+
+    def degree_pairs(self) -> np.ndarray:
+        """The degrees of each left node's neighbours, (graphs, left nodes,
+        2), the second 0 for a left node with one neighbour."""
+        return self.degree[self.ids] * np.stack([np.ones_like(self.two), self.two], axis=-1)
+
+    def charges(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The total and the least charge of each graph, from the counts of
+        its distinct degree pairs."""
+        pairs = self.degree_pairs()
+        c, top = pairs.shape[0], int(pairs.max()) + 1
+        keyed = (np.arange(c)[:, None] * top + pairs[..., 0]) * top + pairs[..., 1]
+        keys, counts = np.unique(keyed, return_counts=True)
+        graph, pair = np.divmod(keys, top * top)
+        distinct, which = np.unique(pair, return_inverse=True)
+        charge = [_charge(*divmod(p, top)) for p in distinct.tolist()]
+        den = math.lcm(*(q.denominator for q in charge))
+        num = [q.numerator * (den // q.denominator) for q in charge]
+        totals = [0] * c
+        for g, w, k in zip(graph.tolist(), which.tolist(), counts.tolist()):
+            totals[g] += k * num[w]
+        order = sorted(range(len(charge)), key=charge.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        least = np.full(c, len(order), dtype=np.intp)
+        np.minimum.at(least, graph, rank[which])
+        return [Fraction(t, den) for t in totals], [charge[order[r]] for r in least.tolist()]
 
 
 def _pivot_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """The vertices a pivot descent lowers: the charged edge minus the pivot."""
-    return edge_rows & (np.arange(edge_rows.shape[1]) != pivot[:, None])
+    return edge_rows & (np.arange(edge_rows.shape[-1]) != pivot[:, None])
 
 
 def _next_vertex_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """The vertex a next-vertex descent lowers, as a one-hot row: the
     smallest vertex of the charged edge after the pivot, else its smallest
     vertex."""
-    after = edge_rows & (np.arange(edge_rows.shape[1]) > pivot[:, None])
-    j = np.where(after.any(axis=1), after.argmax(axis=1), edge_rows.argmax(axis=1))
-    return np.arange(edge_rows.shape[1]) == j[:, None]
+    vertices = np.arange(edge_rows.shape[-1])
+    after = edge_rows & (vertices > pivot[:, None])
+    j = np.where(after.any(axis=-1), after.argmax(axis=-1), edge_rows.argmax(axis=-1))
+    return vertices == j[..., None]
 
 
-def _witness(
-    H: Hypergraph,
+def _witnesses(
+    members: np.ndarray,
     M: int,
     f: Objective,
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     what: str,
-) -> WitnessGraph:
-    """Charge each left node w, whose unique 1 sits at the pivot i: if some
-    min-weight edge avoids i, to the descent along the first such edge;
-    otherwise to w itself (when already isolating) and the descent
-    ``step`` along the first min-weight edge, or to the descents along the
-    first two min-weight edges.  ``step`` maps the charged edges' membership
-    rows and the pivots to the vertices a descent lowers.  Every descent is
-    verified to isolate its edge, in one batch."""
-    lefts = _left_nodes(H.n, M)
-    left = np.array(lefts, dtype=np.int64)
-    targets = np.stack([left, left], axis=1)
-    if not H.edges:
-        return _assemble(lefts, targets, np.zeros(len(lefts), dtype=bool))
-    pivot = (left == 1).argmax(axis=1)
-    iso, at_min = _classify_rows(H, f, left)
-    members = _plan((H,)).members.T.astype(bool)
-    avoiding = at_min & ~members[:, pivot].T
-    free = avoiding.any(axis=1)
-    targets[free, 0] -= members[avoiding[free].argmax(axis=1)]
-    # the other nodes take descents: slot 1 along the first min edge when w
-    # is isolating, else along the second; slot 0 along the first when not
-    first = at_min.argmax(axis=1)
-    second = (at_min & (np.arange(H.m) > first[:, None])).argmax(axis=1)
-    slot1 = np.flatnonzero(~free)
-    slot0 = np.flatnonzero(~free & ~iso)
-    rows = np.concatenate([slot1, slot0])
-    edges = np.concatenate([np.where(iso, first, second)[slot1], first[slot0]])
-    out = left[rows] - step(members[edges], pivot[rows])
-    _assert_isolates(H, f, out, edges, what)
-    targets[slot1, 1] = out[: slot1.size]
-    targets[slot0, 0] = out[slot1.size :]
-    return _assemble(lefts, targets, ~free)
+) -> _Witnesses:
+    """Charge each left node w, whose unique 1 sits at the pivot i, in each
+    hypergraph of the stack ``members`` (graphs, m, n): if some min-weight
+    edge avoids i, to the descent along the first such edge; otherwise to
+    w itself (when already isolating) and the descent ``step`` along the
+    first min-weight edge, or to the descents along the first two
+    min-weight edges.  ``step`` maps the charged edges' membership rows
+    (graphs, left nodes, n) and the pivots to the vertices a descent
+    lowers.  Every descent is verified to isolate its edge, in one batch;
+    coincident targets merge into one simple edge."""
+    c, m, n = members.shape
+    left = _left_nodes(n, M)
+    targets = np.broadcast_to(left[:, None], (c, left.shape[0], 2, n))
+    two = np.zeros((c, left.shape[0]), dtype=bool)
+    if m:
+        pivot = (left == 1).argmax(axis=1)
+        iso, at_min = _classify(_stacked_sums(f, members, left))
+        at_min = at_min.swapaxes(1, 2)
+        edge = members.astype(bool)
+        avoiding = at_min & ~edge[:, :, pivot].swapaxes(1, 2)
+        free = avoiding.any(axis=2)
+        first = at_min.argmax(axis=2)
+        second = (at_min & (np.arange(m) > first[..., None])).argmax(axis=2)
+        g = np.arange(c)[:, None]
+        down = [left - step(edge[g, e], pivot) for e in (first, second)]
+        # slot 1 takes the descent along the first min edge when w is
+        # isolating, else along the second; slot 0 along the first when not
+        solo = iso[..., None]
+        later = np.where(solo, *down)
+        _assert_isolates(
+            f,
+            members,
+            np.concatenate([later, down[0]], axis=1),
+            np.concatenate([np.where(iso, first, second), first], axis=1),
+            np.concatenate([~free, ~free & ~iso], axis=1),
+            what,
+        )
+        avoided = left - edge[g, avoiding.argmax(axis=2)]
+        slot0 = np.where(free[..., None], avoided, np.where(solo, left, down[0]))
+        slot1 = np.where(free[..., None], left, later)
+        two = ~free & (slot0 != slot1).any(axis=2)
+        targets = np.stack([slot0, slot1], axis=2)
+    used = np.stack([np.ones_like(two), two], axis=2)
+    keys = _rank_rows(targets, M)[used]
+    _, seen, inverse, degree = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(seen)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    ids = np.empty(used.shape, dtype=np.intp)
+    ids[used] = number[inverse]
+    ids[..., 1] = np.where(two, ids[..., 1], ids[..., 0])
+    return _Witnesses(
+        left=left,
+        targets=targets,
+        two=two,
+        ids=ids,
+        first=np.flatnonzero(used)[seen[order]],
+        degree=degree[order],
+    )
+
+
+def _graph(W: _Witnesses) -> WitnessGraph:
+    """The witness graph of a stack of one."""
+    keys = list(map(tuple, W.degree_pairs()[0].tolist()))
+    charge = {k: _charge(*k) for k in set(keys)}
+    adjacency = tuple(
+        (a, b) if pair else (a,) for (a, b), pair in zip(W.ids[0].tolist(), W.two[0].tolist())
+    )
+    return WitnessGraph(
+        left=tuple(map(tuple, W.left.tolist())),
+        right=tuple(map(tuple, W.right.tolist())),
+        adjacency=adjacency,
+        charges=tuple(map(charge.__getitem__, keys)),
+    )
 
 
 def _require_witness(H: Hypergraph, M: int, f: Objective, budget: int) -> None:
@@ -178,7 +278,7 @@ def build_witness_graph_A(
     building any.
     """
     _require_witness(H, M, f, budget)
-    return _witness(H, M, f, _pivot_step, "pivot descent")
+    return _graph(_witnesses(_membership(H), M, f, _pivot_step, "pivot descent"))
 
 
 def build_witness_graph_B(
@@ -194,7 +294,7 @@ def build_witness_graph_B(
         raise ValueError("witness graph B requires a linear hypergraph")
     if any(e.bit_count() < 2 for e in H.edges):
         raise ValueError("witness graph B requires every edge cardinality >= 2")
-    return _witness(H, M, f, _next_vertex_step, "next-vertex descent")
+    return _graph(_witnesses(_membership(H), M, f, _next_vertex_step, "next-vertex descent"))
 
 
 # ---------------------------------------------------------------------------

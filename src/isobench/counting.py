@@ -102,8 +102,20 @@ def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
     return _Plan(members, groups)
 
 
+def _membership(H: Hypergraph) -> np.ndarray:
+    """H's (1, m, n) 0/1 edge membership, in its edge order: a stack of one
+    for the batched constructions."""
+    return _plan((H,)).members.T[None]
+
+
 def _int64_safe(f: Objective, n: int) -> bool:
     return max(abs(s) for s in f.scaled) * max(n, 1) < (1 << 62)
+
+
+def _table(f: Objective, n: int) -> np.ndarray:
+    """The objective's scaled values indexed by label, as int64 or, when an
+    edge sum on n vertices could overflow int64, as Python integers."""
+    return np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, n) else object)
 
 
 def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +128,18 @@ def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.
         div = M ** (n - 1 - pos)
         cols[:, pos] = (idx // div) % M + 1
     return cols, cols.min(axis=1, initial=M + 1)
+
+
+def _rank_rows(rows: np.ndarray, M: int) -> np.ndarray:
+    """A key per row of a stack of shape (hypergraphs, ..., n) with entries in
+    1..M: the hypergraph's position times M^n plus the row's rank in the
+    lexicographic order of [M]^n, the inverse of ``_decode_rows``.  Keys
+    are int64, or Python integers when one could overflow int64."""
+    n, size = rows.shape[-1], M ** rows.shape[-1]
+    dtype = np.int64 if rows.shape[0] * size < 1 << 63 else object
+    radix = np.array([M ** (n - 1 - pos) for pos in range(n)], dtype=dtype)
+    offset = np.arange(rows.shape[0], dtype=dtype) * size
+    return (rows - 1).astype(dtype) @ radix + offset.reshape((-1,) + (1,) * (rows.ndim - 2))
 
 
 def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +163,15 @@ def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndar
     return members.T @ table[W].T
 
 
+def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Weight of each edge of a stack of hypergraphs on weight rows, in the
+    shape ``_classify`` takes: ``members`` is the (hypergraphs, m, n) 0/1
+    edge membership and W the rows, (hypergraphs, rows, n) or one (rows,
+    n) array for the whole stack; the result has shape (hypergraphs, m,
+    rows)."""
+    return members @ np.swapaxes(_table(f, members.shape[-1])[W], -1, -2)
+
+
 def _classify_rows(H: Hypergraph, f: Objective, W) -> tuple[np.ndarray, np.ndarray]:
     """Isolation of explicit weight rows W (an array of shape (rows, n), or a
     list of weight tuples), in blocks of at most _CHUNK rows.
@@ -148,7 +181,7 @@ def _classify_rows(H: Hypergraph, f: Objective, W) -> tuple[np.ndarray, np.ndarr
     (``dtype=object``) when an edge sum could overflow int64.
     """
     W = np.asarray(W, dtype=np.int64).reshape(-1, H.n)
-    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, H.n) else object)
+    table = _table(f, H.n)
     members = _plan((H,)).members
     starts = range(0, max(W.shape[0], 1), _CHUNK)
     iso, at_min = zip(*(_classify(_edge_sums(W[a : a + _CHUNK], table, members)) for a in starts))
@@ -202,8 +235,7 @@ def _blocks(
     rows times edges."""
     p = Hs[0].n - k
     plan = _plan(Hs)
-    # Python integers when an edge sum could overflow int64
-    table = np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, Hs[0].n) else object)
+    table = _table(f, Hs[0].n)
     prefix, prefix_low = _decode_rows(p, M, start, M**p if stop is None else stop)
     suffix, suffix_low = _suffix_table(k, M)
     pre = _Part(prefix_low, _edge_sums(prefix, table, plan.members[:p]))

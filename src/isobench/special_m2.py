@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify_rows, _decode_rows, _plan
+from .counting import DEFAULT_BUDGET, _classify, _decode_rows, _membership, _stacked_sums
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
 from .weights import Objective, identity_objective
@@ -24,40 +24,39 @@ _UNIT = identity_objective(2)
 _COVER_VERTICES = 20  # the most vertices an exact cover search tries subsets of
 
 
-def _special_scan(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Scan [2]^n; return the special weights, as rows in lexicographic
-    order, plus a per-edge histogram of their unique min-weight edges
-    under unit weights."""
-    W = _decode_rows(H.n, 2, 0, 1 << H.n)[0]
-    if not H.edges:
-        return W, np.zeros(0, dtype=np.int64)
-    iso, at_min = _classify_rows(H, _UNIT, W)
+def _special_scan(
+    members: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan [2]^n for each hypergraph of the stack ``members`` (graphs, m, n)
+    restricted to its edges where ``keep`` (graphs, m) holds.  Returns the
+    rows of [2]^n in lexicographic order, the mask of special weights
+    (graphs, rows) and each row's first unique-minimum edge under unit
+    weights (graphs, rows).  With no edges every weight is special."""
+    c, m, n = members.shape
+    W = _decode_rows(n, 2, 0, 1 << n)[0]
+    if not m:
+        shape = (c, W.shape[0])
+        return W, np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.intp)
+    # an edge of unit weight at most 2n; the dropped edges weigh more
+    sums = _stacked_sums(_UNIT, members, W) + np.where(keep, 0, 2 * n + 1)[..., None]
+    iso, at_min = _classify(sums)
     first = at_min.argmax(axis=1)
-    inside = _plan((H,)).members.T[first] == 1
+    inside = members[np.arange(c)[:, None], first] == 1
     # condition 1: no weight-2 vertex inside the edge or no weight-1 vertex outside
-    cond1 = ~(inside & (W == 2)).any(axis=1) | ~(~inside & (W == 1)).any(axis=1)
-    ok = iso & cond1
-    return W[ok], np.bincount(first[ok], minlength=H.m)
+    cond1 = ~(inside & (W == 2)).any(axis=2) | ~(~inside & (W == 1)).any(axis=2)
+    return W, iso & cond1, first
 
 
-def special_isolating_weights(
-    H: Hypergraph, *, budget: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """All special isolating weights, sorted lexicographically.  An empty
-    hypergraph returns all of [2]^n by convention."""
-    if (1 << H.n) > budget:
-        raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
-    return list(map(tuple, _special_scan(H)[0].tolist()))
-
-
-def min_cardinality_subgraph(H: Hypergraph) -> tuple[int, Hypergraph]:
-    """The minimum edge cardinality r and the subhypergraph of all
-    cardinality-r edges."""
-    if not H.edges:
-        raise ValueError("hypergraph has no edges")
-    r = min(e.bit_count() for e in H.edges)
-    kept = tuple(e for e in H.edges if e.bit_count() == r)
-    return r, Hypergraph(H.n, kept, H.allow_empty_edge, H.require_inclusion_free)
+def _reduction(members: np.ndarray, f: Objective) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z'(H_r) against Z(H, 2, f) for each hypergraph H of the stack
+    ``members`` (graphs, m, n), H_r its least-cardinality edges: the rows
+    of [2]^n, the special weights of H_r and those of them that do not
+    isolate in H, both masks of shape (graphs, rows)."""
+    cards = members.sum(axis=2)
+    keep = cards == cards.min(axis=1, initial=members.shape[2], keepdims=True)
+    W, special, _ = _special_scan(members, keep)
+    iso = _classify(_stacked_sums(f, members, W))[0]
+    return W, special, special & ~iso
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ def check_min_cardinality_reduction(
         raise ValueError("this reduction is specific to M = 2")
     if not H.edges:
         return SubsetCheck(holds=True, special_count=2**H.n, counterexamples=())
-    _, H_r = min_cardinality_subgraph(H)
-    specials = special_isolating_weights(H_r, budget=budget)
-    iso = _classify_rows(H, f, specials)[0]
-    bad = tuple(w for w, ok in zip(specials, iso.tolist()) if not ok)
-    return SubsetCheck(holds=not bad, special_count=len(specials), counterexamples=bad)
+    if (1 << H.n) > budget:
+        raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
+    W, special, bad = _reduction(_membership(H), f)
+    bad = tuple(map(tuple, W[bad[0]].tolist()))
+    return SubsetCheck(holds=not bad, special_count=int(special.sum()), counterexamples=bad)
 
 
 def min_vertex_cover(G: Hypergraph) -> tuple[int, ...]:
@@ -149,7 +148,8 @@ def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdge
         raise ValueError("uniform cardinality must be >= 1")
     if (1 << H.n) > budget:
         raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
-    specials, hist = _special_scan(H)
+    _, special, first = _special_scan(_membership(H), np.ones((1, H.m), dtype=bool))
+    hist = np.bincount(first[0, special[0]], minlength=H.m)
     reports = []
     for t, e in enumerate(H.edges):
         others = [o for o in H.edges if o != e]
@@ -179,5 +179,5 @@ def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdge
             )
         )
     return RichEdgeReport(
-        n=H.n, r=r, total_special=len(specials), edges=tuple(reports)
+        n=H.n, r=r, total_special=int(special.sum()), edges=tuple(reports)
     )

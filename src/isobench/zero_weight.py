@@ -6,13 +6,20 @@ here).  Also the tight power-set instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, CountReport, _classify_rows, _plan, count_isolating
+from .counting import (
+    DEFAULT_BUDGET,
+    CountReport,
+    _classify,
+    _decode_rows,
+    _membership,
+    _stacked_sums,
+    count_isolating,
+)
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices, power_set_hypergraph
 from .weights import Objective
@@ -48,6 +55,32 @@ class MaximalInjectionReport:
         return dict(self.mapping)
 
 
+def _injection(
+    members: np.ndarray, M: int, f: Objective
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The injection on each hypergraph of the stack ``members`` (graphs, m,
+    n), on their shared domain {2..M}^n in lexicographic order: returns the
+    domain (weights, n), the lowered edge (graphs, weights), the images
+    (graphs, weights, n) and the images that do not isolate their edge
+    (graphs, weights).  With no edges every weight is its own image."""
+    c, m, n = members.shape
+    domain = _decode_rows(n, M - 1, 0, (M - 1) ** n)[0] + 1
+    if not m:
+        shape = (c, domain.shape[0])
+        images = np.broadcast_to(domain, shape + (n,))
+        return domain, np.zeros(shape, dtype=np.intp), images, np.zeros(shape, dtype=bool)
+    at_min = _classify(_stacked_sums(f, members, domain))[1]
+    # inside[g, a, b]: edge a of graph g is a strict subset of its edge b
+    edge = members.astype(bool)
+    inside = (edge[:, :, None] <= edge[:, None, :]).all(axis=3) & ~np.eye(m, dtype=bool)
+    covered = (inside.astype(np.int64) @ at_min) > 0
+    e = (at_min & ~covered).argmax(axis=1)
+    images = domain - members[np.arange(c)[:, None], e]
+    iso, hit = _classify(_stacked_sums(f, members, images))
+    bad = ~(iso & np.take_along_axis(hit, e[:, None, :], axis=1)[:, 0])
+    return domain, e, images, bad
+
+
 def tashma_injection_maximal(
     H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
 ) -> MaximalInjectionReport:
@@ -66,27 +99,17 @@ def tashma_injection_maximal(
     domain_size = (M - 1) ** H.n
     if domain_size > budget:
         raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    domain = list(itertools.product(range(2, M + 1), repeat=H.n))
-    findings = []
-    if not H.edges:
-        pairs = [(w, w) for w in domain]
-    else:
-        W = np.array(domain, dtype=np.int64)
-        at_min = _classify_rows(H, f, W)[1]
-        # inside[a, b]: edge a is a strict subset of edge b
-        inside = np.array([[a != b and a & b == a for b in H.edges] for a in H.edges])
-        e = (at_min & ~(at_min @ inside.T)).argmax(axis=1)
-        lowered = W - _plan((H,)).members.T[e]
-        iso, hit = _classify_rows(H, f, lowered)
-        pairs = list(zip(domain, map(tuple, lowered.tolist())))
-        for k in np.flatnonzero(~(iso & hit[np.arange(len(domain)), e])).tolist():
-            findings.append(
-                InjectionFinding(
-                    weight=domain[k],
-                    image=pairs[k][1],
-                    reason=f"image does not isolate edge {list(edge_vertices(H.edges[e[k]]))}",
-                )
-            )
+    domain, e, images, bad = _injection(_membership(H), M, f)
+    domain = list(map(tuple, domain.tolist()))
+    pairs = list(zip(domain, map(tuple, images[0].tolist())))
+    findings = [
+        InjectionFinding(
+            weight=domain[k],
+            image=pairs[k][1],
+            reason=f"image does not isolate edge {list(edge_vertices(H.edges[e[0, k]]))}",
+        )
+        for k in np.flatnonzero(bad[0]).tolist()
+    ]
     images = [img for _, img in pairs]
     injective = len(set(images)) == len(images)
     if not injective:

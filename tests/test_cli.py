@@ -224,6 +224,13 @@ class TestVerify:
     def test_needs_some_mode(self, capsys):
         assert main(["verify", "--M", "2"]) == 2
 
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_refused(self, n_max, capsys):
+        assert main(["verify", "--n-max", n_max, "--M", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_max must be >= 1\n"
+
     def test_golden_grid_output(self, capsys):
         # sha256 of stdout, recorded before the scans were folded into one
         # block generator
@@ -236,7 +243,7 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise AssertionError("pivot descent failed to isolate edge (1,) at weight (1, 2)")
 
-        monkeypatch.setattr(isobench.verify, "build_witness_graph_A", broken)
+        monkeypatch.setattr(isobench.verify, "_witnesses", broken)
         assert main(["verify", "--hypergraph", s2_path, "--M", "2"]) == EXIT_INTERNAL == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -294,8 +301,8 @@ class TestGridRefusals:
             raise AssertionError("a refused grid was counted")
 
         monkeypatch.setattr(isobench.search, "_count_many", counted)
-        monkeypatch.setattr(isobench.verify, "instance_checks", counted)
-        monkeypatch.setattr(isobench.verify, "count_isolating", counted)
+        monkeypatch.setattr(isobench.verify, "walk_checks", counted)
+        monkeypatch.setattr(isobench.verify, "_count_many", counted)
         assert main(argv.format(h12=h12_path).split()) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")

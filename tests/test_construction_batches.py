@@ -1,14 +1,17 @@
-"""The batched injection and witness graphs against per-weight references.
+"""The batched injection, witness graphs and verify checks against
+per-weight references.
 
 The references below walk the weights one at a time, as the definitions
 read, and compare edge weights with ``tests/oracle.py`` (plain Fractions,
 no package code); whether the targets isolate is checked by the builders
-themselves and by ``test_constructions.py``.  Every case also runs with the objective multiplied by
-2^70, which forces the exact ``dtype=object`` edge sums, and with a small
-block size, so block boundaries fall inside every batch.
+themselves and by ``test_constructions.py``.  Every case also runs with the
+objective multiplied by 2^70, which forces the exact ``dtype=object`` edge
+sums.  The verify checks also run with a small batch bound, so batch
+boundaries fall inside every group of hypergraphs with one edge count.
 """
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isobench.counting
+import isobench.verify
 import oracle
 from conftest import increasing_objectives, small_hypergraphs
 from isobench import (
@@ -26,14 +30,18 @@ from isobench import (
     Objective,
     build_witness_graph_A,
     build_witness_graph_B,
+    enumerate_hypergraphs,
     identity_objective,
     is_linear,
+    preset_objectives,
+    random_hypergraph,
     singleton_hypergraph,
     tashma_injection_maximal,
 )
 from isobench.constructions import _assert_isolates
-from isobench.counting import _CHUNK, _int64_safe
+from isobench.counting import _CHUNK, _int64_safe, _membership
 from isobench.hypergraph import edge_vertices
+from isobench.verify import walk_checks
 
 SCALES = (1, 2**70)
 
@@ -122,16 +130,14 @@ def check_against_references(H, M, f):
         with_B = is_linear(H) and all(len(e) >= 2 for e in edges)
         if with_B:
             want_B = ref_witness(H.n, edges, M, values, next_vertex_descent)
-        for chunk in (_CHUNK, 7):
-            with mock.patch.object(isobench.counting, "_CHUNK", chunk):
-                check_injection(H, M, g, want_inj)
-                G = build_witness_graph_A(H, M, g)
-                assert (G.left, G.right, G.adjacency, G.charges) == want_A
-                assert G.total_charge() == sum(want_A[3], Fraction(0))
-                if with_B:
-                    G = build_witness_graph_B(H, M, g)
-                    assert (G.left, G.right, G.adjacency, G.charges) == want_B
-                    assert G.total_charge() == sum(want_B[3], Fraction(0))
+        check_injection(H, M, g, want_inj)
+        G = build_witness_graph_A(H, M, g)
+        assert (G.left, G.right, G.adjacency, G.charges) == want_A
+        assert G.total_charge() == sum(want_A[3], Fraction(0))
+        if with_B:
+            G = build_witness_graph_B(H, M, g)
+            assert (G.left, G.right, G.adjacency, G.charges) == want_B
+            assert G.total_charge() == sum(want_B[3], Fraction(0))
 
 
 @st.composite
@@ -168,9 +174,9 @@ def test_named_instances_match_references(H, M):
 
 def test_batches_wider_than_one_block():
     """14^4 = 38,416 injection rows at n = 4, M = 15 and 3 * 105^2 = 33,075
-    left nodes at n = 3, M = 106: both more than one block of the default
-    size.  Scaling f keeps every isolation decision, so one reference
-    serves both scales."""
+    left nodes at n = 3, M = 106: both more rows than one block of the
+    counting kernel, in one stack.  Scaling f keeps every isolation
+    decision, so one reference serves both scales."""
     assert min(14**4, 3 * 105**2) > _CHUNK
     edges = [(1, 2), (2, 3)]
     f = identity_objective(15)
@@ -185,9 +191,74 @@ def test_batches_wider_than_one_block():
 
 
 def test_failed_isolation_names_the_first_weight_and_edge():
-    H = singleton_hypergraph(2)
-    W = np.array([[1, 2], [2, 2], [2, 2]])
+    members = _membership(singleton_hypergraph(2))
+    f, W, edges = identity_objective(2), np.array([[[1, 2], [2, 2], [2, 2]]]), np.array([[0, 0, 1]])
     message = r"^probe failed to isolate edge \(1,\) at weight \(2, 2\)$"
     with pytest.raises(AssertionError, match=message):
-        _assert_isolates(H, identity_objective(2), W, np.array([0, 0, 1]), "probe")
-    _assert_isolates(H, identity_objective(2), W[:1], np.array([0]), "probe")
+        _assert_isolates(f, members, W, edges, np.ones((1, 3), dtype=bool), "probe")
+    message = r"^probe failed to isolate edge \(2,\) at weight \(2, 2\)$"
+    with pytest.raises(AssertionError, match=message):
+        _assert_isolates(f, members, W, edges, np.array([[True, False, True]]), "probe")
+    _assert_isolates(f, members, W, edges, np.array([[True, False, False]]), "probe")
+
+
+# ---------------------------------------------------------------------------
+# The batched verify checks
+
+
+def grid_walks():
+    """(n, walk) for n <= 3: every antichain, the edgeless H among them,
+    then seeded random hypergraphs with nested edges."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        nested = [random_hypergraph(n, 4, rng, inclusion_free=False) for _ in range(3)]
+        yield n, (*enumerate_hypergraphs(n), *nested)
+
+
+def reference_values(H, M, f):
+    """What the verify checks read of the constructions, from the
+    per-weight references: witness graph A's right nodes and total charge,
+    B's least and total charge, the injection's image size."""
+    edges = [edge_vertices(e) for e in H.edges]
+    values = [None, *f.values]
+    _, right, _, charges = ref_witness(H.n, edges, M, values, pivot_descent)
+    want = {
+        "witnessA_right_isolating_layer1": (None, str(len(right))),
+        "witnessA_charge_identity": (str(sum(charges, Fraction(0))), str(len(right))),
+        "injection_image_size": (str(len(set(ref_injection(H.n, edges, M, values).values()))), None),
+    }
+    if is_linear(H) and all(len(e) >= 2 for e in edges):
+        charges = ref_witness(H.n, edges, M, values, next_vertex_descent)[3]
+        want["witnessB_per_node_charge"] = (str(min(charges)), None)
+        want["witnessB_charge_bound"] = (str(sum(charges, Fraction(0))), None)
+    return want
+
+
+@pytest.mark.parametrize("M_values", [(2, 3), (3, 2), (2, 2)], ids=["2,3", "3,2", "2,2"])
+@pytest.mark.parametrize("scale", SCALES, ids=["int64", "object"])
+def test_batched_checks_match_one_hypergraph_walks_and_references(M_values, scale):
+    """The checks of a whole walk, in batches cut inside every edge-count
+    group, equal those of one-hypergraph walks, and the construction values
+    they read equal the per-weight references'."""
+    for n, Hs in grid_walks():
+        objectives = [(M, _scaled(f, scale)) for M in M_values for f in preset_objectives(M, n)]
+        want = [r for H in Hs for r in walk_checks((H,), objectives)]
+        for gather in (7, 200):
+            with mock.patch.object(isobench.counting, "_GATHER", gather), mock.patch.object(
+                isobench.verify, "_GATHER", gather
+            ):
+                assert list(walk_checks(Hs, objectives)) == want
+        seen = {}
+        for r in want:
+            instance = (json.dumps(r.instance["hypergraph"]), r.instance["M"], json.dumps(r.instance["objective"]))
+            seen.setdefault(instance, {})[r.name] = (r.lhs, r.rhs)
+        for H in Hs:
+            for M, f in objectives:
+                got = seen[(json.dumps(H.to_json_dict()), M, json.dumps(f.to_json_dict()))]
+                if "witnessA_charge_identity" not in got:
+                    assert list(got) == ["total_ge_zero_weight_bound"]
+                    continue
+                for name, (lhs, rhs) in reference_values(H, M, f).items():
+                    assert got[name][0] == lhs or lhs is None, (H, M, name)
+                    assert got[name][1] == rhs or rhs is None, (H, M, name)
+                assert ("witnessB_charge_bound" in got) == ("witnessB_per_node_charge" in reference_values(H, M, f))

@@ -30,7 +30,8 @@ from isobench import (
 )
 from isobench import cli, constructions
 from isobench.hypergraph import edge_mask
-from isobench.verify import instance_checks
+from isobench.counting import _membership
+from isobench.verify import walk_checks
 from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 
 F = Fraction
@@ -43,7 +44,7 @@ def H(n, *edges, **kw):
 def pivot_descents(h, W, pivots, edges):
     """Each weight row minus ``_pivot_step`` of the charged edge (an index
     into h.edges) at its 1-based pivot."""
-    members = constructions._plan((h,)).members.T.astype(bool)
+    members = _membership(h)[0].astype(bool)
     step = constructions._pivot_step(members[np.array(edges, dtype=np.intp)], np.array(pivots) - 1)
     return np.array(W, dtype=np.int64).reshape(-1, h.n) - step
 
@@ -256,7 +257,7 @@ class TestWitnessBudget:
         def never(*args, **kwargs):
             raise AssertionError("the builder started work")
 
-        monkeypatch.setattr(constructions, "_classify_rows", never)
+        monkeypatch.setattr(constructions, "_stacked_sums", never)
         monkeypatch.setattr(constructions, "_left_nodes", never)
         with pytest.raises(BudgetExceededError, match="^32 left nodes exceed budget 31$"):
             build(h, 3, f, budget=31)
@@ -264,17 +265,22 @@ class TestWitnessBudget:
         assert build(h, 3, f, budget=32) == expected
 
     def test_instance_checks_pass_their_budget(self, monkeypatch):
+        """The checks refuse a scan over their budget before building any
+        graph; every construction has fewer rows than the scan, M^n."""
         seen = []
-        for name in ("build_witness_graph_A", "build_witness_graph_B"):
-            real = getattr(isobench.verify, name)
+        real = isobench.verify._witnesses
 
-            def spy(*args, _real=real, _name=name, **kwargs):
-                seen.append((_name, kwargs.get("budget")))
-                return _real(*args, **kwargs)
+        def spy(members, M, f, step, what):
+            seen.append(what)
+            return real(members, M, f, step, what)
 
-            monkeypatch.setattr(isobench.verify, name, spy)
-        instance_checks(H(3, [1, 2], [2, 3]), 3, identity_objective(3), budget=27)
-        assert seen == [("build_witness_graph_A", 27), ("build_witness_graph_B", 27)]
+        monkeypatch.setattr(isobench.verify, "_witnesses", spy)
+        h, objectives = H(3, [1, 2], [2, 3]), [(3, identity_objective(3))]
+        with pytest.raises(BudgetExceededError, match=r"^3\^3 = 27 weight evaluations exceed budget 26$"):
+            list(walk_checks((h,), objectives, budget=26))
+        assert seen == []
+        assert all(r.holds for r in walk_checks((h,), objectives, budget=27))
+        assert seen == ["pivot descent", "next-vertex descent"]
 
 
 class TestReductions:

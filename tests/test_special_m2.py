@@ -20,16 +20,20 @@ from isobench import (
     singleton_hypergraph,
 )
 from isobench import cli
+from isobench.counting import _membership
 from isobench.hypergraph import edge_mask, edge_vertices
-from isobench.special_m2 import (
-    min_cardinality_subgraph,
-    min_vertex_cover,
-    special_isolating_weights,
-)
+from isobench.special_m2 import _special_scan, min_vertex_cover
 
 
 def H(n, *edges, **kw):
     return Hypergraph.from_edges(n, edges, **kw)
+
+
+def special_isolating_weights(h):
+    """All special isolating weights of h, sorted lexicographically: the
+    special scan on a stack of one, every edge kept."""
+    W, special, _ = _special_scan(_membership(h), np.ones((1, h.m), dtype=bool))
+    return list(map(tuple, W[special[0]].tolist()))
 
 
 class TestSpecialWeights:
@@ -83,16 +87,16 @@ def check_against_oracle(h):
 
 class TestMinCardinalitySubgraph:
     def test_examples(self):
-        r, hr = min_cardinality_subgraph(H(3, [1], [2, 3]))
-        assert r == 1 and hr.vertex_sets() == ((1,),)
-        r, hr = min_cardinality_subgraph(singleton_hypergraph(3))
-        assert hr == singleton_hypergraph(3)
-        r, hr = min_cardinality_subgraph(H(5, [1, 2], [3, 4], [1, 3, 5]))
-        assert r == 2 and hr.vertex_sets() == ((1, 2), (3, 4))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_cardinality_subgraph(Hypergraph(2, ()))
+        """The reduction counts the special weights of the edges of least
+        cardinality, H_r."""
+        f = identity_objective(2)
+        for h, h_r in [
+            (H(3, [1], [2, 3]), H(3, [1])),
+            (singleton_hypergraph(3), singleton_hypergraph(3)),
+            (H(5, [1, 2], [3, 4], [1, 3, 5]), H(5, [1, 2], [3, 4])),
+        ]:
+            chk = check_min_cardinality_reduction(h, f)
+            assert chk.special_count == len(special_isolating_weights(h_r))
 
 
 class TestMinCardinalityReduction:

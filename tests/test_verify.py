@@ -1,3 +1,5 @@
+import numpy as np
+
 import isobench.verify
 from isobench import (
     Hypergraph,
@@ -5,10 +7,16 @@ from isobench import (
     identity_objective,
     power_set_hypergraph,
     singleton_hypergraph,
+    tashma_injection_maximal,
     zero_based_identity,
 )
-from isobench.verify import CheckResult, instance_checks, summarize, verify_grid
-from isobench.zero_weight import InjectionFinding, MaximalInjectionReport
+from isobench.counting import _membership
+from isobench.verify import CheckResult, summarize, verify_grid, walk_checks
+
+
+def instance_checks(H, M, f):
+    """The checks on one instance: a batch of one."""
+    return list(walk_checks((H,), [(M, f)]))
 
 
 class TestInstanceChecks:
@@ -47,17 +55,19 @@ class TestInstanceChecks:
         """A collision or a non-isolating image fails the injection checks,
         which carry the instance; nothing raises."""
         H, f = singleton_hypergraph(2), identity_objective(3)
-        mapping = isobench.verify.tashma_injection_maximal(H, 3, f).mapping
+        mapping = tashma_injection_maximal(H, 3, f).mapping
         assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
-        # the injection reports an image that does not isolate its edge
-        tie = InjectionFinding(mapping[0][0], (2, 2), "image does not isolate edge [1]")
+        domain, edges, _, _ = isobench.verify._injection(_membership(H), 3, f)
+        # a collision; an image that does not isolate its edge, as the
+        # injection reports it
+        images = [img for _, img in mapping]
         broken = {
-            "injection_image_size": ([(w, (1, 2)) for w, _ in mapping], ()),
-            "injection_images_isolating": ([(mapping[0][0], (2, 2)), *mapping[1:]], (tie,)),
+            "injection_image_size": ([[(1, 2)] * 4], [[False] * 4]),
+            "injection_images_isolating": ([[(2, 2), *images[1:]]], [[True, False, False, False]]),
         }
-        for name, (pairs, findings) in broken.items():
-            report = MaximalInjectionReport(tuple(pairs), findings, injective=False)
-            monkeypatch.setattr(isobench.verify, "tashma_injection_maximal", lambda *a, **k: report)
+        for name, (images, bad) in broken.items():
+            report = (domain, edges, np.array(images), np.array(bad))
+            monkeypatch.setattr(isobench.verify, "_injection", lambda *a, report=report: report)
             failed = [r for r in instance_checks(H, 3, f) if not r.holds]
             assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]
             assert failed[0].instance["hypergraph"] == H.to_json_dict()
