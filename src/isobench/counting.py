@@ -2,22 +2,27 @@
 
 Every row of [M]^n (for ``count_layer1``, every row with some entry 1) is
 classified, in exact integers: edge weights use the objective's
-denominator-cleared values, held as Python integers (``dtype=object``) when
-an edge sum could overflow int64, so ties are detected exactly.
+denominator-cleared values, summed in the narrowest of int16, int32 and
+int64 that holds n times the largest value, or as Python integers
+(``dtype=object``) when such a sum could reach 2^62, so ties are detected
+exactly.  A row isolates when exactly one edge is at its minimum, counted
+in bytes below 256 edges.
 
 One generator, ``_blocks``, walks [M]^n for a tuple of hypergraphs on the
 same n.  It splits the coordinates into a prefix and a suffix of length k
 (meet-in-the-middle, after Horowitz and Sahni 1974): each distinct edge's
 weight is summed once per suffix and once per prefix, and a block of rows
-is one broadcast addition of the two.  One hypergraph is classified in
-place; a batch is classified group by group, the hypergraphs with the same
-number of edges gathered into one array.  Three reducers sum its blocks:
-``count_isolating`` (per layer and per edge, with the prefixes optionally
-split across worker processes by rank), ``count_layer1`` (the rows with
-some entry 1 only) and the conjecture sweep's ``_count_many`` (|Z| and
-|Z_1| of every hypergraph of a batch).  Explicit weight rows (the
-constructions' weights, the samplers' draws) go through the same classify
-step in blocks.
+is one broadcast addition of the two.  Both sides are sorted by their
+minimum, so a block's rows with minimum at least j are one rectangle and
+the layer counts are flat counts over rectangles, with no per-row layer.
+One hypergraph is classified in place; a batch is classified group by
+group, the hypergraphs with the same number of edges gathered into one
+array.  Three reducers sum its blocks: ``count_isolating`` (per layer and
+per edge, with the prefixes optionally split across worker processes by
+rank), ``count_layer1`` (the rows with some entry 1 only) and the
+conjecture sweep's ``_count_many`` (|Z| and |Z_1| of every hypergraph of a
+batch).  Explicit weight rows (the constructions' weights, the samplers'
+draws) go through the same edge sums and classify step.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +44,8 @@ DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
 _GATHER = 1 << 16  # bound on rows times gathered edge columns in _count_many
+# the narrow edge-sum dtypes and the largest sum each holds; int64 up to 2^62
+_RUNGS = ((np.dtype(np.int16), (1 << 15) - 1), (np.dtype(np.int32), (1 << 31) - 1))
 
 
 @dataclass(frozen=True)
@@ -108,14 +115,27 @@ def _membership(H: Hypergraph) -> np.ndarray:
     return _plan((H,)).members.T[None]
 
 
-def _int64_safe(f: Objective, n: int) -> bool:
-    return max(abs(s) for s in f.scaled) * max(n, 1) < (1 << 62)
+@functools.lru_cache(maxsize=256)
+def _value_table(scaled: tuple[int, ...], n: int) -> np.ndarray:
+    top = max(abs(s) for s in scaled) * max(n, 1)  # the largest edge sum
+    dtype = next((d for d, most in _RUNGS if top <= most), np.int64 if top < 1 << 62 else object)
+    table = np.array([0, *scaled], dtype=dtype)
+    table.flags.writeable = False
+    return table
 
 
 def _table(f: Objective, n: int) -> np.ndarray:
-    """The objective's scaled values indexed by label, as int64 or, when an
-    edge sum on n vertices could overflow int64, as Python integers."""
-    return np.array(f.int_table(), dtype=np.int64 if _int64_safe(f, n) else object)
+    """The objective's scaled values indexed by label (slot 0 a dummy),
+    read-only, in the narrowest of int16, int32 and int64 that holds every
+    edge sum on n vertices, or as Python integers when such a sum could
+    reach 2^62.  Cached by the values, not by the objective."""
+    return _value_table(f.scaled, n)
+
+
+def _int64_safe(f: Objective, n: int) -> bool:
+    """Whether edge sums of f on n vertices are machine integers rather
+    than Python integers."""
+    return _table(f, n).dtype != object
 
 
 def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +170,20 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axis, and the mask of edges at the row's minimum, of the shape of
     ``sums``.  With no edges every row is isolating.
     """
-    if not sums.shape[-2]:
+    edges = sums.shape[-2]
+    if not edges:
         iso = np.ones(sums.shape[:-2] + sums.shape[-1:], dtype=bool)
         return iso, np.zeros(sums.shape, dtype=bool)
     at_min = sums == sums.min(axis=-2, keepdims=True)
-    return at_min.sum(axis=-2) == 1, at_min
+    # count the edges at the minimum in bytes, which would wrap at 256 of them
+    count = at_min.view(np.uint8).sum(axis=-2, dtype=np.uint8) if edges < 256 else at_min.sum(axis=-2)
+    return count == 1, at_min
 
 
 def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Weight of each edge on each weight row, shape (edges, rows); the rows
-    of ``members`` match the columns of W."""
-    return members.T @ table[W].T
+    """Weight of each edge on each weight row, shape (edges, rows), in the
+    table's dtype; the rows of ``members`` match the columns of W."""
+    return members.T.astype(table.dtype) @ table[W].T
 
 
 def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -172,22 +195,6 @@ def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarra
     return members @ np.swapaxes(_table(f, members.shape[-1])[W], -1, -2)
 
 
-def _classify_rows(H: Hypergraph, f: Objective, W) -> tuple[np.ndarray, np.ndarray]:
-    """Isolation of explicit weight rows W (an array of shape (rows, n), or a
-    list of weight tuples), in blocks of at most _CHUNK rows.
-
-    Returns the isolating mask per row and the (rows, edges) mask of edges
-    at each row's minimum.  Edge weights are Python integers
-    (``dtype=object``) when an edge sum could overflow int64.
-    """
-    W = np.asarray(W, dtype=np.int64).reshape(-1, H.n)
-    table = _table(f, H.n)
-    members = _plan((H,)).members
-    starts = range(0, max(W.shape[0], 1), _CHUNK)
-    iso, at_min = zip(*(_classify(_edge_sums(W[a : a + _CHUNK], table, members)) for a in starts))
-    return np.concatenate(iso), np.concatenate(at_min, axis=1).T
-
-
 def _suffix_len(n: int, M: int) -> int:
     """Largest k <= n with M^k <= _SUFFIX_ROWS, and at least 1."""
     k = 1
@@ -196,8 +203,7 @@ def _suffix_len(n: int, M: int) -> int:
     return min(k, n)
 
 
-@dataclass(frozen=True)
-class _Part:
+class _Part(NamedTuple):
     """The minima of one side's decoded rows and the per-edge weight over
     that side's coordinates, shape (edges, rows)."""
 
@@ -209,9 +215,17 @@ class _Part:
         return _Part(self.low[keep], self.sums.compress(keep, axis=1))
 
 
+def _by_minimum(rows: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded rows and their minima, reordered by increasing minimum."""
+    order = np.argsort(low, kind="stable")
+    return rows[order], low[order]
+
+
 @functools.lru_cache(maxsize=64)
 def _suffix_table(k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, low = _decode_rows(k, M, 0, M**k)
+    """The rows of [M]^k and their minima, read-only, sorted by minimum: the
+    suffixes of every scan, and the prefixes of a scan of every prefix."""
+    rows, low = _by_minimum(*_decode_rows(k, M, 0, M**k))
     rows.flags.writeable = False
     low.flags.writeable = False
     return rows, low
@@ -225,18 +239,24 @@ def _blocks(
     start: int = 0,
     stop: Optional[int] = None,
     layer1: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Classify the rows of [M]^n whose (n - k)-prefix has rank in [start,
     stop), or with ``layer1`` only those with some entry 1, for every
     hypergraph of Hs (one n).  Yields (positions in Hs, isolating mask
-    (hypergraphs, rows), edges at the minimum (hypergraphs, m, rows), layer
-    per row) per block, a range of prefixes times a range of suffixes, and
-    group.  Blocks hold at most _CHUNK rows, and for a batch at most _GATHER
-    rows times edges."""
+    (hypergraphs, rows), edges at the minimum (hypergraphs, m, rows),
+    prefix minima, suffix minima) per block, a range of prefixes times a
+    range of suffixes, and group.  A block's rows are prefix-major and both
+    sides are sorted by minimum, so the rows with minimum at least j form
+    one rectangle: the prefixes and the suffixes with minimum at least j.
+    Blocks hold at most _CHUNK rows, and for a batch at most _GATHER rows
+    times edges."""
     p = Hs[0].n - k
     plan = _plan(Hs)
     table = _table(f, Hs[0].n)
-    prefix, prefix_low = _decode_rows(p, M, start, M**p if stop is None else stop)
+    if stop is None:
+        prefix, prefix_low = _suffix_table(p, M)
+    else:
+        prefix, prefix_low = _by_minimum(*_decode_rows(p, M, start, stop))
     suffix, suffix_low = _suffix_table(k, M)
     pre = _Part(prefix_low, _edge_sums(prefix, table, plan.members[:p]))
     suf = _Part(suffix_low, _edge_sums(suffix, table, plan.members[p:]))
@@ -256,16 +276,13 @@ def _blocks(
             block = pre.sums[:, a:b, None] + suf.sums[:, None, c:d]
             block = block.reshape(edges, (b - a) * (d - c))
             low = pre.low[a:b], suf.low[c:d]
-            if len(Hs) == 1:
-                # in place, with no gathered copy; holding the layer across
-                # the yield slowed some shapes by a tenth
-                yield (plan.groups[0][0], *_classify(block[None]), np.minimum.outer(*low).ravel())
+            if len(Hs) == 1:  # in place, with no gathered copy
+                yield (plan.groups[0][0], *_classify(block[None]), *low)
                 continue
-            layer = np.minimum.outer(*low).ravel()
             for which, cols in plan.groups:
-                per = max(1, _GATHER // (max(cols.shape[1], 1) * layer.shape[0]))
+                per = max(1, _GATHER // (max(cols.shape[1], 1) * block.shape[1]))
                 for g in range(0, len(which), per):
-                    yield (which[g : g + per], *_classify(block[cols[g : g + per]]), layer)
+                    yield (which[g : g + per], *_classify(block[cols[g : g + per]]), *low)
 
 
 def _tally(
@@ -273,12 +290,16 @@ def _tally(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(per-layer counts indexed by layer, per-edge counts) over the prefix
     ranks [start, stop) with suffix length k."""
-    per_layer = np.zeros(M + 1, dtype=np.int64)
-    per_edge = np.zeros(H.m, dtype=np.int64)
-    for _, iso, at_min, layer in _blocks((H,), f, M, k, start, stop):
-        per_layer += np.bincount(layer[iso[0]], minlength=M + 1)
-        per_edge += np.count_nonzero(at_min[0] & iso[0], axis=1)
-    return per_layer, per_edge
+    at_least = [0] * M  # rows with minimum at least j, for j = 1..M
+    per_edge = [0] * H.m
+    labels = np.arange(1, M + 1)
+    for _, iso, at_min, pre_low, suf_low in _blocks((H,), f, M, k, start, stop):
+        grid = iso[0].reshape(pre_low.shape[0], suf_low.shape[0])
+        corners = zip(pre_low.searchsorted(labels).tolist(), suf_low.searchsorted(labels).tolist())
+        at_least = [t + np.count_nonzero(grid[a:, c:]) for t, (a, c) in zip(at_least, corners)]
+        per_edge = [t + np.count_nonzero(hit) for t, hit in zip(per_edge, at_min[0] & iso[0])]
+    per_layer = [0] + [a - b for a, b in zip(at_least, at_least[1:] + [0])]
+    return np.array(per_layer, dtype=np.int64), np.array(per_edge, dtype=np.int64)
 
 
 def _check(f: Objective, M: int, rows: int, budget: int, label: str = "") -> None:
@@ -313,14 +334,13 @@ def count_isolating(
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             parts = list(pool.map(_tally, *fixed, cuts[:-1], cuts[1:]))
-    per_layer, per_edge = map(sum, zip(*parts))
-    pairs = tuple((e, int(c)) for e, c in zip(H.edges, per_edge) if c)
+    per_layer, per_edge = (sum(counts).tolist() for counts in zip(*parts))
     return CountReport(
         n=H.n,
         M=M,
-        total=int(per_layer.sum()),
-        per_layer=tuple(int(x) for x in per_layer[1:]),
-        per_edge=pairs,
+        total=sum(per_layer),
+        per_layer=tuple(per_layer[1:]),
+        per_edge=tuple((e, c) for e, c in zip(H.edges, per_edge) if c),
     )
 
 
@@ -334,7 +354,7 @@ def count_layer1(
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1."""
     _check(f, M, M**H.n - (M - 1) ** H.n, budget)
     blocks = _blocks((H,), f, M, _suffix_len(H.n, M), layer1=True)
-    return sum(int(iso.sum()) for _, iso, _, _ in blocks)
+    return sum(int(np.count_nonzero(iso)) for _, iso, *_ in blocks)
 
 
 def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +362,11 @@ def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndar
     arrays in the order of Hs; the caller checks the budget."""
     total = np.zeros(len(Hs), dtype=np.int64)
     layer1 = np.zeros(len(Hs), dtype=np.int64)
-    for which, iso, _, layer in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
-        total[which] += np.count_nonzero(iso, axis=1)
-        layer1[which] += np.count_nonzero(iso & (layer == 1), axis=1)
+    for which, iso, _, pre_low, suf_low in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
+        count = np.count_nonzero(iso, axis=1)
+        # the rows with no entry 1: the prefixes and suffixes with no 1
+        grid = iso.reshape(len(which), pre_low.shape[0], suf_low.shape[0])
+        above = grid[:, pre_low.searchsorted(2) :, suf_low.searchsorted(2) :]
+        total[which] += count
+        layer1[which] += count - np.count_nonzero(above, axis=(1, 2))
     return total, layer1

@@ -15,8 +15,11 @@ from .bounds import conjectured_Y, conjectured_Y1, h_eval, success_probabilities
 from .counting import (
     DEFAULT_BUDGET,
     _check,
-    _classify_rows,
+    _classify,
     _count_many,
+    _edge_sums,
+    _plan,
+    _table,
     count_isolating,
 )
 from .hypergraph import Hypergraph, enumerate_hypergraphs
@@ -279,14 +282,18 @@ def _sample(
         raise ValueError("trials must be >= 1")
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
+    table, members = _table(f, H.n), _plan((H,)).members
     successes = accepted = batches = 0
     while accepted < trials:
         W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
         batches += 1
         if kind == "layer1":
-            W = W[(W == 1).any(axis=1)]
+            hit = W[:, 0] == 1
+            for column in W.T[1:]:
+                hit |= column == 1
+            W = W[hit]
         W = W[: trials - accepted]
-        successes += int(_classify_rows(H, f, W)[0].sum())
+        successes += int(np.count_nonzero(_classify(_edge_sums(W, table, members))[0]))
         accepted += W.shape[0]
     exact = None
     if M**H.n <= min(budget, _EXACT_BUDGET):

@@ -257,14 +257,31 @@ class TestCountMany:
         empty = Hypergraph(5, ())
         Hs = [empty, H(5, [1, 2], [3, 4, 5]), singleton_hypergraph(5), empty]
         Hs += [H(5, [1, 2, 3], [3, 4], [2, 5], [1, 5]), H(5, [4]), empty]
+        inside = []
         for M in (2, 3):
-            assert counting._suffix_len(5, M) < 5
+            k = counting._suffix_len(5, M)
+            assert k < 5
+            # one hypergraph's suffixes, sorted by minimum, are cut into
+            # spans of _CHUNK rows; a small bound ends a span inside a run
+            # of equal minima
+            low = counting._suffix_table(k, M)[1]
+            inside += [low[c - 1] == low[c] for c in range(chunk, low.size, chunk)]
             f = explicit_objective([scale * v for v in (2, 3, 7)[:M]])
+            ranks = M ** (5 - k)
             expected = []
             for h in Hs:
-                total, per_layer, _ = oracle_counts(h, M, f)
+                total, per_layer, per_edge = oracle_counts(h, M, f)
                 expected.append((total, per_layer[0]))
+                rep = count_isolating(h, M, f)
+                assert (rep.total, rep.per_layer, dict(rep.per_edge)) == (total, per_layer, per_edge)
+                assert count_layer1(h, M, f) == per_layer[0]
+                # two uneven prefix ranges, as two workers take them
+                parts = [counting._tally(h, f, M, k, a, b) for a, b in ((0, 1), (1, ranks))]
+                layers, edges = (sum(counts).tolist() for counts in zip(*parts))
+                assert layers == [0, *per_layer]
+                assert {e: c for e, c in zip(h.edges, edges) if c} == per_edge
             assert batch_counts(Hs, M, f) == expected
+        assert any(inside) == (chunk < 9)
 
     def test_plan_built_once_per_group(self):
         # n = 1..4 each walk fits one group; the 2 x 3 (M, f) pairs of a
@@ -277,6 +294,81 @@ class TestCountMany:
     def test_only_empty_hypergraphs(self):
         Hs = [Hypergraph(3, ())] * 3
         assert batch_counts(Hs, 3, identity_objective(3)) == [(27, 27 - 8)] * 3
+
+
+def _near(top, zero_allowed):
+    """Three values with ties between mixed and uniform labels, topped by
+    ``top``; f(1) = 0 with ``zero_allowed``."""
+    values = [0, top // 2, top] if zero_allowed else [top - 2, top - 1, top]
+    return explicit_objective(values, zero_allowed=zero_allowed)
+
+
+# edge sums on 4 vertices just below and just above each rung's bound
+_RUNG_CASES = [
+    (np.int16, (1 << 15) - 1, np.int32),
+    (np.int32, (1 << 31) - 1, np.int64),
+    (np.int64, (1 << 62) - 1, object),
+]
+
+
+class TestNarrowTables:
+    """The value table's dtype is the narrowest that holds n times the
+    largest value; every count agrees with the oracle on both sides of
+    each bound."""
+
+    @pytest.mark.parametrize("suffix_rows", [4096, 9], ids=["one-side", "split"])
+    @pytest.mark.parametrize("zero_allowed", [False, True], ids=["positive", "zero"])
+    @pytest.mark.parametrize("below,most,above", _RUNG_CASES, ids=["int16", "int32", "int64"])
+    def test_rungs_match_oracle(self, monkeypatch, below, most, above, zero_allowed, suffix_rows):
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", suffix_rows)
+        n, M = 4, 3
+        # the full edge reaches n times the top value; the others tie often
+        full = H(n, [1, 2, 3, 4], [1, 2], [3, 4], [2, 3], [4], require_inclusion_free=False)
+        Hs = [full, H(n, [1, 2], [3, 4], [1, 3]), Hypergraph(n, ()), singleton_hypergraph(n)]
+        for top, dtype in ((most // n, below), (most // n + 1, above)):
+            f = _near(top, zero_allowed)
+            assert n * top <= most if dtype is below else n * top > most
+            assert counting._table(f, n).dtype == np.dtype(dtype)
+            assert counting._int64_safe(f, n) == (dtype is not object)
+            expected = []
+            for h in Hs:
+                total, per_layer, per_edge = oracle_counts(h, M, f)
+                rep = count_isolating(h, M, f)
+                assert (rep.total, rep.per_layer, dict(rep.per_edge)) == (total, per_layer, per_edge)
+                assert count_layer1(h, M, f) == per_layer[0]
+                expected.append((total, per_layer[0]))
+            assert batch_counts(Hs, M, f) == expected
+
+    def test_tables_are_cached_by_values_read_only(self):
+        f = explicit_objective([1, 2, 5])
+        table = counting._table(f, 4)
+        assert table.tolist() == [0, 1, 2, 5] and not table.flags.writeable
+        assert counting._table(explicit_objective([1, 2, 5]), 4) is table
+        assert counting._table(explicit_objective([F(1, 2), 1, F(5, 2)]), 4) is table
+        assert counting._table(f, 5) is not table
+
+    def test_scan_workload_exact_op_takes_the_object_path(self):
+        # n = 6 values topped by 10^18, as the benchmark's exact-object op:
+        # 6 * 10^18 >= 2^62 (4 * 10^18 is not)
+        f = explicit_objective([10**17, 3 * 10**17, 5 * 10**17, 7 * 10**17, 10**18])
+        assert counting._table(f, 6).dtype == object
+        assert counting._table(f, 4).dtype == np.int64
+        h = H(6, [1, 2], [3, 4, 5], [2, 6])
+        total, per_layer, per_edge = oracle_counts(h, 5, f)
+        rep = count_isolating(h, 5, f)
+        assert (rep.total, rep.per_layer, dict(rep.per_edge)) == (total, per_layer, per_edge)
+
+    @pytest.mark.parametrize("edges", [255, 256, 257])
+    def test_ties_past_a_byte_do_not_isolate(self, edges):
+        # row 0: every edge at the minimum; row 1: edge 0 alone; row 2:
+        # every edge but edge 0.  A byte count of 256 or 257 ties wraps to
+        # 0 or 1, so from 256 edges on the count is wider
+        sums = np.full((edges, 3), 7, dtype=np.int16)
+        sums[0, 1], sums[0, 2] = 3, 9
+        for stack in (sums, sums[None]):
+            iso, at_min = counting._classify(stack)
+            assert iso.reshape(-1).tolist() == [False, True, False]
+            assert at_min.sum(axis=-2).reshape(-1).tolist() == [edges, 1, edges - 1]
 
 
 class TestCountLayer1:
