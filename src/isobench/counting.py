@@ -22,7 +22,13 @@ per edge, with the prefixes optionally split across worker processes by
 rank), ``count_layer1`` (the rows with some entry 1 only) and the
 conjecture sweep's ``_count_many`` (|Z| and |Z_1| of every hypergraph of a
 batch).  Explicit weight rows (the constructions' weights, the samplers'
-draws) go through the same edge sums and classify step.
+draws) go through the same classify step, and the samplers' draws through
+the same edge sums.
+
+Edge sums need no multiplication: a side's values are gathered once,
+vertex-major, and each vertex's row is added into the edges that hold it,
+one add per member, in the table's dtype.  Only the constructions' stacks
+of hypergraphs (``_stacked_sums``) still sum by a matmul.
 """
 
 from __future__ import annotations
@@ -84,10 +90,12 @@ class CountReport:
 class _Plan:
     """``members``: the read-only (n, edges) 0/1 matrix of a tuple's distinct
     edges in first-seen order (so (H,) keeps H's order), [v - 1, t] = 1 when
-    vertex v is in edge t.  ``groups``: (positions in the tuple, edge columns
+    vertex v is in edge t; ``holds``: the same matrix as booleans, the
+    edge sums' row masks.  ``groups``: (positions in the tuple, edge columns
     of shape (hypergraphs, m)) per edge count m, the empty hypergraphs too."""
 
     members: np.ndarray
+    holds: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -95,7 +103,8 @@ class _Plan:
 def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
     column = {e: c for c, e in enumerate(dict.fromkeys(e for H in Hs for e in H.edges))}
     members = np.array([[e >> v & 1 for e in column] for v in range(Hs[0].n)], dtype=np.int64)
-    members.flags.writeable = False
+    holds = members.astype(bool)
+    members.flags.writeable = holds.flags.writeable = False
     by_size: dict[int, list[int]] = {}
     for i, H in enumerate(Hs):
         by_size.setdefault(H.m, []).append(i)
@@ -106,7 +115,7 @@ def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
         )
         for which in by_size.values()
     )
-    return _Plan(members, groups)
+    return _Plan(members, holds, groups)
 
 
 def _membership(H: Hypergraph) -> np.ndarray:
@@ -180,10 +189,16 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count == 1, at_min
 
 
-def _edge_sums(W: np.ndarray, table: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _edge_sums(W: np.ndarray, table: np.ndarray, holds: np.ndarray) -> np.ndarray:
     """Weight of each edge on each weight row, shape (edges, rows), in the
-    table's dtype; the rows of ``members`` match the columns of W."""
-    return members.T.astype(table.dtype) @ table[W].T
+    table's dtype; ``holds`` is the (n, edges) boolean membership, its rows
+    matching the columns of W.  Each vertex's gathered values are added
+    into the edges holding it, so no value is multiplied by 0 or 1."""
+    values = np.ascontiguousarray(table[W].T)
+    sums = np.zeros((holds.shape[1], W.shape[0]), dtype=table.dtype)
+    for row, col in zip(values, holds):
+        sums[col] += row
+    return sums
 
 
 def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -258,8 +273,8 @@ def _blocks(
     else:
         prefix, prefix_low = _by_minimum(*_decode_rows(p, M, start, stop))
     suffix, suffix_low = _suffix_table(k, M)
-    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.members[:p]))
-    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.members[p:]))
+    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.holds[:p]))
+    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.holds[p:]))
     pairs = [(pre, suf)]
     if layer1:  # prefixes holding a 1 take every suffix, the others the suffixes holding a 1
         hit = pre.low == 1
@@ -363,10 +378,12 @@ def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndar
     total = np.zeros(len(Hs), dtype=np.int64)
     layer1 = np.zeros(len(Hs), dtype=np.int64)
     for which, iso, _, pre_low, suf_low in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
-        count = np.count_nonzero(iso, axis=1)
+        # summed as bools: np.count_nonzero with an axis adds a Python-level
+        # wrapper per call, which the sweep's many tiny blocks pay
+        count = iso.sum(axis=1)
         # the rows with no entry 1: the prefixes and suffixes with no 1
         grid = iso.reshape(len(which), pre_low.shape[0], suf_low.shape[0])
         above = grid[:, pre_low.searchsorted(2) :, suf_low.searchsorted(2) :]
         total[which] += count
-        layer1[which] += count - np.count_nonzero(above, axis=(1, 2))
+        layer1[which] += count - above.sum(axis=(1, 2))
     return total, layer1

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from unittest import mock
@@ -369,6 +370,36 @@ class TestNarrowTables:
             iso, at_min = counting._classify(stack)
             assert iso.reshape(-1).tolist() == [False, True, False]
             assert at_min.sum(axis=-2).reshape(-1).tolist() == [edges, 1, edges - 1]
+
+
+class TestEdgeSums:
+    """``_edge_sums`` against the oracle's edge weights in every table
+    dtype, on each side of every prefix/suffix split, the zero-width sides
+    and the hypergraph with no edges included."""
+
+    @pytest.mark.parametrize(
+        "top,dtype",
+        [(most // 4, below) for below, most, _ in _RUNG_CASES] + [(3 << 70, object)],
+        ids=["int16", "int32", "int64", "object"],
+    )
+    def test_matches_oracle(self, top, dtype):
+        n, M = 4, 3
+        f = _near(top, zero_allowed=False)
+        table = counting._table(f, n)
+        assert table.dtype == np.dtype(dtype) and f.scaled == f.values
+        W = np.array(list(itertools.product(range(1, M + 1), repeat=n)), dtype=np.int64)
+        full = H(n, [1, 2, 3, 4], [1, 2], [3, 4], [2, 3], [4], require_inclusion_free=False)
+        values = [None, *f.values]
+        for h in (full, Hypergraph(n, ()), singleton_hypergraph(n)):
+            holds = counting._plan((h,)).holds
+            for p in range(n + 1):  # p = 0 and p = n give a zero-width side
+                for side in (slice(0, p), slice(p, n)):
+                    sums = counting._edge_sums(W[:, side], table, holds[side])
+                    assert sums.shape == (h.m, len(W)) and sums.dtype == table.dtype
+                    inside = range(n)[side]
+                    edges = [[v for v in edge_vertices(e) if v - 1 in inside] for e in h.edges]
+                    expected = [[oracle.edge_weight(values, w, e) for w in W.tolist()] for e in edges]
+                    assert sums.tolist() == expected
 
 
 class TestCountLayer1:

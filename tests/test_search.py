@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from isobench import (
     BudgetExceededError,
     Hypergraph,
@@ -23,6 +24,7 @@ from isobench import (
 from isobench import cli, counting, search
 from isobench.cli import asymptotic_rows_to_csv
 from isobench.counting import _int64_safe
+from isobench.hypergraph import edge_vertices
 
 F = Fraction
 PRESETS = ObjectiveStrategy(kind="presets")
@@ -232,6 +234,33 @@ class TestSamplers:
             plain.exact,
         )
         assert 0 < plain.successes < plain.trials
+
+    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int16", "object"])
+    @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
+    def test_replayed_draws_match_the_oracle(self, sampler, scale, monkeypatch):
+        """Replay the seeded batches and classify the first ``trials``
+        accepted rows with the oracle; the final batch holds more accepted
+        rows than the trials left, so it is cut."""
+        n, M, trials, seed, batch = 4, 3, 1000, 5, 64
+        H = Hypergraph.from_edges(n, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]])
+        f = explicit_objective([v * scale for v in (1, 2, 3)])
+        assert counting._table(f, n).dtype == (np.int16 if scale == 1 else object)
+        edges, values = [list(edge_vertices(e)) for e in H.edges], [None, *f.values]
+        rng = np.random.default_rng(seed)
+        successes = accepted = draws = 0
+        while accepted < trials:
+            rows = rng.integers(1, M + 1, size=(batch, n), dtype=np.int64).tolist()
+            draws += batch
+            if sampler is sample_layer1:
+                rows = [w for w in rows if 1 in w]
+            cut, rows = len(rows) > trials - accepted, rows[: trials - accepted]
+            successes += sum(oracle.classify(edges, values, w)[0] for w in rows)
+            accepted += len(rows)
+        assert cut and 0 < successes < trials
+        monkeypatch.setattr(search, "_BATCH", batch)
+        rep = sampler(H, M, f, trials, seed)
+        expected_draws = draws if sampler is sample_layer1 else trials
+        assert (rep.successes, rep.draws) == (successes, expected_draws)
 
     def test_deterministic_given_seed(self):
         a = sample_uniform(singleton_hypergraph(3), 3, identity_objective(3), 5000, 42)
