@@ -26,9 +26,9 @@ draws) go through the same classify step, and the samplers' draws through
 the same edge sums.
 
 Edge sums need no multiplication: a side's values are gathered once,
-vertex-major, and each vertex's row is added into the edges that hold it,
-one add per member, in the table's dtype.  Only the constructions' stacks
-of hypergraphs (``_stacked_sums``) still sum by a matmul.
+vertex-major, under a zero row, and each edge adds the rows of its
+vertices, in the table's dtype.  Only the constructions' stacks of
+hypergraphs (``_stacked_sums``) still sum by a matmul.
 """
 
 from __future__ import annotations
@@ -90,21 +90,27 @@ class CountReport:
 class _Plan:
     """``members``: the read-only (n, edges) 0/1 matrix of a tuple's distinct
     edges in first-seen order (so (H,) keeps H's order), [v - 1, t] = 1 when
-    vertex v is in edge t; ``holds``: the same matrix as booleans, the
-    edge sums' row masks.  ``groups``: (positions in the tuple, edge columns
-    of shape (hypergraphs, m)) per edge count m, the empty hypergraphs too."""
+    vertex v is in edge t; ``slots``: the same edges as the read-only
+    (edges, width) lists of their vertices (0-based), padded with n up to
+    the largest edge, the edge sums' gather index.  ``groups``: (positions
+    in the tuple, edge columns of shape (hypergraphs, m)) per edge count
+    m, the empty hypergraphs too."""
 
     members: np.ndarray
-    holds: np.ndarray
+    slots: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
     column = {e: c for c, e in enumerate(dict.fromkeys(e for H in Hs for e in H.edges))}
-    members = np.array([[e >> v & 1 for e in column] for v in range(Hs[0].n)], dtype=np.int64)
-    holds = members.astype(bool)
-    members.flags.writeable = holds.flags.writeable = False
+    n = Hs[0].n
+    members = np.array([[e >> v & 1 for e in column] for v in range(n)], dtype=np.int64)
+    vertices = [[v for v in range(n) if e >> v & 1] for e in column]
+    width = max(map(len, vertices), default=0)
+    slots = np.array([vs + [n] * (width - len(vs)) for vs in vertices], dtype=np.intp)
+    slots = slots.reshape(len(vertices), width)
+    members.flags.writeable = slots.flags.writeable = False
     by_size: dict[int, list[int]] = {}
     for i, H in enumerate(Hs):
         by_size.setdefault(H.m, []).append(i)
@@ -115,7 +121,7 @@ def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
         )
         for which in by_size.values()
     )
-    return _Plan(members, holds, groups)
+    return _Plan(members, slots, groups)
 
 
 def _membership(H: Hypergraph) -> np.ndarray:
@@ -189,16 +195,19 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count == 1, at_min
 
 
-def _edge_sums(W: np.ndarray, table: np.ndarray, holds: np.ndarray) -> np.ndarray:
-    """Weight of each edge on each weight row, shape (edges, rows), in the
-    table's dtype; ``holds`` is the (n, edges) boolean membership, its rows
-    matching the columns of W.  Each vertex's gathered values are added
-    into the edges holding it, so no value is multiplied by 0 or 1."""
-    values = np.ascontiguousarray(table[W].T)
-    sums = np.zeros((holds.shape[1], W.shape[0]), dtype=table.dtype)
-    for row, col in zip(values, holds):
-        sums[col] += row
-    return sums
+def _edge_sums(W: np.ndarray, table: np.ndarray, slots: np.ndarray, first: int = 0) -> np.ndarray:
+    """Weight of each edge of ``slots`` (a plan's vertex lists, padded with
+    n) over W's coordinates, which are the vertices first, first + 1, ...,
+    on each row of W: shape (edges, rows), in the table's dtype.  W's
+    values are gathered once, vertex-major, into rows that are zero for
+    the vertices before W and for the last row, onto which ``take`` clips
+    every index past W, the padding included.  Each edge then adds its
+    slots' rows, so no value is multiplied by 0 or 1."""
+    if not W.shape[1]:  # the prefix when the suffix takes every coordinate
+        return np.zeros((slots.shape[0], W.shape[0]), dtype=table.dtype)
+    values = np.zeros((first + W.shape[1] + 1, W.shape[0]), dtype=table.dtype)
+    values[first:-1] = table[W].T
+    return np.add.reduce(values.take(slots, axis=0, mode="clip"), axis=1, dtype=table.dtype)
 
 
 def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -273,8 +282,8 @@ def _blocks(
     else:
         prefix, prefix_low = _by_minimum(*_decode_rows(p, M, start, stop))
     suffix, suffix_low = _suffix_table(k, M)
-    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.holds[:p]))
-    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.holds[p:]))
+    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.slots))
+    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.slots, p))
     pairs = [(pre, suf)]
     if layer1:  # prefixes holding a 1 take every suffix, the others the suffixes holding a 1
         hit = pre.low == 1
@@ -378,12 +387,10 @@ def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndar
     total = np.zeros(len(Hs), dtype=np.int64)
     layer1 = np.zeros(len(Hs), dtype=np.int64)
     for which, iso, _, pre_low, suf_low in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
-        # summed as bools: np.count_nonzero with an axis adds a Python-level
-        # wrapper per call, which the sweep's many tiny blocks pay
-        count = iso.sum(axis=1)
+        count = np.count_nonzero(iso, axis=1)
         # the rows with no entry 1: the prefixes and suffixes with no 1
         grid = iso.reshape(len(which), pre_low.shape[0], suf_low.shape[0])
         above = grid[:, pre_low.searchsorted(2) :, suf_low.searchsorted(2) :]
         total[which] += count
-        layer1[which] += count - above.sum(axis=(1, 2))
+        layer1[which] += count - np.count_nonzero(above, axis=(1, 2))
     return total, layer1

@@ -275,36 +275,26 @@ def _sample(
 ) -> SampleReport:
     """Classify the first ``trials`` accepted rows of seeded uniform draws
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
-    rows with some entry 1 for ``layer1``.  Each batch is classified whole
-    and the layer-1 mask applied to its isolation mask, so the accepted
-    rows are never copied; the last batch is cut where the accepted rows
-    reach ``trials``.  More trials than ``budget`` are refused before the
-    first draw.  The exact probability comes with the estimate when M^n
-    is at most both ``budget`` and _EXACT_BUDGET."""
+    rows with some entry 1 for ``layer1``.  More trials than ``budget`` are
+    refused before the first draw.  The exact probability comes with the
+    estimate when M^n is at most both ``budget`` and _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
-    table, holds = _table(f, H.n), _plan((H,)).holds
+    table, slots = _table(f, H.n), _plan((H,)).slots
     successes = accepted = batches = 0
     while accepted < trials:
         W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
         batches += 1
-        want = trials - accepted
-        if kind == "uniform":
-            W = W[:want]
-        iso = _classify(_edge_sums(W, table, holds))[0]
-        taken = W.shape[0]
         if kind == "layer1":
             hit = W[:, 0] == 1
             for column in W.T[1:]:
                 hit |= column == 1
-            iso &= hit
-            taken = int(np.count_nonzero(hit))
-            if taken > want:  # cut before the (want + 1)-th accepted row
-                iso, taken = iso[: np.flatnonzero(hit)[want]], want
-        successes += int(np.count_nonzero(iso))
-        accepted += taken
+            W = W[hit]
+        W = W[: trials - accepted]
+        successes += int(np.count_nonzero(_classify(_edge_sums(W, table, slots))[0]))
+        accepted += W.shape[0]
     exact = None
     if M**H.n <= min(budget, _EXACT_BUDGET):
         p, q = success_probabilities(H, M, f, count_isolating(H, M, f, budget=_EXACT_BUDGET))

@@ -391,10 +391,10 @@ class TestEdgeSums:
         full = H(n, [1, 2, 3, 4], [1, 2], [3, 4], [2, 3], [4], require_inclusion_free=False)
         values = [None, *f.values]
         for h in (full, Hypergraph(n, ()), singleton_hypergraph(n)):
-            holds = counting._plan((h,)).holds
+            slots = counting._plan((h,)).slots
             for p in range(n + 1):  # p = 0 and p = n give a zero-width side
                 for side in (slice(0, p), slice(p, n)):
-                    sums = counting._edge_sums(W[:, side], table, holds[side])
+                    sums = counting._edge_sums(W[:, side], table, slots, side.start)
                     assert sums.shape == (h.m, len(W)) and sums.dtype == table.dtype
                     inside = range(n)[side]
                     edges = [[v for v in edge_vertices(e) if v - 1 in inside] for e in h.edges]
