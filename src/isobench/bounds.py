@@ -72,7 +72,8 @@ def corollary_Y_bound(M: int, n: int) -> int:
     if M < 1:
         raise ValueError("corollary bound requires M >= 1")
     _check_mn(M, n)
-    return 2 * (M - 1) ** n - n * sum(i ** (n - 1) for i in range(1, M - 1))
+    # _power_sum counts 0^0 = 1 at i = 0, which the sum from i = 1 leaves out
+    return 2 * (M - 1) ** n - n * _power_sum(M - 1, n - 1) + (1 if n == 1 and M >= 2 else 0)
 
 
 def bounded_edge_bound(M: int, n: int, r: int) -> Fraction:

@@ -95,7 +95,7 @@ class WitnessGraph:
 def _left_nodes(n: int, M: int) -> np.ndarray:
     """Weights with exactly one entry 1, in (position, remainder) order, as
     a read-only array of shape (n (M-1)^(n-1), n)."""
-    rests = _decode_rows(n - 1, M - 1, 0, (M - 1) ** (n - 1))[0] + 1
+    rests = _decode_rows(n - 1, M - 1) + 1
     left = np.concatenate([np.insert(rests, pos, 1, axis=1) for pos in range(n)])
     left.flags.writeable = False
     return left

@@ -12,23 +12,27 @@ One generator, ``_blocks``, walks [M]^n for a tuple of hypergraphs on the
 same n.  It splits the coordinates into a prefix and a suffix of length k
 (meet-in-the-middle, after Horowitz and Sahni 1974): each distinct edge's
 weight is summed once per suffix and once per prefix, and a block of rows
-is one broadcast addition of the two.  Both sides are sorted by their
-minimum, so a block's rows with minimum at least j are one rectangle and
-the layer counts are flat counts over rectangles, with no per-row layer.
-One hypergraph is classified in place; a batch is classified group by
-group, the hypergraphs with the same number of edges gathered into one
-array.  Three reducers sum its blocks: ``count_isolating`` (per layer and
-per edge, with the prefixes optionally split across worker processes by
-rank), ``count_layer1`` (the rows with some entry 1 only) and the
-conjecture sweep's ``_count_many`` (|Z| and |Z_1| of every hypergraph of a
-batch).  Explicit weight rows (the constructions' weights, the samplers'
-draws) go through the same classify step, and the samplers' draws through
-the same edge sums.
+is one broadcast addition of the two.  Both sides come from one cached
+table per length, sorted by row minimum, so every scan is a set of index
+ranges over the two tables: a block's rows with minimum at least j are one
+rectangle, the layer counts are flat counts over rectangles with no
+per-row layer, and the rows with some entry 1 are two spans of the same
+edge sums.  One hypergraph is classified in place; a batch is classified
+group by group, the hypergraphs with the same number of edges gathered
+into one array.  Three reducers sum its blocks: ``count_isolating`` (per
+layer and per edge, with the sorted prefixes optionally cut into ranges
+across worker processes), ``count_layer1`` (the rows with some entry 1
+only) and the conjecture sweep's ``_count_many`` (|Z| and |Z_1| of every
+hypergraph of a batch).  Explicit weight rows (the constructions' weights,
+the samplers' draws) go through the same classify step, and the samplers'
+draws through the same edge sums.
 
 Edge sums need no multiplication: a side's values are gathered once,
 vertex-major, under a zero row, and each edge adds the rows of its
-vertices, in the table's dtype.  Only the constructions' stacks of
-hypergraphs (``_stacked_sums``) still sum by a matmul.
+vertices, in the table's dtype.  The constructions' stacks of hypergraphs
+(``_stacked_sums``) keep a matmul: on at most 5 vertices one matmul costs
+fewer numpy calls than a gather through slots offset per hypergraph,
+which made ``verify --n-max 4 --M 2,3`` slower.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -153,16 +157,14 @@ def _int64_safe(f: Objective, n: int) -> bool:
     return _table(f, n).dtype != object
 
 
-def _decode_rows(n: int, M: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [start, stop) of [M]^n in lexicographic order (first coordinate
-    most significant), as an int64 array of shape (stop-start, n), and the
-    minimum of each row (M + 1, above every label, when n = 0)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    cols = np.empty((stop - start, n), dtype=np.int64)
+def _decode_rows(n: int, M: int) -> np.ndarray:
+    """The rows of [M]^n in lexicographic order (first coordinate most
+    significant), as an int64 array of shape (M^n, n)."""
+    idx = np.arange(M**n, dtype=np.int64)
+    cols = np.empty((M**n, n), dtype=np.int64)
     for pos in range(n):
-        div = M ** (n - 1 - pos)
-        cols[:, pos] = (idx // div) % M + 1
-    return cols, cols.min(axis=1, initial=M + 1)
+        cols[:, pos] = (idx // M ** (n - 1 - pos)) % M + 1
+    return cols
 
 
 def _rank_rows(rows: np.ndarray, M: int) -> np.ndarray:
@@ -227,29 +229,15 @@ def _suffix_len(n: int, M: int) -> int:
     return min(k, n)
 
 
-class _Part(NamedTuple):
-    """The minima of one side's decoded rows and the per-edge weight over
-    that side's coordinates, shape (edges, rows)."""
-
-    low: np.ndarray
-    sums: np.ndarray
-
-    def take(self, keep: np.ndarray) -> "_Part":
-        # compress keeps the rows C-contiguous, where sums[:, keep] would not
-        return _Part(self.low[keep], self.sums.compress(keep, axis=1))
-
-
-def _by_minimum(rows: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded rows and their minima, reordered by increasing minimum."""
-    order = np.argsort(low, kind="stable")
-    return rows[order], low[order]
-
-
 @functools.lru_cache(maxsize=64)
 def _suffix_table(k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of [M]^k and their minima, read-only, sorted by minimum: the
-    suffixes of every scan, and the prefixes of a scan of every prefix."""
-    rows, low = _by_minimum(*_decode_rows(k, M, 0, M**k))
+    """The rows of [M]^k and their minima (M + 1, above every label, when
+    k = 0), read-only, sorted by minimum and lexicographic within one: the
+    suffixes and the prefixes of every scan."""
+    rows = _decode_rows(k, M)
+    low = rows.min(axis=1, initial=M + 1)
+    order = np.argsort(low, kind="stable")
+    rows, low = rows[order], low[order]
     rows.flags.writeable = False
     low.flags.writeable = False
     return rows, low
@@ -264,42 +252,41 @@ def _blocks(
     stop: Optional[int] = None,
     layer1: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Classify the rows of [M]^n whose (n - k)-prefix has rank in [start,
-    stop), or with ``layer1`` only those with some entry 1, for every
-    hypergraph of Hs (one n).  Yields (positions in Hs, isolating mask
-    (hypergraphs, rows), edges at the minimum (hypergraphs, m, rows),
-    prefix minima, suffix minima) per block, a range of prefixes times a
-    range of suffixes, and group.  A block's rows are prefix-major and both
-    sides are sorted by minimum, so the rows with minimum at least j form
-    one rectangle: the prefixes and the suffixes with minimum at least j.
+    """Classify the rows of [M]^n whose (n - k)-prefix is at a position in
+    [start, stop) of the sorted prefix table, or with ``layer1`` only those
+    with some entry 1, for every hypergraph of Hs (one n).  Yields
+    (positions in Hs, isolating mask (hypergraphs, rows), edges at the
+    minimum (hypergraphs, m, rows), prefix minima, suffix minima) per
+    block, a range of prefixes times a range of suffixes, and group.  A
+    block's rows are prefix-major and both sides are sorted by minimum, so
+    the rows with minimum at least j form one rectangle: the prefixes and
+    the suffixes with minimum at least j.  For the same reason the rows
+    with some entry 1 are two index ranges: the prefixes holding a 1 times
+    every suffix, and the other prefixes times the suffixes holding a 1.
     Blocks hold at most _CHUNK rows, and for a batch at most _GATHER rows
     times edges."""
     p = Hs[0].n - k
     plan = _plan(Hs)
     table = _table(f, Hs[0].n)
-    if stop is None:
-        prefix, prefix_low = _suffix_table(p, M)
-    else:
-        prefix, prefix_low = _by_minimum(*_decode_rows(p, M, start, stop))
+    prefix, prefix_low = (side[start:stop] for side in _suffix_table(p, M))
     suffix, suffix_low = _suffix_table(k, M)
-    pre = _Part(prefix_low, _edge_sums(prefix, table, plan.slots))
-    suf = _Part(suffix_low, _edge_sums(suffix, table, plan.slots, p))
-    pairs = [(pre, suf)]
-    if layer1:  # prefixes holding a 1 take every suffix, the others the suffixes holding a 1
-        hit = pre.low == 1
-        pairs = [(pre.take(hit), suf), (pre.take(~hit), suf.take(suf.low == 1))]
+    pre_sums = _edge_sums(prefix, table, plan.slots)
+    suf_sums = _edge_sums(suffix, table, plan.slots, p)
+    spans = [(0, prefix_low.size, suffix_low.size)]  # (first prefix, end, suffixes)
+    if layer1:
+        one = int(prefix_low.searchsorted(2))
+        spans = [(0, one, suffix_low.size), (one, prefix_low.size, int(suffix_low.searchsorted(2)))]
     edges = plan.members.shape[1]  # no hypergraph has more
     bound = _CHUNK if len(Hs) == 1 else max(1, min(_CHUNK, _GATHER // max(edges, 1)))
-    for pre, suf in pairs:
-        heads, width = pre.low.shape[0], suf.low.shape[0]
-        if not width:
+    for first, end, width in spans:
+        if not width:  # no suffix holds a 1, as at k = 0
             continue
         step, span = max(1, bound // width), min(width, bound)
-        for a, c in itertools.product(range(0, heads, step), range(0, width, span)):
-            b, d = min(a + step, heads), min(c + span, width)
-            block = pre.sums[:, a:b, None] + suf.sums[:, None, c:d]
+        for a, c in itertools.product(range(first, end, step), range(0, width, span)):
+            b, d = min(a + step, end), min(c + span, width)
+            block = pre_sums[:, a:b, None] + suf_sums[:, None, c:d]
             block = block.reshape(edges, (b - a) * (d - c))
-            low = pre.low[a:b], suf.low[c:d]
+            low = prefix_low[a:b], suffix_low[c:d]
             if len(Hs) == 1:  # in place, with no gathered copy
                 yield (plan.groups[0][0], *_classify(block[None]), *low)
                 continue
@@ -312,8 +299,9 @@ def _blocks(
 def _tally(
     H: Hypergraph, f: Objective, M: int, k: int, start: int = 0, stop: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(per-layer counts indexed by layer, per-edge counts) over the prefix
-    ranks [start, stop) with suffix length k."""
+    """(per-layer counts indexed by layer, per-edge counts) over the
+    prefixes at positions [start, stop) of the sorted prefix table, with
+    suffix length k."""
     at_least = [0] * M  # rows with minimum at least j, for j = 1..M
     per_edge = [0] * H.m
     labels = np.arange(1, M + 1)
@@ -347,13 +335,13 @@ def count_isolating(
     by full enumeration of [M]^n."""
     _check(f, M, M**H.n, budget, f"{M}^{H.n} = ")
     k = _suffix_len(H.n, M)
-    ranks = M ** (H.n - k)
-    jobs = max(1, min(workers, ranks))
+    heads = M ** (H.n - k)
+    jobs = max(1, min(workers, heads))
     if jobs == 1:
         parts = [_tally(H, f, M, k)]
     else:
-        # partition the prefix ranks into balanced ranges; merge in rank order
-        cuts = [ranks * i // jobs for i in range(jobs + 1)]
+        # cut the sorted prefix table into balanced ranges, one per worker
+        cuts = [heads * i // jobs for i in range(jobs + 1)]
         fixed = map(itertools.repeat, (H, f, M, k))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:

@@ -33,7 +33,7 @@ def _special_scan(
     (graphs, rows) and each row's first unique-minimum edge under unit
     weights (graphs, rows).  With no edges every weight is special."""
     c, m, n = members.shape
-    W = _decode_rows(n, 2, 0, 1 << n)[0]
+    W = _decode_rows(n, 2)
     if not m:
         shape = (c, W.shape[0])
         return W, np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.intp)

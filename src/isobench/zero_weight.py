@@ -64,7 +64,7 @@ def _injection(
     (graphs, weights, n) and the images that do not isolate their edge
     (graphs, weights).  With no edges every weight is its own image."""
     c, m, n = members.shape
-    domain = _decode_rows(n, M - 1, 0, (M - 1) ** n)[0] + 1
+    domain = _decode_rows(n, M - 1) + 1
     if not m:
         shape = (c, domain.shape[0])
         images = np.broadcast_to(domain, shape + (n,))

@@ -53,6 +53,13 @@ class TestClosedForms:
         assert corollary_Y_bound(2, 3) == 2
         assert corollary_Y_bound(4, 2) == 12
 
+    def test_corollary_matches_direct_sum(self):
+        # the power sum from i = 1, n = 1 included, where 0^0 must not count
+        for M in range(1, 41):
+            for n in range(1, 9):
+                direct = 2 * (M - 1) ** n - n * sum(i ** (n - 1) for i in range(1, M - 1))
+                assert corollary_Y_bound(M, n) == direct
+
     def test_bounded_edge(self):
         assert bounded_edge_bound(3, 4, 2) == 32
         assert bounded_edge_bound(2, 6, 3) == 4

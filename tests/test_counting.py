@@ -167,13 +167,6 @@ class TestCountIsolating:
         assert rows.shape == (64, 3) and low.shape == (64,)
         assert not rows.flags.writeable and not low.flags.writeable
 
-    def test_layer1_take_is_c_contiguous(self):
-        suffix, low = counting._suffix_table(3, 4)
-        part = counting._Part(low, np.ascontiguousarray(suffix.T))
-        taken = part.take(low == 1)
-        assert taken.sums.flags.c_contiguous
-        assert taken.sums.tolist() == suffix[low == 1].T.tolist()
-
     def test_report_invariants_and_json(self):
         rep = count_isolating(singleton_hypergraph(3), 2, identity_objective(2))
         assert rep.total == sum(rep.per_layer)
@@ -283,6 +276,28 @@ class TestCountMany:
                 assert {e: c for e, c in zip(h.edges, edges) if c} == per_edge
             assert batch_counts(Hs, M, f) == expected
         assert any(inside) == (chunk < 9)
+
+    @pytest.mark.parametrize("shift", [0, 1 << 70], ids=["int64", "object"])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_prefix_positions_cut_at_every_point(self, monkeypatch, M, shift):
+        # two workers' ranges of the sorted prefix table, cut at every
+        # position: inside runs of equal prefix minima, and on the boundary
+        # between the prefixes holding a 1 and the others
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", 9)
+        k = counting._suffix_len(5, M)
+        ranks = M ** (5 - k)
+        low = counting._suffix_table(5 - k, M)[1]
+        assert 0 < low.searchsorted(2) < ranks and (low[1:] == low[:-1]).any()
+        f = explicit_objective([shift + v for v in (2, 3, 7)[:M]])
+        Hs = [Hypergraph(5, ()), *(H(5, [v]) for v in range(1, 6))]
+        Hs += [singleton_hypergraph(5), H(5, [1, 2, 3], [3, 4], [2, 5], [1, 5])]
+        for h in Hs:
+            total, per_layer, per_edge = oracle_counts(h, M, f)
+            for cut in range(ranks + 1):
+                parts = [counting._tally(h, f, M, k, 0, cut), counting._tally(h, f, M, k, cut, ranks)]
+                layers, edges = (sum(counts).tolist() for counts in zip(*parts))
+                assert layers == [0, *per_layer]
+                assert {e: c for e, c in zip(h.edges, edges) if c} == per_edge
 
     def test_plan_built_once_per_group(self):
         # n = 1..4 each walk fits one group; the 2 x 3 (M, f) pairs of a
