@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import locale  # noqa: F401  loaded at start-up, or argparse's gettext lookup imports it inside the first op
 import os
 import sys
 from fractions import Fraction

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -340,6 +338,10 @@ def count_isolating(
     if jobs == 1:
         parts = [_tally(H, f, M, k)]
     else:
+        # imported here, off the start-up path of every other run
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # cut the sorted prefix table into balanced ranges, one per worker
         cuts = [heads * i // jobs for i in range(jobs + 1)]
         fixed = map(itertools.repeat, (H, f, M, k))

@@ -6,9 +6,9 @@ with `pytest tests/test_acceptance.py -v -s`) and then asserts.
 
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -389,13 +389,14 @@ def test_criterion_11_series_remainder_ratios():
     short of them by at most the next series term, phi^2/30240 and
     59 phi/720.
     """
-    with mpmath.workdps(40):
-        lim1, lim2 = mpmath.mpf(1) / 720, mpmath.mpf(1) / 6
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lim1, lim2 = Decimal(1) / 720, Decimal(1) / 6
         r1, r2, gap_ok = [], [], True
         for k in range(3, 11):
-            phi = mpmath.mpf(2) ** (-k)
-            r1.append(abs(h_eval("h1", phi) - (1 - phi / 2 + phi**2 / 12)) / phi**4)
-            r2.append(abs(h_eval("h2", phi) - (1 - phi / 2 - phi**2 / 12)) / phi**3)
+            phi = Decimal(1) / 2**k
+            r1.append(abs(h_eval("h1", Fraction(1, 2**k)) - (1 - phi / 2 + phi**2 / 12)) / phi**4)
+            r2.append(abs(h_eval("h2", Fraction(1, 2**k)) - (1 - phi / 2 - phi**2 / 12)) / phi**3)
             gap_ok = (
                 gap_ok
                 and lim1 - r1[-1] <= phi**2 / 30240

@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -103,11 +104,22 @@ class TestIdentities:
                 )
 
 
+def mp_h(which, phi):
+    """h0, h1 or h2 at phi in mpmath, at the caller's working precision."""
+    x = mpmath.mpf(phi.numerator) / phi.denominator
+    if which == "h0":
+        return mpmath.exp(-x)
+    em1 = mpmath.expm1(x)
+    if which == "h1":
+        return x / em1
+    return (2 * em1 - x) / (mpmath.exp(x) * em1)
+
+
 class TestHFunctions:
     def test_known_values(self):
-        with mpmath.workdps(40):
-            assert abs(h_eval("h0", 1) - mpmath.mpf("0.367879441171442321595523770161")) < 1e-28
-            assert abs(h_eval("h1", 1) - mpmath.mpf("0.581976706869326424385002005109")) < 1e-28
+        tol = Decimal("1e-28")
+        assert abs(h_eval("h0", 1) - Decimal("0.367879441171442321595523770161")) < tol
+        assert abs(h_eval("h1", 1) - Decimal("0.581976706869326424385002005109")) < tol
         assert float(h_eval("h2", 1)) == pytest.approx(0.5216616166450005, abs=1e-12)
 
     def test_limits_at_zero(self):
@@ -117,7 +129,7 @@ class TestHFunctions:
     def test_precision_at_least_30_digits(self):
         with mpmath.workdps(60):
             ref = mpmath.mpf(1) / (mpmath.e - 1)
-            got = h_eval("h1", 1)
+            got = mpmath.mpf(str(h_eval("h1", 1)))
             assert abs(got - ref) < mpmath.mpf(10) ** (-30)
 
     def test_accepts_fractions(self):
@@ -126,6 +138,8 @@ class TestHFunctions:
     def test_rejects_negative_and_unknown(self):
         with pytest.raises(ValueError):
             h_eval("h1", -1)
+        with pytest.raises(ValueError):
+            h_eval("h1", 10**18 + 1)
         with pytest.raises(ValueError):
             h_eval("h3", 1)
 
@@ -136,18 +150,39 @@ class TestHFunctions:
             assert h2 <= h1 <= 1
             assert h0 <= h1
 
+    def test_floats_match_mpmath_on_a_grid(self):
+        """The floats the reports print equal mpmath's 40-digit values."""
+        with mpmath.workdps(40):
+            for which in ("h0", "h1", "h2"):
+                for n in range(1, 41):
+                    for M in range(1, 41):
+                        phi = F(n, M)
+                        assert float(h_eval(which, phi)) == float(mp_h(which, phi)), (which, phi)
+
+    @pytest.mark.parametrize("which", ["h0", "h1", "h2"])
+    def test_30_digits_at_small_and_large_phi(self, which):
+        """Against mpmath at 60 digits, where e^x - 1 cancels (phi = 10^-k),
+        where e^x leaves the float range (phi = 700 and 10^4) and where it
+        leaves the default decimal context's exponent range (phi = 10^7)."""
+        with mpmath.workdps(60):
+            for phi in [F(1, 10**k) for k in range(31)] + [F(700), F(10**4), F(10**7)]:
+                ref = mp_h(which, phi)
+                got = mpmath.mpf(str(h_eval(which, phi)))
+                assert abs(got - ref) <= abs(ref) * mpmath.mpf(10) ** (-30), phi
+
     def test_series_remainders_have_the_right_order(self):
         """The normalized remainders are bounded by their limiting
         coefficients 1/720 and 1/6 and converge to them from below (so
         they are non-decreasing in k as phi = 2^-k shrinks)."""
         r1_prev = r2_prev = None
-        with mpmath.workdps(40):
+        with localcontext() as ctx:
+            ctx.prec = 40
             for k in range(3, 11):
-                phi = mpmath.mpf(2) ** (-k)
-                r1 = abs(h_eval("h1", phi) - (1 - phi / 2 + phi**2 / 12)) / phi**4
-                r2 = abs(h_eval("h2", phi) - (1 - phi / 2 - phi**2 / 12)) / phi**3
-                assert r1 <= mpmath.mpf(1) / 720
-                assert r2 <= mpmath.mpf(1) / 6
+                phi = Decimal(1) / 2**k
+                r1 = abs(h_eval("h1", F(1, 2**k)) - (1 - phi / 2 + phi**2 / 12)) / phi**4
+                r2 = abs(h_eval("h2", F(1, 2**k)) - (1 - phi / 2 - phi**2 / 12)) / phi**3
+                assert r1 <= Decimal(1) / 720
+                assert r2 <= Decimal(1) / 6
                 if r1_prev is not None:
                     assert r1 >= r1_prev
                     assert r2 >= r2_prev

@@ -1,10 +1,13 @@
+import concurrent.futures
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import isobench.counting
 import isobench.search
 import isobench.verify
 from isobench.cli import EXIT_INTERNAL, build_parser, main
@@ -169,7 +172,7 @@ class TestCount:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(isobench.counting, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         argv = ["count", "--hypergraph", h8_path, "--M", "3", "--workers", workers]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -456,3 +459,46 @@ class TestSample:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("kind,n,M,trials,seed")
+
+
+# Imports isobench.cli in a fresh interpreter, then runs each argv given as
+# JSON through cli.main and prints which modules that op imported.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import isobench.cli
+heavy = [m for m in ("mpmath", "multiprocessing", "concurrent.futures") if m in sys.modules]
+ops = {}
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = isobench.cli.main(argv)
+    ops[argv[0]] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps({"heavy": heavy, "ops": ops}))
+"""
+
+
+class TestStartup:
+    def test_cold_start_and_ops_import_nothing_extra(self, s2_path):
+        """``import isobench.cli`` loads neither mpmath nor the process
+        pool, and a tiny count, search and verify then import no module
+        inside the op: argparse's gettext lookup needs ``locale``, which
+        the CLI imports at start-up.  ``sample`` is left out: it imports
+        ``numpy.random`` when it first draws, as numpy itself defers it."""
+        argvs = [
+            ["count", "--hypergraph", s2_path, "--M", "2"],
+            ["search", "--n-max", "2", "--M", "2"],
+            ["verify", "--n-max", "2", "--M", "2"],
+        ]
+        src = str(Path(isobench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {
+            "heavy": [],
+            "ops": {"count": [0, []], "search": [0, []], "verify": [0, []]},
+        }

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 from fractions import Fraction
@@ -95,7 +96,7 @@ class TestCountIsolating:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         # 3^3 rows fit one suffix table, so there is a single prefix rank
         h, f = H(3, [1, 2], [2, 3]), identity_objective(3)
         assert count_isolating(h, 3, f, workers=4).total == oracle_counts(h, 3, f)[0]
