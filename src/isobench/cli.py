@@ -14,6 +14,7 @@ import dataclasses
 import json
 import locale  # noqa: F401  loaded at start-up, or argparse's gettext lookup imports it inside the first op
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -79,12 +80,12 @@ def _parse_objective(spec: str, M: int, n: int, *, zero_allowed: bool) -> Object
 def _parse_strategy(spec: str, seed: int) -> ObjectiveStrategy:
     if spec == "presets":
         return ObjectiveStrategy(kind="presets", seed=seed)
-    if spec.startswith("random:"):
-        return ObjectiveStrategy(kind="random_rational", count=int(spec.split(":")[1]), seed=seed)
-    if spec.startswith("integers:"):
-        bound = int(spec.split(":")[1])
-        return ObjectiveStrategy(kind="exhaustive_integer", bound=bound, seed=seed)
-    raise ValueError(f"unknown strategy spec {spec!r}")
+    match = re.fullmatch(r"(random|integers):(-?[0-9]+)", spec)
+    if match is None:
+        raise ValueError(f"unknown strategy spec {spec!r}")
+    if match[1] == "random":
+        return ObjectiveStrategy(kind="random_rational", count=int(match[2]), seed=seed)
+    return ObjectiveStrategy(kind="exhaustive_integer", bound=int(match[2]), seed=seed)
 
 
 def _parse_m_list(spec: str) -> tuple[int, ...]:

@@ -4,13 +4,17 @@ two-valued-weight result on an instance or a grid.
 
 Each check is tagged ``theorem`` or ``conjecture``: a failing theorem
 check is a bug, a failing conjecture check is a discovery; both carry the
-witness instance.
+witness instance.  The checks of one (n, M, f) group of a walk are one
+table of array comparisons over its hypergraphs (``_checks``): passing
+checks are only counted, and a record is built for a failed one only.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,65 +58,62 @@ class CheckResult:
 
 
 class _Shape(NamedTuple):
-    """What the checks read off one hypergraph, whatever M and f."""
+    """What the checks read off each hypergraph of a walk, whatever M and
+    f, as arrays over the walk."""
 
-    simple: bool  # inclusion-free: the constructions apply
-    proven: bool  # linear or 1-degenerate: both conjectures are theorems
-    with_B: bool  # linear with every edge of two or more vertices: witness graph B applies
-    r_eff: int  # the bounded-edge bound's r
-    uniform: int  # the one edge cardinality, 0 with no edges or mixed ones
-    m: int
-
-
-def _shape(H: Hypergraph) -> _Shape:
-    simple = is_inclusion_free(H)
-    linear = simple and is_linear(H)
-    cards = {e.bit_count() for e in H.edges}
-    return _Shape(
-        simple=simple,
-        proven=linear or (simple and one_degenerate_order(H) is not None),
-        with_B=linear and min(cards, default=2) >= 2,
-        r_eff=max(2, max(cards, default=2)),
-        uniform=next(iter(cards)) if len(cards) == 1 else 0,
-        m=H.m,
-    )
+    simple: np.ndarray  # inclusion-free: the constructions apply
+    proven: np.ndarray  # linear or 1-degenerate: both conjectures are theorems
+    with_B: np.ndarray  # linear with every edge of two or more vertices: witness graph B applies
+    r_eff: np.ndarray  # the bounded-edge bound's r
+    uniform: np.ndarray  # the one edge cardinality, 0 with no edges or mixed ones
+    m: np.ndarray
 
 
-def _constructions(
-    Hs: tuple[Hypergraph, ...], shapes: list[_Shape], M: int, f: Objective
-) -> dict[str, list]:
+def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
+    rows = []
+    for H in Hs:
+        simple = is_inclusion_free(H)
+        linear = simple and is_linear(H)
+        proven = linear or (simple and one_degenerate_order(H) is not None)
+        cards = {e.bit_count() for e in H.edges}
+        with_B = linear and min(cards, default=2) >= 2
+        uniform = next(iter(cards)) if len(cards) == 1 else 0
+        rows.append((simple, proven, with_B, max(2, max(cards, default=2)), uniform, H.m))
+    return _Shape(*map(np.array, zip(*rows)))
+
+
+def _constructions(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective) -> dict:
     """Build witness graphs A and B, the injection and, at M = 2, the
     special-weight reduction for every inclusion-free hypergraph of Hs on
     a positive objective, in batches of hypergraphs with one edge count,
-    and return what the checks read of them, per hypergraph.  A batch
-    holds at most _GATHER hypergraphs times rows times edges (or vertices,
-    when more), or one hypergraph."""
-    out: dict[str, list] = {}
+    and return what the checks read of them, as object arrays over Hs,
+    0 where nothing was built (a name nothing was built for reads 0).  A
+    batch holds at most _GATHER hypergraphs times rows times edges (or
+    vertices, when more), or one hypergraph."""
+    out: dict = defaultdict(int)
+    if M < 2 or f.zero_allowed:
+        return out
     n = Hs[0].n
-    simple = np.array([s.simple for s in shapes])
-    with_B = np.array([s.with_B for s in shapes])
     rows = max(2 * n * (M - 1) ** (n - 1), (M - 1) ** n, 2**n if M == 2 else 0)
     plan = _plan(Hs)
     for which, cols in plan.groups:
-        which, cols = which[simple[which]], cols[simple[which]]
+        which, cols = which[shape.simple[which]], cols[shape.simple[which]]
         per = max(1, _GATHER // (rows * max(cols.shape[1], n)))
         for a in range(0, len(which), per):
             at, members = which[a : a + per], plan.members.T[cols[a : a + per]]
-            for name, values in _batch(members, with_B[at], M, f).items():
-                column = out.setdefault(name, [None] * len(Hs))
-                for h, value in zip(at.tolist(), values):
-                    column[h] = value
+            for name, values in _batch(members, shape.with_B[at], M, f).items():
+                out.setdefault(name, np.zeros(len(Hs), dtype=object))[at] = values
     return out
 
 
-def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dict[str, list]:
+def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dict:
     """What the checks read of the constructions on one stack of
     hypergraphs, ``members`` (graphs, m, n): the right nodes of witness
     graph A and how many of them isolate on layer 1, its total charge, the
-    total and least charge of B where ``with_B``, the distinct images of
-    the injection and how many of them isolate their edge, and at M = 2
-    the special weights of the least-cardinality edges and how many of
-    them do not isolate."""
+    total and least charge of B where ``with_B`` (0 elsewhere), the
+    distinct images of the injection and how many of them isolate their
+    edge, and at M = 2 the special weights of the least-cardinality edges
+    and how many of them do not isolate."""
     c, _, n = members.shape
 
     def count(graphs: np.ndarray) -> list[int]:
@@ -132,9 +133,8 @@ def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dic
     if with_B.any():
         B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent")
         for name, values in zip(("charge_B", "least_B"), B.charges()):
-            found[name] = [None] * c
-            for g, value in zip(np.flatnonzero(with_B).tolist(), values):
-                found[name][g] = value
+            found[name] = np.zeros(c, dtype=object)
+            found[name][with_B] = values
     _, _, images, bad = _injection(members, M, f)
     keys = _rank_rows(images, M)
     found["images"] = distinct(keys)
@@ -146,102 +146,80 @@ def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dic
     return found
 
 
-class _Group(NamedTuple):
-    """One (n, M, f) group of a walk: its counts and what the checks read
-    of its constructions (None when they do not apply), per hypergraph,
-    and the bounds at (n, M)."""
-
-    M: int
-    f: Objective
-    bounds: dict
-    total: list[int]
-    layer1: list[int]
-    built: Optional[dict[str, list]]
-
-
-def _instance(group: _Group, h: int, shape: _Shape, n: int, doc: dict) -> Iterator[CheckResult]:
-    """Every applicable check on the instance of hypergraph ``h`` in
-    ``group``.
-
-    For zero-allowed objectives or hypergraphs with nested edges only the
-    universal (M-1)^n bound is claimed; the remaining machinery assumes an
-    inclusion-free hypergraph and strictly positive objective.
-    """
-    M, bounds, built = group.M, group.bounds, group.built
-    total, layer1 = group.total[h], group.layer1[h]
-
-    def check(name: str, kind: str, lhs, rhs, holds: bool) -> CheckResult:
-        return CheckResult(name, kind, str(lhs), str(rhs), holds, doc)
-
-    if group.f.zero_allowed or not shape.simple:
-        rhs = bounds["ta_shma"]
-        yield check("total_ge_zero_weight_bound", "theorem", total, rhs, total >= rhs)
-        return
-
-    rhs = bounds["ta_shma"]
-    yield check("total_ge_ta_shma", "theorem", total, rhs, total >= rhs)
-    rhs = bounds["corollary_Y"]
-    yield check("total_ge_layered_bound", "theorem", total, rhs, total >= rhs)
-    if M >= 2:
-        rhs = bounds["main_theorem"]
-        yield check("layer1_ge_main_theorem", "theorem", layer1, rhs, layer1 >= rhs)
-        rhs = bounds["bounded_edge"][shape.r_eff]
-        yield check("layer1_ge_bounded_edge", "theorem", layer1, rhs, layer1 >= rhs)
-
-    kind = "theorem" if M <= 2 or shape.proven else "conjecture"
-    rhs = bounds["Y1"]
-    yield check("layer1_ge_conjecture2", kind, layer1, rhs, layer1 >= rhs)
-    rhs = bounds["Y"]
-    yield check("total_ge_conjecture1", kind, total, rhs, total >= rhs)
-
-    if M >= 2:
-        right, ok = built["right"][h], built["right_ok"][h]
-        yield check("witnessA_right_isolating_layer1", "theorem", ok, right, ok == right)
-        charge = built["charge"][h]
-        yield check("witnessA_charge_identity", "theorem", charge, right, charge == right)
-        rhs = bounds["main_theorem"]
-        yield check("witnessA_charge_bound", "theorem", charge, rhs, charge >= rhs)
-        if shape.with_B:
-            least = built["least_B"][h]
-            yield check("witnessB_per_node_charge", "theorem", least, 1, least >= 1)
-            charge, rhs = built["charge_B"][h], bounds["Y1"]
-            yield check("witnessB_charge_bound", "theorem", charge, rhs, charge >= rhs)
-        # on an inclusion-free H every min-weight edge is maximal, so this is
-        # the plain injection; a collision or an image that does not isolate
-        # its edge shows as a failed check here
-        size, rhs = built["images"][h], (M - 1) ** n
-        yield check("injection_image_size", "theorem", size, rhs, size == rhs)
-        ok = built["images_ok"][h]
-        yield check("injection_images_isolating", "theorem", ok, size, ok == size)
-
-    if M == 2:
-        bad = built["special_bad"][h]
-        yield check("m2_special_subset_of_Z", "theorem", bad, 0, not bad)
-        yield check("m2_layer1_ge_n", "theorem", layer1, n, layer1 >= n)
-        if shape.uniform:
-            # a uniform H is its own minimum-cardinality subgraph, so the
-            # reduction check above has counted its special weights
-            specials = built["special"][h]
-            yield check("m2_special_ge_n", "theorem", specials, n, specials >= n)
-            if shape.m == 1:
-                r = shape.uniform
-                rhs = 2**r + 2 ** (n - r) - 1
-                yield check("m2_single_edge_count", "theorem", specials, rhs, specials == rhs)
-
-
-def _bounds(M: int, n: int, r_effs: set[int]) -> dict:
+def _bounds(M: int, n: int, r_eff: np.ndarray) -> dict:
     """Every bound the checks compare with at (n, M), the bounded-edge
-    bound per r in ``r_effs``."""
+    bound per hypergraph by its ``r_eff``; the two that need M >= 2 read 0
+    below it."""
     bounds = {
         "ta_shma": ta_shma_bound(M, n),
         "corollary_Y": corollary_Y_bound(M, n),
         "Y1": conjectured_Y1(M, n),
         "Y": conjectured_Y(M, n),
+        "main_theorem": 0,
+        "bounded_edge": 0,
     }
     if M >= 2:
         bounds["main_theorem"] = main_theorem_bound(M, n)
-        bounds["bounded_edge"] = {r: bounded_edge_bound(M, n, r) for r in r_effs}
+        by_r = {r: bounded_edge_bound(M, n, r) for r in set(r_eff.tolist())}
+        bounds["bounded_edge"] = np.array([by_r[r] for r in r_eff.tolist()], dtype=object)
     return bounds
+
+
+def _checks(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective, bounds: dict) -> list:
+    """The named checks on the instances (H, M, f), H in Hs, in the order
+    an instance lists them: (name, kind, lhs, relation, rhs, applies)
+    rows, where ``kind``, ``lhs``, ``rhs`` and ``applies`` are scalars or
+    arrays over Hs and a check holds where ``relation(lhs, rhs)``.  The
+    group is counted with one ``_count_many`` call and its constructions
+    are built in batches.
+
+    For zero-allowed objectives or hypergraphs with nested edges only the
+    universal (M-1)^n bound is claimed; the remaining machinery assumes an
+    inclusion-free hypergraph and strictly positive objective.
+    """
+    n = Hs[0].n
+    total, layer1 = _count_many(Hs, M, f)
+    built = _constructions(Hs, shape, M, f)
+    ge, eq = np.greater_equal, np.equal
+    plain = shape.simple & (not f.zero_allowed)
+    M_ge_2, M_is_2 = plain & (M >= 2), plain & (M == 2)
+    with_B = M_ge_2 & shape.with_B
+    # a uniform H is its own minimum-cardinality subgraph, so the
+    # reduction check has counted its special weights
+    uniform = M_is_2 & (shape.uniform > 0)
+    r = shape.uniform.astype(object)
+    single_edge = 2**r + 2 ** (n - r) - 1
+    kind = np.where(shape.proven | (M <= 2), "theorem", "conjecture")
+    right, charge, images, specials = (built[k] for k in ("right", "charge", "images", "special"))
+    return [
+        ("total_ge_zero_weight_bound", "theorem", total, ge, bounds["ta_shma"], ~plain),
+        ("total_ge_ta_shma", "theorem", total, ge, bounds["ta_shma"], plain),
+        ("total_ge_layered_bound", "theorem", total, ge, bounds["corollary_Y"], plain),
+        ("layer1_ge_main_theorem", "theorem", layer1, ge, bounds["main_theorem"], M_ge_2),
+        ("layer1_ge_bounded_edge", "theorem", layer1, ge, bounds["bounded_edge"], M_ge_2),
+        ("layer1_ge_conjecture2", kind, layer1, ge, bounds["Y1"], plain),
+        ("total_ge_conjecture1", kind, total, ge, bounds["Y"], plain),
+        ("witnessA_right_isolating_layer1", "theorem", built["right_ok"], eq, right, M_ge_2),
+        ("witnessA_charge_identity", "theorem", charge, eq, right, M_ge_2),
+        ("witnessA_charge_bound", "theorem", charge, ge, bounds["main_theorem"], M_ge_2),
+        ("witnessB_per_node_charge", "theorem", built["least_B"], ge, 1, with_B),
+        ("witnessB_charge_bound", "theorem", built["charge_B"], ge, bounds["Y1"], with_B),
+        # on an inclusion-free H every min-weight edge is maximal, so this is
+        # the plain injection; a collision or an image that does not isolate
+        # its edge shows as a failed check here
+        ("injection_image_size", "theorem", images, eq, (M - 1) ** n, M_ge_2),
+        ("injection_images_isolating", "theorem", built["images_ok"], eq, images, M_ge_2),
+        ("m2_special_subset_of_Z", "theorem", built["special_bad"], eq, 0, M_is_2),
+        ("m2_layer1_ge_n", "theorem", layer1, ge, n, M_is_2),
+        ("m2_special_ge_n", "theorem", specials, ge, n, uniform),
+        ("m2_single_edge_count", "theorem", specials, eq, single_edge, uniform & (shape.m == 1)),
+    ]
+
+
+def _at(value, h: int) -> str:
+    """The text of a check table's value, a scalar or an array over the
+    walk, at hypergraph ``h``."""
+    return str(value[h] if isinstance(value, np.ndarray) else value)
 
 
 def walk_checks(
@@ -249,34 +227,36 @@ def walk_checks(
     objectives: Sequence[tuple[int, Objective]],
     *,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[CheckResult]:
-    """Every applicable check on each instance (H, M, f), for H in Hs,
-    hypergraphs on one n, and (M, f) in ``objectives``: hypergraph by
-    hypergraph, each in the order of ``objectives``.  Each (M, f) is
+) -> tuple[int, list[CheckResult]]:
+    """Run every applicable check on each instance (H, M, f), for H in Hs,
+    hypergraphs on one n, and (M, f) in ``objectives``, and return how
+    many ran and the failed ones: hypergraph by hypergraph, each in the
+    order of ``objectives``, then of the check table.  Each (M, f) is
     counted and built as one batch over Hs, after every scan was checked
     against ``budget`` and the objective's range."""
     n = Hs[0].n
     for M, f in objectives:
         _check(f, M, M**n, budget, f"{M}^{n} = ")
-    shapes = [_shape(H) for H in Hs]
-    r_effs = {s.r_eff for s in shapes}
-    bounds = {M: _bounds(M, n, r_effs) for M in dict.fromkeys(M for M, _ in objectives)}
-    groups = [
-        _Group(
-            M,
-            f,
-            bounds[M],
-            *(counts.tolist() for counts in _count_many(Hs, M, f)),
-            _constructions(Hs, shapes, M, f) if M >= 2 and not f.zero_allowed else None,
-        )
-        for M, f in objectives
+    shape = _shape(Hs)
+    bounds = {M: _bounds(M, n, shape.r_eff) for M in dict.fromkeys(M for M, _ in objectives)}
+    checks_run, failed = 0, []
+    for j, (M, f) in enumerate(objectives):
+        for k, (name, kind, lhs, relation, rhs, applies) in enumerate(
+            _checks(Hs, shape, M, f, bounds[M])
+        ):
+            checks_run += int(np.count_nonzero(applies))
+            for h in np.flatnonzero(applies & ~relation(lhs, rhs)).tolist():
+                failed.append((h, j, k, name, *(_at(x, h) for x in (kind, lhs, rhs))))
+
+    @functools.cache
+    def instance(h: int, j: int) -> dict:
+        M, f = objectives[j]
+        return {"hypergraph": Hs[h].to_json_dict(), "M": M, "objective": f.to_json_dict()}
+
+    return checks_run, [
+        CheckResult(name, kind, lhs, rhs, False, instance(h, j))
+        for h, j, _, name, kind, lhs, rhs in sorted(failed)
     ]
-    objective_docs = [g.f.to_json_dict() for g in groups]
-    for h, (H, shape) in enumerate(zip(Hs, shapes)):
-        hypergraph = H.to_json_dict()
-        for group, objective in zip(groups, objective_docs):
-            doc = {"hypergraph": hypergraph, "M": group.M, "objective": objective}
-            yield from _instance(group, h, shape, n, doc)
 
 
 @dataclass(frozen=True)
@@ -287,21 +267,6 @@ class VerifySummary:
     instances: int
     ok: bool
     violations: tuple[CheckResult, ...]
-
-
-def summarize(results: Iterable[CheckResult], instances: int) -> VerifySummary:
-    """Count ``results``, read once, and keep only the failed checks."""
-    checks_run, violations = 0, []
-    for r in results:
-        checks_run += 1
-        if not r.holds:
-            violations.append(r)
-    return VerifySummary(
-        checks_run=checks_run,
-        instances=instances,
-        ok=not violations,
-        violations=tuple(violations),
-    )
 
 
 def verify_grid(
@@ -318,5 +283,14 @@ def verify_grid(
         (tuple(walk), [(M, f) for M in M_values for f in families[M]])
         for _, families, walk in _grid(walks, M_values, preset_objectives, budget)
     ]
-    checks = (r for Hs, objectives in grid for r in walk_checks(Hs, objectives, budget=budget))
-    return summarize(checks, sum(len(Hs) * len(objectives) for Hs, objectives in grid))
+    checks_run, violations = 0, []
+    for Hs, objectives in grid:
+        run, failed = walk_checks(Hs, objectives, budget=budget)
+        checks_run += run
+        violations += failed
+    return VerifySummary(
+        checks_run=checks_run,
+        instances=sum(len(Hs) * len(objectives) for Hs, objectives in grid),
+        ok=not violations,
+        violations=tuple(violations),
+    )

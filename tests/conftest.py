@@ -1,10 +1,12 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
+import numpy as np
 from hypothesis import strategies as st
 
-from isobench import Hypergraph, Objective
+from isobench import Hypergraph, Objective, verify
 
 
 @st.composite
@@ -49,3 +51,30 @@ def counting_instances(draw, max_n=3, max_M=3):
     M = draw(st.integers(1, max_M))
     f = draw(increasing_objectives(M))
     return H, M, f
+
+
+class CheckRow(NamedTuple):
+    """One applicable check on one instance, as ``verify``'s check table
+    gives it, passing or not."""
+
+    name: str
+    kind: str
+    lhs: str
+    rhs: str
+    holds: bool
+
+
+def check_rows(Hs, objectives):
+    """Every applicable check on each instance (H, M, f), for H in Hs and
+    (M, f) in ``objectives``, expanded from ``verify``'s check table: a
+    list per hypergraph of a list per objective of rows, in table order."""
+    shape = verify._shape(Hs)
+    rows = [[[] for _ in objectives] for _ in Hs]
+    for j, (M, f) in enumerate(objectives):
+        bounds = verify._bounds(M, Hs[0].n, shape.r_eff)
+        for name, kind, lhs, relation, rhs, applies in verify._checks(Hs, shape, M, f, bounds):
+            holds = np.broadcast_to(relation(lhs, rhs), applies.shape)
+            for h in np.flatnonzero(applies).tolist():
+                texts = (verify._at(x, h) for x in (kind, lhs, rhs))
+                rows[h][j].append(CheckRow(name, *texts, bool(holds[h])))
+    return rows

@@ -46,12 +46,16 @@ def h12_path(tmp_path):
     return str(path)
 
 
-def triple_conjectures(monkeypatch, module):
-    """Triple both conjectured minima as ``module`` reads them, so that
-    most instances fall below them."""
-    for name in ("conjectured_Y", "conjectured_Y1"):
+MINIMA = ("conjectured_Y", "conjectured_Y1")
+BOUNDS = ("ta_shma_bound", "corollary_Y_bound", "main_theorem_bound", "bounded_edge_bound", *MINIMA)
+
+
+def triple_bounds(monkeypatch, module, names=MINIMA):
+    """Triple the bounds ``names``, both conjectured minima by default, as
+    ``module`` reads them, so that most instances fall below them."""
+    for name in names:
         bound = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda M, n, bound=bound: 3 * bound(M, n))
+        monkeypatch.setattr(module, name, lambda *args, bound=bound: 3 * bound(*args))
 
 
 def sha256(text):
@@ -242,6 +246,25 @@ class TestVerify:
         digest = "87e9d18488ab0fd8fa082667f65163f20888debeee6ef0d8844118d817f90751"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_records_only_the_failed_checks(self, capsys, monkeypatch):
+        """A passing check builds no record; a failed one builds one, kept
+        in the report."""
+        built = []
+
+        class Counted(isobench.verify.CheckResult):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(isobench.verify, "CheckResult", Counted)
+        argv = ["verify", "--n-max", "3", "--M", "2,3"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] and built == []
+        triple_bounds(monkeypatch, isobench.verify, BOUNDS)
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["ok"] and len(doc["violations"]) == len(built) > 0
+
     def test_failed_internal_check_exits_4(self, s2_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("pivot descent failed to isolate edge (1,) at weight (1, 2)")
@@ -269,13 +292,28 @@ class TestVerify:
             "82d36ad767442112de153c0c9b66e6bf03453f42a7aa92c3682be396913c9152",
             "bfdf7577e1663be8b94bf0d28f72d5e02a8846f2b3e516848f169c7fe0fd0e70",
         ),
+        # every bound the checks read tripled, so that theorem and
+        # conjecture checks fail at several positions of one instance and
+        # the order, kinds and texts of the failed checks are pinned;
+        # recorded before the checks became one table of array comparisons
+        "--n-max 3 --M 2,3 (tripled bounds)": (
+            1,
+            "363daa40e43dc3a8d86c92561fcce6905f1fffea7b56e3f88ed3bf65cccacd56",
+            "a21749fc6c2b5fdcbaabc30ec87bc268b3ded2da2a476669762e5e1a0e56fc98",
+        ),
+        "--hypergraph {c4} --M 2,3,4 (tripled bounds)": (
+            1,
+            "53882beee51e4a49046f2b9836a78bc29d54fcb50be354b5b675f2a084805401",
+            "013a98d3591087da057e865d0fc8ede289b6cdc1c6143c7be8a101e85259d17a",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_golden_outputs(self, case, c4_path, capsys, monkeypatch):
-        argv, tripled, _ = case.partition(" (tripled minima)")
+        argv, _, tripled = case.partition(" (tripled ")
         if tripled:
-            triple_conjectures(monkeypatch, isobench.verify)
+            names = BOUNDS if tripled == "bounds)" else MINIMA
+            triple_bounds(monkeypatch, isobench.verify, names)
         code, *digests = self.GOLDEN[case]
         for fmt, digest in zip(("json", "csv"), digests):
             assert main(["verify", *argv.format(c4=c4_path).split(), "--format", fmt]) == code
@@ -360,7 +398,7 @@ class TestSearch:
     def test_golden_violations(self, capsys, monkeypatch):
         # sha256 of stdout with both minima tripled, so that the report
         # lists violations; recorded before reports became plain dataclasses
-        triple_conjectures(monkeypatch, isobench.search)
+        triple_bounds(monkeypatch, isobench.search)
         digests = (
             "716e119653e716029a1c2685a9bcfa188d1682a89ac0f4f970c12fe006c4414a",
             "fcf6e2fb12b269a25ba01f4190e0c8803420ec01bd79c27a18bd4617002065f6",
@@ -386,6 +424,26 @@ class TestSearch:
 
     def test_unknown_strategy(self, capsys):
         assert main(["search", "--n-max", "2", "--M", "2", "--strategy", "mystery"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["integers:3:9", "random:2:x", "random:", "integers:", "random:x", "random: 2", "random:2.0"],
+    )
+    def test_strategy_takes_exactly_one_integer_field(self, spec, capsys):
+        assert main(["search", "--n-max", "2", "--M", "2", "--strategy", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: unknown strategy spec {spec!r}\n")
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("random:0", "random_rational strategy needs count >= 1"),
+            ("integers:-1", "exhaustive_integer strategy needs bound >= 1"),
+        ],
+    )
+    def test_strategy_field_below_one_refused(self, spec, message, capsys):
+        assert main(["search", "--n-max", "2", "--M", "2", "--strategy", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSample:

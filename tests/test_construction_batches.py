@@ -11,7 +11,6 @@ boundaries fall inside every group of hypergraphs with one edge count.
 """
 
 import itertools
-import json
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 import isobench.counting
 import isobench.verify
 import oracle
-from conftest import increasing_objectives, small_hypergraphs
+from conftest import check_rows, increasing_objectives, small_hypergraphs
 from isobench import (
     Hypergraph,
     Objective,
@@ -41,7 +40,6 @@ from isobench import (
 from isobench.constructions import _assert_isolates
 from isobench.counting import _CHUNK, _int64_safe, _membership
 from isobench.hypergraph import edge_vertices
-from isobench.verify import walk_checks
 
 SCALES = (1, 2**70)
 
@@ -242,19 +240,15 @@ def test_batched_checks_match_one_hypergraph_walks_and_references(M_values, scal
     they read equal the per-weight references'."""
     for n, Hs in grid_walks():
         objectives = [(M, _scaled(f, scale)) for M in M_values for f in preset_objectives(M, n)]
-        want = [r for H in Hs for r in walk_checks((H,), objectives)]
+        want = [check_rows((H,), objectives)[0] for H in Hs]
         for gather in (7, 200):
             with mock.patch.object(isobench.counting, "_GATHER", gather), mock.patch.object(
                 isobench.verify, "_GATHER", gather
             ):
-                assert list(walk_checks(Hs, objectives)) == want
-        seen = {}
-        for r in want:
-            instance = (json.dumps(r.instance["hypergraph"]), r.instance["M"], json.dumps(r.instance["objective"]))
-            seen.setdefault(instance, {})[r.name] = (r.lhs, r.rhs)
-        for H in Hs:
-            for M, f in objectives:
-                got = seen[(json.dumps(H.to_json_dict()), M, json.dumps(f.to_json_dict()))]
+                assert check_rows(Hs, objectives) == want
+        for H, per_objective in zip(Hs, want):
+            for (M, f), rows in zip(objectives, per_objective):
+                got = {r.name: (r.lhs, r.rhs) for r in rows}
                 if "witnessA_charge_identity" not in got:
                     assert list(got) == ["total_ge_zero_weight_bound"]
                     continue

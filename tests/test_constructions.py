@@ -279,7 +279,8 @@ class TestWitnessBudget:
         with pytest.raises(BudgetExceededError, match=r"^3\^3 = 27 weight evaluations exceed budget 26$"):
             list(walk_checks((h,), objectives, budget=26))
         assert seen == []
-        assert all(r.holds for r in walk_checks((h,), objectives, budget=27))
+        checks_run, failed = walk_checks((h,), objectives, budget=27)
+        assert checks_run > 0 and failed == []
         assert seen == ["pivot descent", "next-vertex descent"]
 
 

@@ -10,13 +10,14 @@ from isobench import (
     tashma_injection_maximal,
     zero_based_identity,
 )
+from conftest import check_rows
 from isobench.counting import _membership
-from isobench.verify import CheckResult, summarize, verify_grid, walk_checks
+from isobench.verify import verify_grid, walk_checks
 
 
 def instance_checks(H, M, f):
-    """The checks on one instance: a batch of one."""
-    return list(walk_checks((H,), [(M, f)]))
+    """The checks on one instance, passing or not: a batch of one."""
+    return check_rows((H,), [(M, f)])[0][0]
 
 
 class TestInstanceChecks:
@@ -68,19 +69,12 @@ class TestInstanceChecks:
         for name, (images, bad) in broken.items():
             report = (domain, edges, np.array(images), np.array(bad))
             monkeypatch.setattr(isobench.verify, "_injection", lambda *a, report=report: report)
-            failed = [r for r in instance_checks(H, 3, f) if not r.holds]
+            failed = walk_checks((H,), [(3, f)])[1]
             assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]
             assert failed[0].instance["hypergraph"] == H.to_json_dict()
 
 
 class TestSummaries:
-    def test_summarize_flags_failures(self):
-        good = CheckResult("x", "theorem", "2", "1", True, {})
-        bad = CheckResult("y", "conjecture", "0", "1", False, {})
-        summary = summarize([good, bad], instances=1)
-        assert not summary.ok
-        assert summary.violations == (bad,)
-
     def test_small_grid_clean(self):
         summary = verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2)], [2])
         assert summary.ok
