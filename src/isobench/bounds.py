@@ -70,8 +70,6 @@ def main_theorem_bound(M: int, n: int) -> int:
 def corollary_Y_bound(M: int, n: int) -> int:
     """2(M-1)^n - n * sum_{i=1}^{M-2} i^(n-1): the layer-summed (telescoped)
     lower bound on |Z|."""
-    if M < 1:
-        raise ValueError("corollary bound requires M >= 1")
     _check_mn(M, n)
     # _power_sum counts 0^0 = 1 at i = 0, which the sum from i = 1 leaves out
     return 2 * (M - 1) ** n - n * _power_sum(M - 1, n - 1) + (1 if n == 1 and M >= 2 else 0)

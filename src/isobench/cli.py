@@ -26,6 +26,7 @@ from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .search import (
     AsymptoticRow,
     ObjectiveStrategy,
+    SampleReport,
     compare_to_asymptotics,
     conjecture_search,
     sample_layer1,
@@ -46,7 +47,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-CSV_COLUMNS_ASYMPTOTIC = "quantity,n,M,phi,value,exact,h0,h1,h2,margin_h2,h2_applicable"
+# what a subcommand returns: its exit code, its JSON document and its CSV text
+_Result = tuple[int, object, str]
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -89,18 +91,10 @@ def _parse_strategy(spec: str, seed: int) -> ObjectiveStrategy:
 
 
 def _parse_m_list(spec: str) -> tuple[int, ...]:
-    values = tuple(int(part) for part in spec.split(","))
-    if not values:
-        raise ValueError("empty M list")
-    return values
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Comma-separated positive integers, such as ``2,3,4``."""
+    if re.fullmatch(r"0*[1-9][0-9]*(,0*[1-9][0-9]*)*", spec) is None:
+        raise ValueError(f"expected comma-separated positive integers, got {spec!r}")
+    return tuple(map(int, spec.split(",")))
 
 
 def _jsonable(value):
@@ -117,18 +111,34 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
-def asymptotic_rows_to_csv(rows: Iterable[AsymptoticRow]) -> str:
-    lines = [CSV_COLUMNS_ASYMPTOTIC]
-    for r in rows:
-        lines.append(
-            f"{r.quantity},{r.n},{r.M},{r.phi},{r.value!r},"
-            f"{'' if r.exact is None else r.exact},{r.h0!r},{r.h1!r},{r.h2!r},"
-            f"{r.margin_h2!r},{int(r.h2_applicable)}"
-        )
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool 0 or 1, a tuple its items joined
+    by ';', anything else its str (a float's str is its repr)."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def _csv(header: str, *rows: Sequence) -> str:
+    lines = [header, *(",".join(map(_cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count(args) -> int:
+def _records_csv(cls: type, records: Iterable) -> str:
+    """CSV text of dataclass records of ``cls``, one column per field."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    return _csv(",".join(names), *([getattr(r, name) for name in names] for r in records))
+
+
+def asymptotic_rows_to_csv(rows: Iterable[AsymptoticRow]) -> str:
+    return _records_csv(AsymptoticRow, rows)
+
+
+def _cmd_count(args) -> _Result:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise ValueError(f"--workers must be in 1..{cpus}, got {args.workers}")
@@ -136,18 +146,11 @@ def _cmd_count(args) -> int:
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
     p, q = success_probabilities(H, args.M, f, report)
-    if args.format == "csv":
-        text = (
-            "n,M,total,layer1,p,q\n"
-            f"{report.n},{report.M},{report.total},{report.layer1},{p},{q}\n"
-        )
-    else:
-        text = _json_text({**report.to_json_dict(), "p": p, "q": q})
-    _emit(text, args.out)
-    return EXIT_OK
+    row = (report.n, report.M, report.total, report.layer1, p, q)
+    return EXIT_OK, {**report.to_json_dict(), "p": p, "q": q}, _csv("n,M,total,layer1,p,q", row)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     if args.hypergraph is not None and args.n_max is not None:
         raise ValueError("--hypergraph and --n-max are mutually exclusive")
     if args.hypergraph is not None:
@@ -160,21 +163,14 @@ def _cmd_verify(args) -> int:
     else:
         raise ValueError("verify needs --hypergraph PATH or --n-max N")
     summary = verify_grid(walks, _parse_m_list(args.M), budget=args.budget)
-    if args.format == "csv":
-        lines = ["checks_run,instances,ok,violations"]
-        lines.append(
-            f"{summary.checks_run},{summary.instances},{int(summary.ok)},{len(summary.violations)}"
-        )
-        for v in summary.violations:
-            lines.append(f"# {v.kind} {v.name}: lhs={v.lhs} rhs={v.rhs}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json_text(summary)
-    _emit(text, args.out)
-    return EXIT_OK if summary.ok else EXIT_FINDING
+    row = (summary.checks_run, summary.instances, summary.ok, len(summary.violations))
+    csv = _csv("checks_run,instances,ok,violations", row) + "".join(
+        f"# {v.kind} {v.name}: lhs={v.lhs} rhs={v.rhs}\n" for v in summary.violations
+    )
+    return EXIT_OK if summary.ok else EXIT_FINDING, summary, csv
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Result:
     report = conjecture_search(
         args.n_max,
         _parse_m_list(args.M),
@@ -182,19 +178,13 @@ def _cmd_search(args) -> int:
         prune=args.prune,
         count_budget=args.budget,
     )
-    if args.format == "csv":
-        text = (
-            "n_max,M_values,instances,min_ratio_total,min_ratio_layer1,violations\n"
-            f"{report.n_max},{';'.join(map(str, report.M_values))},{report.instances},"
-            f"{report.min_ratio_total},{report.min_ratio_layer1},{len(report.violations)}\n"
-        )
-    else:
-        text = _json_text(report)
-    _emit(text, args.out)
-    return EXIT_OK if not report.violations else EXIT_FINDING
+    header = "n_max,M_values,instances,min_ratio_total,min_ratio_layer1,violations"
+    row = (report.n_max, report.M_values, report.instances, report.min_ratio_total,
+           report.min_ratio_layer1, len(report.violations))
+    return EXIT_FINDING if report.violations else EXIT_OK, report, _csv(header, row)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> _Result:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     H = _load_hypergraph(args.hypergraph)
@@ -207,20 +197,8 @@ def _cmd_sample(args) -> int:
         p=None if args.layer1 else report.exact,
         q=report.exact if args.layer1 else None,
     )
-    if args.format == "csv":
-        header = "kind,n,M,trials,seed,successes,draws,estimate,exact,phi,h0,h1,h2\n"
-        text = header + (
-            f"{report.kind},{report.n},{report.M},{report.trials},{report.seed},"
-            f"{report.successes},{report.draws},{report.estimate!r},"
-            f"{'' if report.exact is None else report.exact},{report.phi},"
-            f"{report.h0!r},{report.h1!r},{report.h2!r}\n"
-        )
-        if rows:
-            text += asymptotic_rows_to_csv(rows)
-    else:
-        text = _json_text({**_jsonable(report), "asymptotics": rows})
-    _emit(text, args.out)
-    return EXIT_OK
+    csv = _records_csv(SampleReport, [report]) + (asymptotic_rows_to_csv(rows) if rows else "")
+    return EXIT_OK, {**_jsonable(report), "asymptotics": rows}, csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,45 +206,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isobench",
         description="Exact enumeration and verification for isolating weight functions",
     )
+    # the flags every subcommand takes, and those of one (H, M, f) instance
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    every.add_argument("--format", choices=("json", "csv"), default="json")
+    every.add_argument("--out", default=None, help="output path (default: stdout)")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--hypergraph", required=True, help="path to a hypergraph JSON file")
+    instance.add_argument("--M", type=int, required=True, help="weight range size")
+    instance.add_argument(
+        "--objective", default="identity", help="identity | generic_high | generic_low | explicit:v1,v2,..."
+    )
+    instance.add_argument("--zero-allowed", action="store_true", dest="zero_allowed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, needs_hypergraph: bool) -> None:
-        if needs_hypergraph:
-            p.add_argument("--hypergraph", required=True, help="path to a hypergraph JSON file")
-        p.add_argument("--M", type=int, required=True, help="weight range size")
-        p.add_argument("--objective", default="identity", help="identity | generic_high | generic_low | explicit:v1,v2,...")
-        p.add_argument("--zero-allowed", action="store_true", dest="zero_allowed")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    p_count = sub.add_parser("count", help="exact isolating-weight counts")
-    common(p_count, needs_hypergraph=True)
+    p_count = sub.add_parser("count", help="exact isolating-weight counts", parents=[instance, every])
     p_count.add_argument("--workers", type=int, default=1, help="processes for the scan, 1..cpu count")
     p_count.set_defaults(func=_cmd_count)
 
-    p_verify = sub.add_parser("verify", help="check every applicable bound")
+    p_verify = sub.add_parser("verify", help="check every applicable bound", parents=[every])
     p_verify.add_argument("--hypergraph", default=None)
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     p_verify.add_argument("--M", required=True, help="comma-separated weight range sizes")
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_search = sub.add_parser("search", help="conjecture counterexample sweep")
+    p_search = sub.add_parser("search", help="conjecture counterexample sweep", parents=[every])
     p_search.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_search.add_argument("--M", required=True, help="comma-separated weight range sizes")
     p_search.add_argument("--strategy", default="presets", help="presets | random:COUNT | integers:BOUND")
     p_search.add_argument("--prune", action="store_true")
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_search.add_argument("--format", choices=("json", "csv"), default="json")
-    p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=_cmd_search)
 
-    p_sample = sub.add_parser("sample", help="seeded Monte Carlo estimates")
-    common(p_sample, needs_hypergraph=True)
+    p_sample = sub.add_parser("sample", help="seeded Monte Carlo estimates", parents=[instance, every])
     p_sample.add_argument("--trials", type=int, required=True)
     p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--layer1", action="store_true", help="sample layer-1 weights only")
@@ -283,7 +255,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors, matching the exit-code contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, doc, csv = args.func(args)
+        text = csv if args.format == "csv" else _json_text(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

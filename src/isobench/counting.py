@@ -149,12 +149,6 @@ def _table(f: Objective, n: int) -> np.ndarray:
     return _value_table(f.scaled, n)
 
 
-def _int64_safe(f: Objective, n: int) -> bool:
-    """Whether edge sums of f on n vertices are machine integers rather
-    than Python integers."""
-    return _table(f, n).dtype != object
-
-
 def _decode_rows(n: int, M: int) -> np.ndarray:
     """The rows of [M]^n in lexicographic order (first coordinate most
     significant), as an int64 array of shape (M^n, n)."""

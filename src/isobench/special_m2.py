@@ -105,7 +105,6 @@ def min_vertex_cover(G: Hypergraph) -> tuple[int, ...]:
                 mask |= 1 << (v - 1)
             if all(e & mask for e in G.edges):
                 return combo
-    return tuple(used)
 
 
 @dataclass(frozen=True)
@@ -148,15 +147,21 @@ def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdge
         raise ValueError("uniform cardinality must be >= 1")
     if (1 << H.n) > budget:
         raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
+
+    def cover(differences) -> tuple[int, ...]:
+        edges = tuple(sorted(set(differences), key=edge_vertices))
+        return min_vertex_cover(Hypergraph(H.n, edges, require_inclusion_free=False))
+
+    # the covers read nothing of the scan: a cover search too large refuses before it
+    others = [[o for o in H.edges if o != e] for e in H.edges]
+    covers = [
+        (cover(e & ~o for o in rest), cover(o & ~e for o in rest))
+        for e, rest in zip(H.edges, others)
+    ]
     _, special, first = _special_scan(_membership(H), np.ones((1, H.m), dtype=bool))
     hist = np.bincount(first[0, special[0]], minlength=H.m)
     reports = []
-    for t, e in enumerate(H.edges):
-        others = [o for o in H.edges if o != e]
-        h1_edges = tuple(sorted({e & ~o for o in others}, key=edge_vertices))
-        h2_edges = tuple(sorted({o & ~e for o in others}, key=edge_vertices))
-        c1 = min_vertex_cover(Hypergraph(H.n, h1_edges, require_inclusion_free=False))
-        c2 = min_vertex_cover(Hypergraph(H.n, h2_edges, require_inclusion_free=False))
+    for t, (e, (c1, c2)) in enumerate(zip(H.edges, covers)):
         s_lower = 2 ** (H.n - r - len(c2)) + 2 ** (r - len(c1)) - 1
         rich = len(c2) < H.n - r or len(c1) < r
         swaps = []

@@ -37,11 +37,16 @@ from .counting import (
     _rank_rows,
     _stacked_sums,
 )
+from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
 from .search import _grid
 from .special_m2 import _reduction
 from .weights import Objective, preset_objectives
 from .zero_weight import _injection
+
+# the most cells (rows times edges, or vertices when more) of one
+# hypergraph's construction stack, which is built unchunked
+_STACK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,13 @@ def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
     return _Shape(*map(np.array, zip(*rows)))
 
 
+def _stack_cells(n: int, M: int, m: int) -> int:
+    """Rows times edges (or vertices, when more) of the construction stack
+    of one hypergraph with m edges on n vertices at M >= 2."""
+    rows = max(2 * n * (M - 1) ** (n - 1), (M - 1) ** n, 2**n if M == 2 else 0)
+    return rows * max(m, n)
+
+
 def _constructions(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective) -> dict:
     """Build witness graphs A and B, the injection and, at M = 2, the
     special-weight reduction for every inclusion-free hypergraph of Hs on
@@ -93,12 +105,10 @@ def _constructions(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objecti
     out: dict = defaultdict(int)
     if M < 2 or f.zero_allowed:
         return out
-    n = Hs[0].n
-    rows = max(2 * n * (M - 1) ** (n - 1), (M - 1) ** n, 2**n if M == 2 else 0)
     plan = _plan(Hs)
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
-        per = max(1, _GATHER // (rows * max(cols.shape[1], n)))
+        per = max(1, _GATHER // _stack_cells(Hs[0].n, M, cols.shape[1]))
         for a in range(0, len(which), per):
             at, members = which[a : a + per], plan.members.T[cols[a : a + per]]
             for name, values in _batch(members, shape.with_B[at], M, f).items():
@@ -278,11 +288,21 @@ def verify_grid(
     """Run every instance check with the preset objectives on each
     hypergraph of each (n, walk) pair, such as (n, enumerate_hypergraphs(n))
     or (H.n, [H]), in order.  The grid is refused before its first check
-    when a walk or a scan exceeds its budget."""
+    when a walk or a scan exceeds its budget, or when one hypergraph's
+    construction stack would exceed _STACK_CELLS cells."""
     grid = [
         (tuple(walk), [(M, f) for M in M_values for f in families[M]])
         for _, families, walk in _grid(walks, M_values, preset_objectives, budget)
     ]
+    for Hs, objectives in grid:
+        built = [H.m for H in Hs if is_inclusion_free(H)]
+        for M in dict.fromkeys(M for M, f in objectives if M >= 2 and not f.zero_allowed):
+            cells = _stack_cells(Hs[0].n, M, max(built)) if built else 0
+            if cells > _STACK_CELLS:
+                raise BudgetExceededError(
+                    f"the constructions of one hypergraph on {Hs[0].n} vertices at M = {M}"
+                    f" stack {cells} cells, more than {_STACK_CELLS}"
+                )
     checks_run, violations = 0, []
     for Hs, objectives in grid:
         run, failed = walk_checks(Hs, objectives, budget=budget)

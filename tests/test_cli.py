@@ -10,6 +10,7 @@ import pytest
 
 import isobench.search
 import isobench.verify
+from isobench import Hypergraph, count_isolating, generic_high_objective, generic_low_objective
 from isobench.cli import EXIT_INTERNAL, build_parser, main
 
 
@@ -33,6 +34,13 @@ def h8_path(tmp_path):
 def c4_path(tmp_path):
     path = tmp_path / "c4.json"
     path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
+    return str(path)
+
+
+@pytest.fixture
+def c8_path(tmp_path):
+    path = tmp_path / "c8.json"
+    path.write_text(json.dumps({"n": 8, "edges": [[i, i % 8 + 1] for i in range(1, 9)]}))
     return str(path)
 
 
@@ -141,6 +149,32 @@ class TestCount:
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["count", "--M", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec,objective",
+        [("generic_high", generic_high_objective), ("generic_low", generic_low_objective)],
+    )
+    def test_generic_objectives(self, spec, objective, h8_path, capsys):
+        assert main(["count", "--hypergraph", h8_path, "--M", "3", "--objective", spec]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        with open(h8_path, encoding="utf-8") as fh:
+            H = Hypergraph.from_json_dict(json.load(fh))
+        report = count_isolating(H, 3, objective(3, H.n))
+        assert {k: v for k, v in doc.items() if k not in ("p", "q")} == json.loads(
+            json.dumps(report.to_json_dict())
+        )
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("explicit:1,2", "explicit objective has 2 values, expected M=3"),
+            ("bogus", "unknown objective spec 'bogus'"),
+        ],
+    )
+    def test_objective_spec_refused(self, spec, message, s2_path, capsys):
+        assert main(["count", "--hypergraph", s2_path, "--M", "3", "--objective", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_out_file(self, s2_path, tmp_path):
         out = tmp_path / "report.json"
@@ -335,18 +369,39 @@ class TestGridRefusals:
                 "verify --hypergraph {h12} --M 2,3,4 --budget 1000000",
                 "4^12 = 16777216 weight evaluations exceed budget 1000000",
             ),
+            # 9^8 rows fit the default budget; one unchunked stack of
+            # 2 * 8 * 8^7 left nodes times 8 columns does not
+            (
+                "verify --hypergraph {c8} --M 9",
+                "the constructions of one hypergraph on 8 vertices at M = 9"
+                " stack 268435456 cells, more than 4194304",
+            ),
         ],
     )
-    def test_refused_before_the_first_count(self, argv, message, h12_path, capsys, monkeypatch):
+    def test_refused_before_the_first_count(
+        self, argv, message, h12_path, c8_path, capsys, monkeypatch
+    ):
         def counted(*args, **kwargs):
             raise AssertionError("a refused grid was counted")
 
         monkeypatch.setattr(isobench.search, "_count_many", counted)
         monkeypatch.setattr(isobench.verify, "walk_checks", counted)
         monkeypatch.setattr(isobench.verify, "_count_many", counted)
-        assert main(argv.format(h12=h12_path).split()) == 3
+        assert main(argv.format(h12=h12_path, c8=c8_path).split()) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+class TestMList:
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    @pytest.mark.parametrize("spec", ["", "2,,3", "x", "0", "-1", "2,0"])
+    def test_only_positive_integers(self, command, spec, capsys):
+        assert main([command, "--n-max", "2", "--M", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: expected comma-separated positive integers, got {spec!r}\n",
+        )
 
 
 class TestSearch:
@@ -421,6 +476,14 @@ class TestSearch:
         assert main(["search", *argv.split()]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_missing_ratio_is_an_empty_cell(self, capsys):
+        # the one pruned hypergraph, the triangle, under three objectives at
+        # M = 1: both conjectured minima are 0 there, so neither ratio exists
+        assert main(["search", "--n-max", "3", "--M", "1", "--prune", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "n_max,M_values,instances,min_ratio_total,min_ratio_layer1,violations\n3,1,3,,,0\n"
+        )
 
     def test_unknown_strategy(self, capsys):
         assert main(["search", "--n-max", "2", "--M", "2", "--strategy", "mystery"]) == 2

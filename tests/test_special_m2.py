@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import oracle
 from conftest import small_hypergraphs
 from isobench import (
+    BudgetExceededError,
     Hypergraph,
+    build_witness_graph_A,
     check_min_cardinality_reduction,
     count_isolating,
     enumerate_hypergraphs,
@@ -18,8 +20,9 @@ from isobench import (
     random_uniform_hypergraph,
     rich_edge_report,
     singleton_hypergraph,
+    tashma_injection_maximal,
 )
-from isobench import cli
+from isobench import cli, special_m2
 from isobench.counting import _membership
 from isobench.hypergraph import edge_mask, edge_vertices
 from isobench.special_m2 import _special_scan, min_vertex_cover
@@ -204,3 +207,39 @@ class TestRichEdgeReport:
             assert len(er.cover1) <= min(r, h.m - 1)
             assert len(er.cover2) <= min(n - r, h.m - 1)
             assert er.rich == (len(er.cover2) < n - r or len(er.cover1) < r)
+
+
+class TestBuilderRefusals:
+    def test_cover_limit_refuses_before_the_scan(self, monkeypatch):
+        # 2^22 rows fit the default budget; each edge's H2 needs 21 vertices
+        def scanned(*args, **kwargs):
+            raise AssertionError("the special scan ran")
+
+        monkeypatch.setattr(special_m2, "_special_scan", scanned)
+        with pytest.raises(BudgetExceededError) as info:
+            rich_edge_report(singleton_hypergraph(22))
+        assert str(info.value) == "exact cover search limited to 20 vertices"
+
+    @pytest.mark.parametrize(
+        "build,M,f,message",
+        [
+            (build_witness_graph_A, 1, identity_objective(1), "witness graph requires M >= 2"),
+            (build_witness_graph_A, 3, identity_objective(2), "objective range 2 does not match M=3"),
+            (tashma_injection_maximal, 1, identity_objective(1), "injection requires M >= 2"),
+            (tashma_injection_maximal, 2, identity_objective(3), "objective range 3 does not match M=2"),
+        ],
+        ids=["witness-M1", "witness-range", "injection-M1", "injection-range"],
+    )
+    def test_range_refusals(self, build, M, f, message):
+        with pytest.raises(ValueError) as info:
+            build(singleton_hypergraph(2), M, f)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build", [rich_edge_report, check_min_cardinality_reduction], ids=["rich", "reduction"]
+    )
+    def test_budget_refusals(self, build):
+        args = () if build is rich_edge_report else (identity_objective(2),)
+        with pytest.raises(BudgetExceededError) as info:
+            build(singleton_hypergraph(4), *args, budget=15)
+        assert str(info.value) == "2^4 weight evaluations exceed budget 15"
