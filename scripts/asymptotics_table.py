@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from isobench import compare_to_asymptotics, conjectured_Y, conjectured_Y1
-from isobench.cli import _parse_m_list, asymptotic_rows_to_csv
+from isobench.cli import EXIT_USAGE, _parse_m_list, asymptotic_rows_to_csv
 
 
 def main() -> int:
@@ -40,7 +40,8 @@ def main() -> int:
             )
         ]
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sys.stdout.write(asymptotic_rows_to_csv(rows))
     return 0
 

@@ -46,8 +46,6 @@ from .weights import (
     generic_high_objective,
     generic_low_objective,
     identity_objective,
-    is_isolating,
-    layer,
     preset_objectives,
     random_objective,
     shift_objective_up,
@@ -80,9 +78,7 @@ __all__ = [
     "generic_low_objective",
     "h_eval",
     "identity_objective",
-    "is_isolating",
     "is_linear",
-    "layer",
     "main_theorem_bound",
     "one_degenerate_order",
     "power_set_hypergraph",

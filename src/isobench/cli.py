@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .bounds import success_probabilities
-from .counting import DEFAULT_BUDGET, count_isolating
+from .counting import DEFAULT_BUDGET, _check, count_isolating
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .search import (
@@ -143,6 +143,9 @@ def _cmd_count(args) -> _Result:
     if not 1 <= args.workers <= cpus:
         raise ValueError(f"--workers must be in 1..{cpus}, got {args.workers}")
     H = _load_hypergraph(args.hypergraph)
+    if args.M < 1:
+        raise ValueError("M must be a positive integer")
+    _check(None, args.M, args.M**H.n, args.budget, f"{args.M}^{H.n} = ")
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
     p, q = success_probabilities(H, args.M, f, report)

@@ -306,10 +306,10 @@ def _tally(
     return np.array(per_layer, dtype=np.int64), np.array(per_edge, dtype=np.int64)
 
 
-def _check(f: Objective, M: int, rows: int, budget: int, label: str = "") -> None:
+def _check(f: Optional[Objective], M: int, rows: int, budget: int, label: str = "") -> None:
     """Refuse a scan before any work: wrong objective range, or more rows
-    than the budget."""
-    if f.M != M:
+    than the budget (only that with no objective, before it is built)."""
+    if f is not None and f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
     if rows > budget:
         raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")

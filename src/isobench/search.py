@@ -52,6 +52,8 @@ class ObjectiveStrategy:
             raise ValueError("random_rational strategy needs count >= 1")
         if self.kind == "exhaustive_integer" and self.bound < 1:
             raise ValueError("exhaustive_integer strategy needs bound >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def candidates(self, M: int, n: int) -> list[Objective]:
         if self.kind == "presets":
@@ -117,22 +119,21 @@ def _grid(
     budget: int,
 ) -> list[tuple[int, dict, Iterator[Hypergraph]]]:
     """(n, objectives per M, walk) for each (n, walk) pair whose walk, an
-    iterable of hypergraphs on n vertices, yields a hypergraph.  Every walk
-    is started and every (n, M, f) scan checked against ``budget`` before
-    this returns, in the order a sweep one walk at a time meets them, so a
-    grid is refused with that sweep's first error before its first count."""
-    grid = []
+    iterable of hypergraphs on n vertices, yields a hypergraph.  Walk by
+    walk, each walk is started and its (n, M) scans of [M]^n checked
+    against ``budget``; only then are the objectives built.  So a grid is
+    refused before its first count, and a scan over budget before any
+    objective is built, which at a large M takes long."""
+    started = []
     for n, walk in walks:
-        families = {M: candidates(M, n) for M in M_values}
         walk = iter(walk)
         first = next(walk, None)
         if first is None:
             continue
         for M in M_values:
-            for f in families[M]:
-                _check(f, M, M**n, budget, f"{M}^{n} = ")
-        grid.append((n, families, itertools.chain([first], walk)))
-    return grid
+            _check(None, M, M**n, budget, f"{M}^{n} = ")
+        started.append((n, itertools.chain([first], walk)))
+    return [(n, {M: candidates(M, n) for M in M_values}, walk) for n, walk in started]
 
 
 def conjecture_search(
@@ -280,6 +281,8 @@ def _sample(
     estimate when M^n is at most both ``budget`` and _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
     table, slots = _table(f, H.n), _plan((H,)).slots

@@ -1,9 +1,8 @@
-"""Objective functions and weight-vector operations.
+"""Objective functions.
 
-A weight vector is a plain tuple ``w`` with ``w[i-1]`` in ``1..M`` giving
-the weight of vertex ``i``.  An Objective maps labels ``1..M`` to exact
-rationals; all isolation decisions are made in exact arithmetic by
-clearing denominators once and comparing integers (never floats).
+An Objective maps the weight labels ``1..M`` to exact rationals; all
+isolation decisions are made in exact arithmetic by clearing
+denominators once and comparing integers (never floats).
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-from .hypergraph import Hypergraph, edge_vertices
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,6 @@ class Objective:
         if not 1 <= label <= self.M:
             raise ValueError(f"label {label} out of range 1..{self.M}")
         return self.values[label - 1]
-
-    def int_table(self) -> list[int]:
-        """Scaled values 1-indexed by label (slot 0 is a dummy)."""
-        return [0, *self.scaled]
 
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "M": self.M}
@@ -119,79 +112,6 @@ def random_objective(M: int, rng, *, zero_allowed: bool = False) -> Objective:
 def preset_objectives(M: int, n: int) -> tuple[Objective, ...]:
     """The three preset objectives used throughout the verification suites."""
     return (identity_objective(M), generic_high_objective(M, n), generic_low_objective(M, n))
-
-
-# ---------------------------------------------------------------------------
-# Weight-vector operations
-
-
-def check_weight(w: Sequence[int], n: int, M: int) -> None:
-    if len(w) != n:
-        raise ValueError(f"weight vector has {len(w)} entries, expected {n}")
-    for x in w:
-        if not 1 <= x <= M:
-            raise ValueError(f"weight entry {x} out of range 1..{M}")
-
-
-def _scaled_edge_weights(H: Hypergraph, f: Objective, w: Sequence[int]) -> list[int]:
-    table = f.int_table()
-    out = []
-    for e in H.edges:
-        s = 0
-        for v in edge_vertices(e):
-            s += table[w[v - 1]]
-        out.append(s)
-    return out
-
-
-def min_weight_edges(H: Hypergraph, f: Objective, w: Sequence[int]) -> tuple[int, ...]:
-    """All edges attaining the minimum edge weight, in canonical order.
-
-    Raises ValueError for a hypergraph with no edges (there is no minimum
-    to speak of; the empty hypergraph is handled by ``is_isolating``).
-    """
-    if not H.edges:
-        raise ValueError("hypergraph has no edges")
-    check_weight(w, H.n, f.M)
-    sums = _scaled_edge_weights(H, f, w)
-    lo = min(sums)
-    return tuple(e for e, s in zip(H.edges, sums) if s == lo)
-
-
-def is_isolating(H: Hypergraph, f: Objective, w: Sequence[int]) -> bool:
-    """True iff exactly one min-weight edge exists.  By convention every
-    weight is isolating for an empty hypergraph."""
-    if not H.edges:
-        check_weight(w, H.n, f.M)
-        return True
-    return len(min_weight_edges(H, f, w)) == 1
-
-
-def isolating_edge(H: Hypergraph, f: Objective, w: Sequence[int]) -> Optional[int]:
-    """The unique min-weight edge, or None (not isolating, or empty H)."""
-    if not H.edges:
-        return None
-    mins = min_weight_edges(H, f, w)
-    return mins[0] if len(mins) == 1 else None
-
-
-def layer(w: Sequence[int]) -> int:
-    """Minimum entry of the weight vector."""
-    if not w:
-        raise ValueError("weight vector is empty")
-    return min(w)
-
-
-def subtract_indicator(w: Sequence[int], S: int) -> tuple[int, ...]:
-    """w - chi_S for a vertex-set bitmask S; entries in S must be >= 2."""
-    out = list(w)
-    for v in edge_vertices(S):
-        if v > len(out):
-            raise ValueError(f"vertex {v} beyond weight vector length {len(out)}")
-        if out[v - 1] < 2:
-            raise ValueError(f"entry {v} is 1; subtracting would leave the range")
-        out[v - 1] -= 1
-    return tuple(out)
 
 
 def shift_objective_up(f: Objective, j: int, M: int) -> Objective:

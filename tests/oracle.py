@@ -14,6 +14,16 @@ def edge_weight(values, w, edge):
     return sum((values[w[v - 1]] for v in edge), Fraction(0))
 
 
+def min_edges(edges, values, w):
+    sums = [edge_weight(values, w, e) for e in edges]
+    lo = min(sums)
+    return [k for k, s in enumerate(sums) if s == lo]
+
+
+def lower(w, vertices):
+    return tuple(x - 1 if v in vertices else x for v, x in enumerate(w, start=1))
+
+
 def classify(edges, values, w):
     """(isolating?, index of the isolated edge or None)."""
     if not edges:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from isobench import (
     Hypergraph,
     bounded_edge_bound,
@@ -30,9 +31,7 @@ from isobench import (
     enumerate_hypergraphs,
     h_eval,
     identity_objective,
-    is_isolating,
     is_linear,
-    layer,
     main_theorem_bound,
     one_degenerate_order,
     power_set_hypergraph,
@@ -182,7 +181,8 @@ def test_criterion_5_witness_graphs(sweep_grid):
     b_nodes = 0
     for H, M, f, rep in grid:
         G = build_witness_graph_A(H, M, f)
-        if not all(is_isolating(H, f, u) and layer(u) == 1 for u in G.right):
+        edges, values = H.vertex_sets(), [None, *f.values]
+        if not all(oracle.classify(edges, values, u)[0] and min(u) == 1 for u in G.right):
             failures.append(("A_right_nodes", H.vertex_sets(), M, f.kind))
         if G.total_charge() != len(G.right):
             failures.append(("A_charge_identity", H.vertex_sets(), M, f.kind))
@@ -254,7 +254,8 @@ def test_criterion_7_injections(sweep_grid):
         image = set(inj.values())
         if len(inj) != (M - 1) ** H.n or len(image) != len(inj):
             failures.append(("size", H.vertex_sets(), M, f.kind))
-        if not all(is_isolating(H, f, u) for u in image):
+        edges, values = H.vertex_sets(), [None, *f.values]
+        if not all(oracle.classify(edges, values, u)[0] for u in image):
             failures.append(("isolating", H.vertex_sets(), M, f.kind))
         if report.findings:
             failures.append(("findings", H.vertex_sets(), M, f.kind))

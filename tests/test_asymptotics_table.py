@@ -52,8 +52,8 @@ def test_reaches_large_M_over_n():
 
 
 def test_bad_input_is_one_error_line():
-    for args in (["--n", "2,x"], ["--M", ""], ["--M", "0"]):
+    for args in (["--n", "2,x"], ["--n", "2,,3"], ["--M", ""], ["--M", "0"]):
         done = run(*args)
-        assert done.returncode == 1
+        assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -10,6 +10,7 @@ import pytest
 
 import isobench.search
 import isobench.verify
+import isobench.weights
 from isobench import Hypergraph, count_isolating, generic_high_objective, generic_low_objective
 from isobench.cli import EXIT_INTERNAL, build_parser, main
 
@@ -391,6 +392,29 @@ class TestGridRefusals:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("verify --hypergraph {s2} --M 100000", "100000^2 = 10000000000"),
+            ("search --n-max 2 --M 100000", "100000^2 = 10000000000"),
+            ("count --hypergraph {s2} --M 100000", "100000^2 = 10000000000"),
+            # M = 500 fits the budget at n = 1 and n = 2, where the objectives
+            # would be built first under a walk-by-walk order
+            ("search --n-max 3 --M 2,500", "500^3 = 125000000"),
+        ],
+    )
+    def test_refused_before_any_objective_is_built(self, argv, message, s2_path, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("an objective was built")
+
+        monkeypatch.setattr(isobench.weights.Objective, "__post_init__", built)
+        assert main(argv.format(s2=s2_path).split()) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: {message} weight evaluations exceed budget 100000000\n",
+        )
+
 
 class TestMList:
     @pytest.mark.parametrize("command", ["verify", "search"])
@@ -507,6 +531,23 @@ class TestSearch:
     def test_strategy_field_below_one_refused(self, spec, message, capsys):
         assert main(["search", "--n-max", "2", "--M", "2", "--strategy", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sample --hypergraph {s2} --M 2 --trials 10 --seed -1",
+            "sample --hypergraph {s2} --M 2 --trials 10 --seed -1 --layer1",
+            "search --n-max 2 --M 2 --strategy presets --seed -1",
+            "search --n-max 2 --M 2 --strategy random:2 --seed -1",
+            "search --n-max 2 --M 2 --strategy integers:3 --seed -1",
+        ],
+    )
+    def test_negative_seed_refused(self, argv, s2_path, capsys):
+        assert main(argv.format(s2=s2_path).split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be >= 0, got -1\n")
 
 
 class TestSample:

@@ -48,33 +48,23 @@ def _scaled(f, scale):
     return Objective(f.M, tuple(v * scale for v in f.values))
 
 
-def _min_edges(edges, values, w):
-    sums = [oracle.edge_weight(values, w, e) for e in edges]
-    lo = min(sums)
-    return [k for k, s in enumerate(sums) if s == lo]
-
-
-def _lower(w, vertices):
-    return tuple(x - 1 if v in vertices else x for v, x in enumerate(w, start=1))
-
-
 def ref_injection(n, edges, M, values):
     mapping = {}
     for w in itertools.product(range(2, M + 1), repeat=n):
         if not edges:
             mapping[w] = w
             continue
-        k = _min_edges(edges, values, w)[0]
-        mapping[w] = _lower(w, edges[k])
+        k = oracle.min_edges(edges, values, w)[0]
+        mapping[w] = oracle.lower(w, edges[k])
     return mapping
 
 
 def pivot_descent(w, i, e):
-    return _lower(w, [v for v in e if v != i])
+    return oracle.lower(w, [v for v in e if v != i])
 
 
 def next_vertex_descent(w, i, e):
-    return _lower(w, [min([v for v in e if v > i], default=min(e))])
+    return oracle.lower(w, [min([v for v in e if v > i], default=min(e))])
 
 
 def ref_witness(n, edges, M, values, descend):
@@ -88,10 +78,10 @@ def ref_witness(n, edges, M, values, descend):
             if not edges:
                 targets.append([w])
                 continue
-            mins = _min_edges(edges, values, w)
+            mins = oracle.min_edges(edges, values, w)
             avoiding = [k for k in mins if i not in edges[k]]
             if avoiding:
-                targets.append([_lower(w, edges[avoiding[0]])])
+                targets.append([oracle.lower(w, edges[avoiding[0]])])
                 continue
             down = [descend(w, i, edges[k]) for k in mins[:2]]
             targets.append([w, down[0]] if len(mins) == 1 else down)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isobench.verify
+import oracle
 from conftest import counting_instances
 from isobench import (
     BudgetExceededError,
@@ -20,9 +21,7 @@ from isobench import (
     complement_singleton_hypergraph,
     enumerate_hypergraphs,
     identity_objective,
-    is_isolating,
     is_linear,
-    layer,
     main_theorem_bound,
     preset_objectives,
     singleton_hypergraph,
@@ -32,7 +31,6 @@ from isobench import cli, constructions
 from isobench.hypergraph import edge_mask
 from isobench.counting import _membership
 from isobench.verify import walk_checks
-from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 
 F = Fraction
 
@@ -69,11 +67,13 @@ class TestDescend:
                 for h in enumerate_hypergraphs(n):
                     if not h.edges:
                         continue
+                    edges = h.vertex_sets()
                     for f in fams:
+                        values = [None, *f.values]
                         for w, out in tashma_injection_maximal(h, M, f).mapping:
-                            e = min_weight_edges(h, f, w)[0]
-                            assert out == subtract_indicator(w, e)
-                            assert isolating_edge(h, f, out) == e
+                            k = oracle.min_edges(edges, values, w)[0]
+                            assert out == oracle.lower(w, edges[k])
+                            assert oracle.classify(edges, values, out) == (True, k)
 
 
 class TestPivotDescend:
@@ -89,26 +89,26 @@ class TestPivotDescend:
         pivot's are >= 2, and every min-weight edge of w holds the pivot."""
         for n in range(1, 4):
             for M in (2, 3):
-                f = identity_objective(M)
+                values = [None, *identity_objective(M).values]
                 for h in enumerate_hypergraphs(n):
                     if not h.edges:
                         continue
+                    vertex_sets = h.vertex_sets()
                     cases = []
                     for pivot in range(1, n + 1):
-                        bit = 1 << (pivot - 1)
                         others = [i for i in range(n) if i != pivot - 1]
                         for w in itertools.product(range(1, M + 1), repeat=n):
                             if any(w[i] < 2 for i in others):
                                 continue
-                            mins = min_weight_edges(h, f, w)
-                            if any(not (e & bit) for e in mins):
+                            mins = oracle.min_edges(vertex_sets, values, w)
+                            if any(pivot not in vertex_sets[k] for k in mins):
                                 continue
-                            cases.extend((w, pivot, h.edges.index(e)) for e in mins)
+                            cases.extend((w, pivot, k) for k in mins)
                     if not cases:
                         continue
                     W, pivots, edges = zip(*cases)
                     for out, e in zip(pivot_descents(h, W, pivots, edges).tolist(), edges):
-                        assert isolating_edge(h, f, tuple(out)) == h.edges[e]
+                        assert oracle.classify(vertex_sets, values, tuple(out)) == (True, e)
 
 
 class TestNextVertex:
@@ -159,12 +159,13 @@ class TestInjection:
         inj = self.injection(h, M, f)
         assert len(inj) == (M - 1) ** h.n
         assert len(set(inj.values())) == len(inj)
+        edges, values = h.vertex_sets(), [None, *f.values]
         for w, image in inj.items():
-            assert is_isolating(h, f, image)
+            isolating, k = oracle.classify(edges, values, image)
+            assert isolating
             if h.edges:
-                e = isolating_edge(h, f, image)
                 restored = tuple(
-                    x + 1 if (e >> i) & 1 else x for i, x in enumerate(image)
+                    x + 1 if v in edges[k] else x for v, x in enumerate(image, start=1)
                 )
                 assert restored == w
 
@@ -195,8 +196,9 @@ class TestWitnessGraphA:
             return
         G = build_witness_graph_A(h, M, f)
         # charged right nodes are isolating with layer 1
+        edges, values = h.vertex_sets(), [None, *f.values]
         for u in G.right:
-            assert is_isolating(h, f, u) and layer(u) == 1
+            assert oracle.classify(edges, values, u)[0] and min(u) == 1
         # the charge identity and the theorem-level bound
         assert G.total_charge() == len(G.right)
         assert G.total_charge() >= main_theorem_bound(M, h.n)
@@ -243,8 +245,9 @@ class TestWitnessGraphB:
         assert all(len(nbrs) <= 2 for nbrs in G.adjacency)
         assert all(c >= 1 for c in G.charges)
         assert G.total_charge() >= h.n * (M - 1) ** (h.n - 1)
+        edges, values = h.vertex_sets(), [None, *f.values]
         for u in G.right:
-            assert is_isolating(h, f, u) and layer(u) == 1
+            assert oracle.classify(edges, values, u)[0] and min(u) == 1
 
 
 class TestWitnessBudget:

@@ -1,8 +1,9 @@
 """The package's public surface: ``isobench`` exports only names that its
 callers use, meaning the CLI, the scripts, the benchmark harness and the
 acceptance suite, so a name that only unit tests reach does not creep
-back into ``__init__``; and no module keeps a public function or class
-that nothing but unit tests reaches."""
+back into ``__init__``; and nothing public in a module, neither a
+function or class nor a method or property of a public class, is reached
+only by unit tests."""
 
 import ast
 import types
@@ -52,21 +53,21 @@ def test_all_lists_every_export():
     assert sorted(isobench.__all__) == sorted(exports())
 
 
-# per-weight references that the batched tests check the kernels against
-REFERENCES = {"weights.isolating_edge", "weights.subtract_indicator"}
+def definitions(path: Path):
+    """(qualified name, name) of each public function and class of the
+    module, and of each public method and property of its public classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
 def test_every_public_definition_has_a_caller():
     used = set().union(*map(identifiers, (*MODULES, *CALLERS)))
-    unused = {
-        f"{path.stem}.{node.name}"
-        for path in MODULES
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-    }
-    assert sorted(unused - REFERENCES) == []
+    unused = {qualified for path in MODULES for qualified, name in definitions(path) if name not in used}
+    assert sorted(unused) == []
 
 
 # document formats with conditional keys, and the count report whose

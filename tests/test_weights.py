@@ -12,17 +12,15 @@ from isobench import counting
 from isobench import (
     Hypergraph,
     Objective,
+    count_isolating,
     explicit_objective,
     generic_high_objective,
     generic_low_objective,
     identity_objective,
-    is_isolating,
-    layer,
     shift_objective_up,
     singleton_hypergraph,
 )
 from isobench.hypergraph import edge_mask
-from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 
 F = Fraction
 
@@ -75,7 +73,7 @@ class TestEdgeWeight:
     @staticmethod
     def edge_sum(f, w, vertices):
         h = Hypergraph.from_edges(len(w), [vertices], allow_empty_edge=True)
-        table = np.array(f.int_table(), dtype=np.int64)
+        table = counting._table(f, len(w))
         return int(counting._edge_sums(np.array([w]), table, counting._plan((h,)).slots)[0, 0])
 
     def test_identity_sum(self):
@@ -92,69 +90,48 @@ class TestEdgeWeight:
 
 
 class TestIsolation:
+    """The kernel's classify step, the package's one isolation decision,
+    on single weight rows."""
+
+    @staticmethod
+    def classify(H, f, W):
+        """(isolating mask, edges at the minimum) of each row of W."""
+        W = np.array(W, dtype=np.int64).reshape(-1, H.n)
+        sums = counting._edge_sums(W, counting._table(f, H.n), counting._plan((H,)).slots)
+        iso, at_min = counting._classify(sums)
+        return iso.tolist(), [tuple(e for e, hit in zip(H.edges, col) if hit) for col in at_min.T]
+
     def test_tie_detection(self):
         S2 = singleton_hypergraph(2)
         f = identity_objective(2)
-        assert min_weight_edges(S2, f, (2, 2)) == (1, 2)
-        assert not is_isolating(S2, f, (1, 1))
-        assert isolating_edge(S2, f, (2, 1)) == 2
+        iso, mins = self.classify(S2, f, [(2, 2), (1, 1), (2, 1)])
+        assert iso == [False, False, True]
+        assert mins == [(1, 2), (1, 2), (2,)]
 
     def test_min_weight_example(self):
         H = Hypergraph.from_edges(3, [[1, 2], [1, 3]])
-        assert min_weight_edges(H, identity_objective(3), (1, 2, 3)) == (edge_mask([1, 2], 3),)
+        assert self.classify(H, identity_objective(3), (1, 2, 3)) == ([True], [(edge_mask([1, 2], 3),)])
 
     def test_empty_hypergraph_convention(self):
         H = Hypergraph(2, ())
         f = identity_objective(2)
-        assert is_isolating(H, f, (2, 1))
-        assert isolating_edge(H, f, (2, 1)) is None
-        with pytest.raises(ValueError, match="no edges"):
-            min_weight_edges(H, f, (1, 1))
+        assert self.classify(H, f, (2, 1)) == ([True], [()])
+        assert count_isolating(H, 2, f).total == 4
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            min_weight_edges(singleton_hypergraph(2), identity_objective(2), (1, 3))
+        with pytest.raises(ValueError, match="objective range 2 does not match M=3"):
+            count_isolating(singleton_hypergraph(2), 3, identity_objective(2))
 
     @given(counting_instances(), st.integers(2, 9))
     @settings(max_examples=60)
     def test_argmin_invariant_under_scaling(self, instance, c):
         H, M, f = instance
         scaled = Objective(M, tuple(c * v for v in f.values))
-        for w in itertools.product(range(1, M + 1), repeat=H.n):
-            if H.edges:
-                assert min_weight_edges(H, f, w) == min_weight_edges(H, scaled, w)
-
-
-class TestLayer:
-    def test_examples(self):
-        assert layer((3, 1, 2)) == 1
-        assert layer((2, 2)) == 2
-        assert layer((4, 4, 4)) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            layer(())
-
-
-class TestSubtractIndicator:
-    def test_examples(self):
-        assert subtract_indicator((2, 3), edge_mask([1, 2], 2)) == (1, 2)
-        assert subtract_indicator((2, 3), 0) == (2, 3)
-
-    def test_range_violation(self):
-        with pytest.raises(ValueError):
-            subtract_indicator((1, 2), edge_mask([1], 2))
-
-    @given(small_hypergraphs(), st.data())
-    @settings(max_examples=40)
-    def test_roundtrip_with_addition(self, H, data):
-        S = data.draw(st.integers(0, 2**H.n - 1))
-        w = tuple(data.draw(st.integers(2, 4)) for _ in range(H.n))
-        down = subtract_indicator(w, S)
-        back = tuple(
-            x + 1 if (S >> i) & 1 else x for i, x in enumerate(down)
-        )
-        assert back == w
+        W = list(itertools.product(range(1, M + 1), repeat=H.n))
+        iso, mins = self.classify(H, f, W)
+        assert (iso, mins) == self.classify(H, scaled, W)
+        edges, values = H.vertex_sets(), [None, *f.values]
+        assert iso == [oracle.classify(edges, values, w)[0] for w in W]
 
 
 class TestObjectiveShifts:
@@ -178,13 +155,12 @@ class TestObjectiveShifts:
         H, M, f = instance
         j = data.draw(st.integers(1, M))
         g = shift_objective_up(f, j, M + j - 1)
+        edges, values, lifted = H.vertex_sets(), [None, *f.values], [None, *g.values]
         for w in itertools.product(range(j, M + j), repeat=H.n):
             if min(w) != j:
                 continue
             shifted = tuple(x - (j - 1) for x in w)
-            assert is_isolating(H, g, w) == is_isolating(H, f, shifted)
-            if H.edges:
-                assert isolating_edge(H, g, w) == isolating_edge(H, f, shifted)
+            assert oracle.classify(edges, lifted, w) == oracle.classify(edges, values, shifted)
 
 
 class TestGenericHighSemantics:
@@ -197,9 +173,9 @@ class TestGenericHighSemantics:
             return
         f = generic_high_objective(M, H.n)
         table = [None, *(Fraction((H.n + 1) ** k) for k in range(1, M + 1))]
-        vsets = [[v for v in range(1, H.n + 1) if (e >> (v - 1)) & 1] for e in H.edges]
+        vsets = H.vertex_sets()
         for w in itertools.product(range(1, M + 1), repeat=H.n):
             sums = [oracle.edge_weight(table, w, vs) for vs in vsets]
             lo = min(sums)
-            expected = tuple(e for e, s in zip(H.edges, sums) if s == lo)
-            assert min_weight_edges(H, f, w) == expected
+            expected = [k for k, s in enumerate(sums) if s == lo]
+            assert oracle.min_edges(vsets, [None, *f.values], w) == expected

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from isobench import (
     BudgetExceededError,
     Hypergraph,
@@ -19,8 +20,6 @@ from isobench import (
     zero_weight_tightness,
 )
 from isobench import counting
-from isobench.hypergraph import edge_vertices
-from isobench.weights import isolating_edge, min_weight_edges, subtract_indicator
 from isobench.zero_weight import InjectionFinding
 
 F = Fraction
@@ -96,18 +95,21 @@ class TestMaximalInjection:
 
 def ref_maximal_injection(H, M, f):
     """The maximal-edge injection one weight at a time: (mapping, findings,
-    injective) as ``tashma_injection_maximal`` reports them."""
+    injective) as ``tashma_injection_maximal`` reports them.  Edge weights
+    are summed from ``f.scaled``, the values the kernel reads, so that the
+    broken objectives of ``_reversed_table`` reach the reference too."""
+    edges, values = H.vertex_sets(), [None, *f.scaled]
     pairs, findings = [], []
     for w in itertools.product(range(2, M + 1), repeat=H.n):
         if not H.edges:
             pairs.append((w, w))
             continue
-        mins = min_weight_edges(H, f, w)
-        e = next(e for e in mins if not any(o != e and e & o == e for o in mins))
-        image = subtract_indicator(w, e)
+        mins = oracle.min_edges(edges, values, w)
+        k = next(k for k in mins if not any(set(edges[k]) < set(edges[o]) for o in mins))
+        image = oracle.lower(w, edges[k])
         pairs.append((w, image))
-        if isolating_edge(H, f, image) != e:
-            reason = f"image does not isolate edge {list(edge_vertices(e))}"
+        if oracle.classify(edges, values, image) != (True, k):
+            reason = f"image does not isolate edge {list(edges[k])}"
             findings.append(InjectionFinding(w, image, reason))
     first = {}
     for w, image in pairs:
