@@ -8,7 +8,6 @@ from .bounds import (
     corollary_Y_bound,
     h_eval,
     main_theorem_bound,
-    success_probabilities,
     ta_shma_bound,
 )
 from .constructions import (
@@ -91,7 +90,6 @@ __all__ = [
     "sample_uniform",
     "shift_objective_up",
     "singleton_hypergraph",
-    "success_probabilities",
     "ta_shma_bound",
     "tashma_injection_maximal",
     "verify_grid",

@@ -11,10 +11,6 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .counting import CountReport
-from .hypergraph import Hypergraph
-from .weights import Objective
-
 _DPS = 40  # significant digits of an h-function value
 _GUARD = 5  # extra working digits against rounding in exp and the quotients
 
@@ -121,15 +117,3 @@ def h_eval(which: str, phi) -> Decimal:
             value = x / em1 if which == "h1" else (2 * em1 - x) / (ex * em1)
         ctx.prec = _DPS
         return +value
-
-
-def success_probabilities(
-    H: Hypergraph, M: int, f: Objective, report: CountReport
-) -> tuple[Fraction, Fraction]:
-    """Exact (p, q): p = |Z| / M^n and q = |Z_1| / (M^n - (M-1)^n)."""
-    if report.n != H.n or report.M != M or f.M != M:
-        raise ValueError("report does not match the given (H, M, f)")
-    p = Fraction(report.total, M**H.n)
-    denom = M**H.n - (M - 1) ** H.n
-    q = Fraction(report.layer1, denom) if denom else Fraction(1)
-    return p, q

@@ -3,8 +3,8 @@
 Subcommands: count, verify, search, sample.  Identical configurations
 (including seeds) produce byte-identical output.  Exit codes: 0 success,
 1 mathematical finding (a violated inequality), 2 usage error, 3 budget
-exceeded, 4 failed internal check (a construction's descent, injection or
-tightness check did not hold, which means a bug).
+exceeded, 4 failed internal check (a witness-graph descent did not
+isolate its edge, or ``zero_weight_tightness`` miscounted: a bug).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .bounds import success_probabilities
 from .counting import DEFAULT_BUDGET, _check, count_isolating
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, enumerate_hypergraphs
@@ -148,9 +147,9 @@ def _cmd_count(args) -> _Result:
     _check(None, args.M, args.M**H.n, args.budget, f"{args.M}^{H.n} = ")
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
-    p, q = success_probabilities(H, args.M, f, report)
-    row = (report.n, report.M, report.total, report.layer1, p, q)
-    return EXIT_OK, {**report.to_json_dict(), "p": p, "q": q}, _csv("n,M,total,layer1,p,q", row)
+    row = (report.n, report.M, report.total, report.layer1, report.p, report.q)
+    doc = {**report.to_json_dict(), "p": report.p, "q": report.q}
+    return EXIT_OK, doc, _csv("n,M,total,layer1,p,q", row)
 
 
 def _cmd_verify(args) -> _Result:
@@ -191,6 +190,7 @@ def _cmd_sample(args) -> _Result:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     H = _load_hypergraph(args.hypergraph)
+    _check(None, args.M, args.trials, args.budget)
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     sampler = sample_layer1 if args.layer1 else sample_uniform
     report = sampler(H, args.M, f, args.trials, args.seed, budget=args.budget)

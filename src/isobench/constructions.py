@@ -46,11 +46,12 @@ def _assert_isolates(
     edges: np.ndarray,
     need: np.ndarray,
     what: str,
-) -> None:
+) -> np.ndarray:
     """Check in one batch that each row of W, shape (graphs, rows, n), where
     ``need`` holds isolates the edge of the same index in ``edges``
     (graphs, rows) of its hypergraph in the stack ``members``; name the
-    first row, hypergraph by hypergraph, that does not."""
+    first row, hypergraph by hypergraph, that does not.  Returns the
+    isolating mask of every row of W, (graphs, rows)."""
     iso, at_min = _classify(_stacked_sums(f, members, W))
     hit = np.take_along_axis(at_min, edges[:, None, :], axis=1)[:, 0]
     bad = need & ~(iso & hit)
@@ -60,16 +61,11 @@ def _assert_isolates(
         raise AssertionError(
             f"{what} failed to isolate edge {edge} at weight {tuple(W[g, k].tolist())}"
         )
+    return iso
 
 
 # ---------------------------------------------------------------------------
 # Witness graphs
-
-
-def _charge(a: int, b: int) -> Fraction:
-    """R(w) of a left node whose neighbours have degrees a and b, or only a
-    when b is 0: 1/a, or (a + b)/(ab)."""
-    return Fraction(a + b, a * b) if b else Fraction(1, a)
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,15 @@ class _Witnesses(NamedTuple):
     """The witness graphs of a stack of hypergraphs with one edge count, on
     their shared left nodes.  ``targets`` (graphs, left nodes, 2, n) holds
     each left node's targets, the second one charged only where ``two``,
-    and ``ids`` their right-node numbers, the second equal to the first
-    unless ``two``.  The right nodes are each graph's distinct charged
-    targets, graph by graph in order of first appearance: ``first`` is the
-    flat index of each in ``targets``' rows, ``degree`` its degree."""
+    ``isolating`` which of them isolate, and ``ids`` their right-node
+    numbers, the second equal to the first unless ``two``.  The right
+    nodes are each graph's distinct charged targets, graph by graph in
+    order of first appearance: ``first`` is the flat index of each in
+    ``targets``' rows, ``degree`` its degree."""
 
     left: np.ndarray
     targets: np.ndarray
+    isolating: np.ndarray
     two: np.ndarray
     ids: np.ndarray
     first: np.ndarray
@@ -126,32 +124,20 @@ class _Witnesses(NamedTuple):
         """The graph of each right node."""
         return self.first // (2 * self.left.shape[0])
 
-    def degree_pairs(self) -> np.ndarray:
-        """The degrees of each left node's neighbours, (graphs, left nodes,
-        2), the second 0 for a left node with one neighbour."""
-        return self.degree[self.ids] * np.stack([np.ones_like(self.two), self.two], axis=-1)
+    def shares(self) -> tuple[np.ndarray, int]:
+        """Each left node's charge R(w) as an integer share of one
+        denominator: (numerators (graphs, left nodes), den).  ``den`` is the
+        lcm of the right nodes' degrees and a right node's share is den //
+        degree; the numerators are Python integers, exact at any den."""
+        den = math.lcm(*set(self.degree.tolist()))
+        share = np.array([den // d for d in self.degree.tolist()], dtype=object)
+        return share[self.ids[..., 0]] + np.where(self.two, share[self.ids[..., 1]], 0), den
 
     def charges(self) -> tuple[list[Fraction], list[Fraction]]:
-        """The total and the least charge of each graph, from the counts of
-        its distinct degree pairs."""
-        pairs = self.degree_pairs()
-        c, top = pairs.shape[0], int(pairs.max()) + 1
-        keyed = (np.arange(c)[:, None] * top + pairs[..., 0]) * top + pairs[..., 1]
-        keys, counts = np.unique(keyed, return_counts=True)
-        graph, pair = np.divmod(keys, top * top)
-        distinct, which = np.unique(pair, return_inverse=True)
-        charge = [_charge(*divmod(p, top)) for p in distinct.tolist()]
-        den = math.lcm(*(q.denominator for q in charge))
-        num = [q.numerator * (den // q.denominator) for q in charge]
-        totals = [0] * c
-        for g, w, k in zip(graph.tolist(), which.tolist(), counts.tolist()):
-            totals[g] += k * num[w]
-        order = sorted(range(len(charge)), key=charge.__getitem__)
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        least = np.full(c, len(order), dtype=np.intp)
-        np.minimum.at(least, graph, rank[which])
-        return [Fraction(t, den) for t in totals], [charge[order[r]] for r in least.tolist()]
+        """The total and the least charge of each graph."""
+        num, den = self.shares()
+        sums, mins = num.sum(axis=1).tolist(), num.min(axis=1).tolist()
+        return [Fraction(t, den) for t in sums], [Fraction(t, den) for t in mins]
 
 
 def _pivot_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
@@ -183,12 +169,14 @@ def _witnesses(
     first min-weight edge, or to the descents along the first two
     min-weight edges.  ``step`` maps the charged edges' membership rows
     (graphs, left nodes, n) and the pivots to the vertices a descent
-    lowers.  Every descent is verified to isolate its edge, in one batch;
-    coincident targets merge into one simple edge."""
+    lowers.  Every target is classified once, in one batch, which verifies
+    that each descent isolates its edge; coincident targets merge into one
+    simple edge."""
     c, m, n = members.shape
     left = _left_nodes(n, M)
     targets = np.broadcast_to(left[:, None], (c, left.shape[0], 2, n))
     two = np.zeros((c, left.shape[0]), dtype=bool)
+    isolating = np.ones(two.shape + (2,), dtype=bool)
     if m:
         pivot = (left == 1).argmax(axis=1)
         iso, at_min = _classify(_stacked_sums(f, members, left))
@@ -203,20 +191,19 @@ def _witnesses(
         # slot 1 takes the descent along the first min edge when w is
         # isolating, else along the second; slot 0 along the first when not
         solo = iso[..., None]
-        later = np.where(solo, *down)
-        _assert_isolates(
-            f,
-            members,
-            np.concatenate([later, down[0]], axis=1),
-            np.concatenate([np.where(iso, first, second), first], axis=1),
-            np.concatenate([~free, ~free & ~iso], axis=1),
-            what,
-        )
         avoided = left - edge[g, avoiding.argmax(axis=2)]
         slot0 = np.where(free[..., None], avoided, np.where(solo, left, down[0]))
-        slot1 = np.where(free[..., None], left, later)
-        two = ~free & (slot0 != slot1).any(axis=2)
+        slot1 = np.where(free[..., None], left, np.where(solo, *down))
         targets = np.stack([slot0, slot1], axis=2)
+        isolating = _assert_isolates(
+            f,
+            members,
+            targets.reshape(c, -1, n),
+            np.stack([first, np.where(iso, first, second)], axis=2).reshape(c, -1),
+            np.stack([~free & ~iso, ~free], axis=2).reshape(c, -1),
+            what,
+        ).reshape(isolating.shape)
+        two = ~free & (slot0 != slot1).any(axis=2)
     used = np.stack([np.ones_like(two), two], axis=2)
     keys = _rank_rows(targets, M)[used]
     _, seen, inverse, degree = np.unique(
@@ -231,6 +218,7 @@ def _witnesses(
     return _Witnesses(
         left=left,
         targets=targets,
+        isolating=isolating,
         two=two,
         ids=ids,
         first=np.flatnonzero(used)[seen[order]],
@@ -240,8 +228,9 @@ def _witnesses(
 
 def _graph(W: _Witnesses) -> WitnessGraph:
     """The witness graph of a stack of one."""
-    keys = list(map(tuple, W.degree_pairs()[0].tolist()))
-    charge = {k: _charge(*k) for k in set(keys)}
+    num, den = W.shares()
+    shares = num[0].tolist()
+    charge = {k: Fraction(k, den) for k in set(shares)}
     adjacency = tuple(
         (a, b) if pair else (a,) for (a, b), pair in zip(W.ids[0].tolist(), W.two[0].tolist())
     )
@@ -249,7 +238,7 @@ def _graph(W: _Witnesses) -> WitnessGraph:
         left=tuple(map(tuple, W.left.tolist())),
         right=tuple(map(tuple, W.right.tolist())),
         adjacency=adjacency,
-        charges=tuple(map(charge.__getitem__, keys)),
+        charges=tuple(map(charge.__getitem__, shares)),
     )
 
 

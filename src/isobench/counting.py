@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,6 +76,18 @@ class CountReport:
     @property
     def layer1(self) -> int:
         return self.per_layer[0]
+
+    @property
+    def p(self) -> Fraction:
+        """|Z| / M^n, the chance that a uniform weight isolates."""
+        return Fraction(self.total, self.M**self.n)
+
+    @property
+    def q(self) -> Fraction:
+        """|Z_1| / (M^n - (M-1)^n), the chance that a uniform weight with
+        some entry 1 isolates (1 when there is none)."""
+        denom = self.M**self.n - (self.M - 1) ** self.n
+        return Fraction(self.layer1, denom) if denom else Fraction(1)
 
     def to_json_dict(self) -> dict:
         return {

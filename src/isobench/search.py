@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bounds import conjectured_Y, conjectured_Y1, h_eval, success_probabilities
+from .bounds import conjectured_Y, conjectured_Y1, h_eval
 from .counting import (
     DEFAULT_BUDGET,
     _check,
@@ -300,8 +300,8 @@ def _sample(
         accepted += W.shape[0]
     exact = None
     if M**H.n <= min(budget, _EXACT_BUDGET):
-        p, q = success_probabilities(H, M, f, count_isolating(H, M, f, budget=_EXACT_BUDGET))
-        exact = q if kind == "layer1" else p
+        report = count_isolating(H, M, f, budget=_EXACT_BUDGET)
+        exact = report.q if kind == "layer1" else report.p
     phi, h0, h1, h2 = _h_values(H.n, M)
     return SampleReport(
         kind=kind,

@@ -31,11 +31,9 @@ from .counting import (
     _GATHER,
     DEFAULT_BUDGET,
     _check,
-    _classify,
     _count_many,
     _plan,
     _rank_rows,
-    _stacked_sums,
 )
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
@@ -137,8 +135,7 @@ def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dic
         return count((keys[first] // M**n).astype(np.intp))
 
     A = _witnesses(members, M, f, _pivot_step, "pivot descent")
-    iso = _classify(_stacked_sums(f, members, A.targets.reshape(c, -1, n)))[0]
-    ok = iso.reshape(-1)[A.first] & (A.right.min(axis=1) == 1)
+    ok = A.isolating.reshape(-1)[A.first] & (A.right.min(axis=1) == 1)
     found = {"right": count(A.owner), "right_ok": count(A.owner[ok]), "charge": A.charges()[0]}
     if with_B.any():
         B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent")

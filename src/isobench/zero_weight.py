@@ -110,19 +110,13 @@ def tashma_injection_maximal(
         )
         for k in np.flatnonzero(bad[0]).tolist()
     ]
-    images = [img for _, img in pairs]
-    injective = len(set(images)) == len(images)
-    if not injective:
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for w, img in pairs:
-            if img in seen:
-                findings.append(
-                    InjectionFinding(weight=w, image=img, reason=f"collides with {seen[img]}")
-                )
-            else:
-                seen[img] = w
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for w, img in pairs:
+        first = seen.setdefault(img, w)
+        if first != w:
+            findings.append(InjectionFinding(weight=w, image=img, reason=f"collides with {first}"))
     return MaximalInjectionReport(
-        mapping=tuple(pairs), findings=tuple(findings), injective=injective
+        mapping=tuple(pairs), findings=tuple(findings), injective=len(seen) == len(pairs)
     )
 
 

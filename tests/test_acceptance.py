@@ -44,7 +44,6 @@ from isobench import (
     sample_uniform,
     shift_objective_up,
     singleton_hypergraph,
-    success_probabilities,
     ta_shma_bound,
     tashma_injection_maximal,
     zero_based_identity,
@@ -355,7 +354,7 @@ def test_criterion_10_samplers():
     H, M = singleton_hypergraph(6), 6
     f = identity_objective(6)
     rep = count_isolating(H, M, f)
-    p, q = success_probabilities(H, M, f, rep)
+    p, q = rep.p, rep.q
     assert (rep.total, rep.layer1) == (26550, 18750)
     T = 10**5
     failures = []

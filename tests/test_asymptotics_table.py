@@ -12,7 +12,6 @@ from isobench import (
     count_isolating,
     identity_objective,
     singleton_hypergraph,
-    success_probabilities,
 )
 from isobench.cli import asymptotic_rows_to_csv
 
@@ -34,8 +33,8 @@ def test_rows_match_brute_force_counts():
         H = singleton_hypergraph(n)
         for M in Ms:
             f = identity_objective(M)
-            p, q = success_probabilities(H, M, f, count_isolating(H, M, f))
-            rows.extend(compare_to_asymptotics(n, M, p=p, q=q))
+            rep = count_isolating(H, M, f)
+            rows.extend(compare_to_asymptotics(n, M, p=rep.p, q=rep.q))
     done = run("--n", ",".join(map(str, ns)), "--M", ",".join(map(str, Ms)))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == asymptotic_rows_to_csv(rows)

@@ -15,7 +15,6 @@ from isobench import (
     identity_objective,
     main_theorem_bound,
     singleton_hypergraph,
-    success_probabilities,
     ta_shma_bound,
 )
 from isobench.bounds import _power_sum
@@ -85,6 +84,15 @@ class TestClosedForms:
             for k in range(12):
                 assert _power_sum(M, k) == sum(i**k for i in range(M))
         assert _power_sum(10**6, 3) == (10**6 * (10**6 - 1) // 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "M,n,message", [(0, 2, "M must be >= 1"), (2, 0, "n must be >= 1")], ids=["M", "n"]
+)
+def test_range_refused(M, n, message):
+    with pytest.raises(ValueError) as info:
+        ta_shma_bound(M, n)
+    assert str(info.value) == message
 
 
 class TestIdentities:
@@ -194,27 +202,21 @@ class TestHFunctions:
 class TestSuccessProbabilities:
     def test_singleton_pair(self):
         H, M, f = singleton_hypergraph(2), 2, identity_objective(2)
-        p, q = success_probabilities(H, M, f, count_isolating(H, M, f))
-        assert (p, q) == (F(1, 2), F(2, 3))
+        rep = count_isolating(H, M, f)
+        assert (rep.p, rep.q) == (F(1, 2), F(2, 3))
 
     def test_empty(self):
         H, f = Hypergraph(2, ()), identity_objective(2)
-        p, q = success_probabilities(H, 2, f, count_isolating(H, 2, f))
-        assert (p, q) == (1, 1)
+        rep = count_isolating(H, 2, f)
+        assert (rep.p, rep.q) == (1, 1)
 
     def test_three_singletons(self):
         H, f = singleton_hypergraph(3), identity_objective(2)
-        p, q = success_probabilities(H, 2, f, count_isolating(H, 2, f))
-        assert (p, q) == (F(3, 8), F(3, 7))
+        rep = count_isolating(H, 2, f)
+        assert (rep.p, rep.q) == (F(3, 8), F(3, 7))
 
     def test_M1_denominator(self):
         H, f = singleton_hypergraph(2), identity_objective(1)
-        p, q = success_probabilities(H, 1, f, count_isolating(H, 1, f))
-        assert (p, q) == (0, 0)
-
-    def test_mismatched_report_rejected(self):
-        H, f = singleton_hypergraph(2), identity_objective(2)
-        rep = count_isolating(H, 2, f)
-        with pytest.raises(ValueError):
-            success_probabilities(singleton_hypergraph(3), 2, f, rep)
+        rep = count_isolating(H, 1, f)
+        assert (rep.p, rep.q) == (0, 0)
 

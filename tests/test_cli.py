@@ -177,6 +177,11 @@ class TestCount:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    def test_M_below_one_refused(self, s2_path, capsys):
+        assert main(["count", "--hypergraph", s2_path, "--M", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: M must be a positive integer\n")
+
     def test_out_file(self, s2_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["count", "--hypergraph", s2_path, "--M", "2", "--out", str(out)]) == 0
@@ -401,6 +406,7 @@ class TestGridRefusals:
             # M = 500 fits the budget at n = 1 and n = 2, where the objectives
             # would be built first under a walk-by-walk order
             ("search --n-max 3 --M 2,500", "500^3 = 125000000"),
+            ("sample --hypergraph {s2} --M 2 --trials 100000001 --seed 1", "100000001"),
         ],
     )
     def test_refused_before_any_objective_is_built(self, argv, message, s2_path, capsys, monkeypatch):

@@ -309,3 +309,28 @@ class TestRandomGenerators:
         assert set(h.cardinalities()) == {3}
         with pytest.raises(ValueError):
             random_uniform_hypergraph(3, 2, 10, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Hypergraph(2, (4,)), "edge 4 is not a subset of 1..2"),
+        (lambda: H(3, [1]).degree(4), "vertex 4 out of range 1..3"),
+        (
+            lambda: Hypergraph.from_json_dict({"n": 2, "edges": "12"}),
+            "malformed hypergraph document: edges must be a list, not str",
+        ),
+        (lambda: power_set_hypergraph(0), "n must be >= 1"),
+        (
+            lambda: disjoint_union(power_set_hypergraph(1), power_set_hypergraph(1)),
+            "both operands contain the empty edge; union would collapse them",
+        ),
+        (lambda: list(enumerate_hypergraphs(0)), "n must be >= 1"),
+        (lambda: random_uniform_hypergraph(3, 4, 1, np.random.default_rng(1)), "r must be in 1..3"),
+    ],
+    ids=["edge-range", "degree-range", "json-edges", "power-set-n", "union-empty", "enumerate-n", "uniform-r"],
+)
+def test_input_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

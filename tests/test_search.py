@@ -186,6 +186,11 @@ class TestObjectiveStrategy:
         with pytest.raises(ValueError):
             strat.candidates(2, 2)
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError) as info:
+            ObjectiveStrategy(kind="bogus")
+        assert str(info.value) == "unknown strategy kind 'bogus'"
+
 
 class TestSamplers:
     def test_uniform_consistency(self):

@@ -243,3 +243,16 @@ class TestBuilderRefusals:
         with pytest.raises(BudgetExceededError) as info:
             build(singleton_hypergraph(4), *args, budget=15)
         assert str(info.value) == "2^4 weight evaluations exceed budget 15"
+
+    @pytest.mark.parametrize(
+        "H,message",
+        [
+            (Hypergraph(2, ()), "hypergraph has no edges"),
+            (Hypergraph(2, (0,), allow_empty_edge=True), "uniform cardinality must be >= 1"),
+        ],
+        ids=["no-edges", "empty-edge"],
+    )
+    def test_rich_edge_report_refusals(self, H, message):
+        with pytest.raises(ValueError) as info:
+            rich_edge_report(H)
+        assert str(info.value) == message

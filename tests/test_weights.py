@@ -163,6 +163,25 @@ class TestObjectiveShifts:
             assert oracle.classify(edges, lifted, w) == oracle.classify(edges, values, shifted)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Objective(0, ()), "M must be a positive integer"),
+        (lambda: Objective(2, (F(1),)), "expected 2 values, got 1"),
+        (lambda: Objective(2, (F(-1), F(1)), zero_allowed=True), "objective values must be nonnegative"),
+        (lambda: Objective(2, (F(1), F(2)), kind="bogus"), "unknown objective kind 'bogus'"),
+        (lambda: identity_objective(2)(3), "label 3 out of range 1..2"),
+        (lambda: shift_objective_up(identity_objective(2), 0, 2), "layer index 0 out of range 1..2"),
+        (lambda: shift_objective_up(identity_objective(2), 2, 4), "objective has 2 labels, expected 3"),
+    ],
+    ids=["M", "length", "negative", "kind", "label", "shift-layer", "shift-labels"],
+)
+def test_input_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestGenericHighSemantics:
     @given(small_hypergraphs(max_n=3), st.integers(2, 3))
     @settings(max_examples=40)

@@ -11,6 +11,7 @@ from isobench import (
     Objective,
     count_isolating,
     explicit_objective,
+    identity_objective,
     power_set_hypergraph,
     random_hypergraph,
     random_objective,
@@ -19,7 +20,7 @@ from isobench import (
     zero_based_identity,
     zero_weight_tightness,
 )
-from isobench import counting
+from isobench import counting, zero_weight
 from isobench.zero_weight import InjectionFinding
 
 F = Fraction
@@ -74,6 +75,15 @@ class TestMaximalInjection:
     def test_rejects_M1(self):
         with pytest.raises(ValueError):
             tashma_injection_maximal(power_set_hypergraph(2), 1, zero_based_identity(1))
+
+    def test_domain_budget_refused_before_the_injection(self, monkeypatch):
+        def injected(*args, **kwargs):
+            raise AssertionError("the injection ran")
+
+        monkeypatch.setattr(zero_weight, "_injection", injected)
+        with pytest.raises(BudgetExceededError) as info:
+            tashma_injection_maximal(singleton_hypergraph(3), 3, identity_objective(3), budget=7)
+        assert str(info.value) == "domain size 8 exceeds budget 7"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_nested_instances_verify_clean(self, seed):
