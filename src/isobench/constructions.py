@@ -9,7 +9,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class _Witnesses(NamedTuple):
     numbers, the second equal to the first unless ``two``.  The right
     nodes are each graph's distinct charged targets, graph by graph in
     order of first appearance: ``first`` is the flat index of each in
-    ``targets``' rows, ``degree`` its degree."""
+    ``targets``' rows, ``degree`` its degree.  ``classified`` is the left
+    nodes' (isolating mask, edges at the minimum) as ``_classify`` gives
+    them, None with no edges."""
 
     left: np.ndarray
     targets: np.ndarray
@@ -114,6 +116,7 @@ class _Witnesses(NamedTuple):
     ids: np.ndarray
     first: np.ndarray
     degree: np.ndarray
+    classified: Optional[tuple[np.ndarray, np.ndarray]]
 
     @property
     def right(self) -> np.ndarray:
@@ -161,6 +164,7 @@ def _witnesses(
     f: Objective,
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     what: str,
+    classified: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> _Witnesses:
     """Charge each left node w, whose unique 1 sits at the pivot i, in each
     hypergraph of the stack ``members`` (graphs, m, n): if some min-weight
@@ -169,9 +173,11 @@ def _witnesses(
     first min-weight edge, or to the descents along the first two
     min-weight edges.  ``step`` maps the charged edges' membership rows
     (graphs, left nodes, n) and the pivots to the vertices a descent
-    lowers.  Every target is classified once, in one batch, which verifies
-    that each descent isolates its edge; coincident targets merge into one
-    simple edge."""
+    lowers.  ``classified``, when given, is the left nodes' classification
+    from another graph on the same stack, which is not redone.  Every
+    target is classified once, in one batch, which verifies that each
+    descent isolates its edge; coincident targets merge into one simple
+    edge."""
     c, m, n = members.shape
     left = _left_nodes(n, M)
     targets = np.broadcast_to(left[:, None], (c, left.shape[0], 2, n))
@@ -179,8 +185,9 @@ def _witnesses(
     isolating = np.ones(two.shape + (2,), dtype=bool)
     if m:
         pivot = (left == 1).argmax(axis=1)
-        iso, at_min = _classify(_stacked_sums(f, members, left))
-        at_min = at_min.swapaxes(1, 2)
+        if classified is None:
+            classified = _classify(_stacked_sums(f, members, left))
+        iso, at_min = classified[0], classified[1].swapaxes(1, 2)
         edge = members.astype(bool)
         avoiding = at_min & ~edge[:, :, pivot].swapaxes(1, 2)
         free = avoiding.any(axis=2)
@@ -223,6 +230,7 @@ def _witnesses(
         ids=ids,
         first=np.flatnonzero(used)[seen[order]],
         degree=degree[order],
+        classified=classified,
     )
 
 

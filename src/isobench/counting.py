@@ -27,12 +27,16 @@ hypergraph of a batch).  Explicit weight rows (the constructions' weights,
 the samplers' draws) go through the same classify step, and the samplers'
 draws through the same edge sums.
 
-Edge sums need no multiplication: a side's values are gathered once,
-vertex-major, under a zero row, and each edge adds the rows of its
-vertices, in the table's dtype.  The constructions' stacks of hypergraphs
-(``_stacked_sums``) keep a matmul: on at most 5 vertices one matmul costs
-fewer numpy calls than a gather through slots offset per hypergraph,
-which made ``verify --n-max 4 --M 2,3`` slower.
+Edge sums need no multiplication, and take two steps that the scans and
+the samplers share: ``_gather`` takes a side's (or a batch of draws')
+values once, vertex-major, over a zero padding row, and ``_slot_sums``
+adds, for each edge, the rows of its vertices, in the table's dtype.  The
+samplers also read layer-1 acceptance from the gathered values: a row
+holds a 1 exactly when its least value is the table's value of label 1,
+which is the table's unique least value.  The constructions' stacks of
+hypergraphs (``_stacked_sums``) keep a matmul: on at most 5 vertices one
+matmul costs fewer numpy calls than a gather through slots offset per
+hypergraph, which made ``verify --n-max 4 --M 2,3`` slower.
 """
 
 from __future__ import annotations
@@ -202,19 +206,22 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count == 1, at_min
 
 
-def _edge_sums(W: np.ndarray, table: np.ndarray, slots: np.ndarray, first: int = 0) -> np.ndarray:
-    """Weight of each edge of ``slots`` (a plan's vertex lists, padded with
-    n) over W's coordinates, which are the vertices first, first + 1, ...,
-    on each row of W: shape (edges, rows), in the table's dtype.  W's
-    values are gathered once, vertex-major, into rows that are zero for
-    the vertices before W and for the last row, onto which ``take`` clips
-    every index past W, the padding included.  Each edge then adds its
-    slots' rows, so no value is multiplied by 0 or 1."""
-    if not W.shape[1]:  # the prefix when the suffix takes every coordinate
-        return np.zeros((slots.shape[0], W.shape[0]), dtype=table.dtype)
+def _gather(W: np.ndarray, table: np.ndarray, first: int = 0) -> np.ndarray:
+    """The values of W's rows, whose coordinates are the vertices first,
+    first + 1, ..., gathered once, vertex-major: shape (first + W's
+    columns + 1, rows), in the table's dtype.  The rows of the vertices
+    before W are zero, and so is the last row, the padding onto which
+    ``_slot_sums`` clips every index past W."""
     values = np.zeros((first + W.shape[1] + 1, W.shape[0]), dtype=table.dtype)
     values[first:-1] = table[W].T
-    return np.add.reduce(values.take(slots, axis=0, mode="clip"), axis=1, dtype=table.dtype)
+    return values
+
+
+def _slot_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Weight of each edge of ``slots`` (a plan's vertex lists, padded with
+    n) over gathered ``values``: shape (edges, rows), in their dtype.  Each
+    edge adds its slots' rows, so no value is multiplied by 0 or 1."""
+    return np.add.reduce(values.take(slots, axis=0, mode="clip"), axis=1, dtype=values.dtype)
 
 
 def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -275,8 +282,8 @@ def _blocks(
     table = _table(f, Hs[0].n)
     prefix, prefix_low = (side[start:stop] for side in _suffix_table(p, M))
     suffix, suffix_low = _suffix_table(k, M)
-    pre_sums = _edge_sums(prefix, table, plan.slots)
-    suf_sums = _edge_sums(suffix, table, plan.slots, p)
+    pre_sums = _slot_sums(_gather(prefix, table), plan.slots)
+    suf_sums = _slot_sums(_gather(suffix, table, p), plan.slots)
     spans = [(0, prefix_low.size, suffix_low.size)]  # (first prefix, end, suffixes)
     if layer1:
         one = int(prefix_low.searchsorted(2))

@@ -17,8 +17,9 @@ from .counting import (
     _check,
     _classify,
     _count_many,
-    _edge_sums,
+    _gather,
     _plan,
+    _slot_sums,
     _table,
     count_isolating,
 )
@@ -276,9 +277,12 @@ def _sample(
 ) -> SampleReport:
     """Classify the first ``trials`` accepted rows of seeded uniform draws
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
-    rows with some entry 1 for ``layer1``.  More trials than ``budget`` are
-    refused before the first draw.  The exact probability comes with the
-    estimate when M^n is at most both ``budget`` and _EXACT_BUDGET."""
+    rows with some entry 1 for ``layer1``.  Each batch is gathered and
+    classified whole, rejected rows included; the accepted rows are a mask
+    over it, cleared after the ``trials``-th, so no row is copied.  More
+    trials than ``budget`` are refused before the first draw.  The exact
+    probability comes with the estimate when M^n is at most both
+    ``budget`` and _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -288,16 +292,20 @@ def _sample(
     table, slots = _table(f, H.n), _plan((H,)).slots
     successes = accepted = batches = 0
     while accepted < trials:
-        W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
+        values = _gather(rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64), table)
         batches += 1
+        iso = _classify(_slot_sums(values, slots))[0]
         if kind == "layer1":
-            hit = W[:, 0] == 1
-            for column in W.T[1:]:
-                hit |= column == 1
-            W = W[hit]
-        W = W[: trials - accepted]
-        successes += int(np.count_nonzero(_classify(_edge_sums(W, table, slots))[0]))
-        accepted += W.shape[0]
+            # f is strictly increasing and scaled by a positive lcm, so label
+            # 1 has the table's unique least value, in every dtype
+            keep = np.minimum.reduce(values[: H.n], axis=0) == table[1]
+        else:
+            keep = np.ones(_BATCH, dtype=bool)
+        need, kept = trials - accepted, int(np.count_nonzero(keep))
+        if kept > need:  # the last batch: only its first ``need`` accepted rows count
+            keep[np.flatnonzero(keep)[need] :] = False
+        successes += int(np.count_nonzero(iso & keep))
+        accepted += min(kept, need)
     exact = None
     if M**H.n <= min(budget, _EXACT_BUDGET):
         report = count_isolating(H, M, f, budget=_EXACT_BUDGET)

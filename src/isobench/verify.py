@@ -138,7 +138,9 @@ def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dic
     ok = A.isolating.reshape(-1)[A.first] & (A.right.min(axis=1) == 1)
     found = {"right": count(A.owner), "right_ok": count(A.owner[ok]), "charge": A.charges()[0]}
     if with_B.any():
-        B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent")
+        # B has A's left nodes, so it reuses A's classification of them
+        left = None if A.classified is None else tuple(part[with_B] for part in A.classified)
+        B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent", left)
         for name, values in zip(("charge_B", "least_B"), B.charges()):
             found[name] = np.zeros(c, dtype=object)
             found[name][with_B] = values

@@ -618,6 +618,22 @@ class TestSample:
         assert "quantity" in out  # the asymptotics row
         assert sha256(out) == self.GOLDEN[layer1, fmt]
 
+    # the same at 40,000 trials, which span three batches of 2^14 draws and
+    # cut the last, so the digests pin the stream order across batches;
+    # recorded before the samplers classified whole batches
+    GOLDEN_BATCHES = {
+        "": "be01b0cf416b5bdb50ea14bcd353c101adcde0cc3e2866680941ac8d32968c4f",
+        "--layer1": "bbd924894339fcc5472bbe18c07752c6489f0711c1a9157c4d639a56b16dcc46",
+    }
+
+    @pytest.mark.parametrize("layer1", sorted(GOLDEN_BATCHES))
+    def test_golden_across_batches(self, layer1, h8_path, capsys):
+        argv = ["sample", "--hypergraph", h8_path, "--M", "3", "--trials", "40000", "--seed", "1"]
+        assert main([*argv, *layer1.split()]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["draws"] == (3 << 14 if layer1 else 40000)
+        assert sha256(out) == self.GOLDEN_BATCHES[layer1]
+
     def test_csv(self, s2_path, capsys):
         code = main(
             [

@@ -273,9 +273,9 @@ class TestWitnessBudget:
         seen = []
         real = isobench.verify._witnesses
 
-        def spy(members, M, f, step, what):
-            seen.append(what)
-            return real(members, M, f, step, what)
+        def spy(members, M, f, step, what, *classified):
+            seen.append((what, len(classified)))
+            return real(members, M, f, step, what, *classified)
 
         monkeypatch.setattr(isobench.verify, "_witnesses", spy)
         h, objectives = H(3, [1, 2], [2, 3]), [(3, identity_objective(3))]
@@ -284,7 +284,8 @@ class TestWitnessBudget:
         assert seen == []
         checks_run, failed = walk_checks((h,), objectives, budget=27)
         assert checks_run > 0 and failed == []
-        assert seen == ["pivot descent", "next-vertex descent"]
+        # B is handed A's classification of their shared left nodes
+        assert seen == [("pivot descent", 0), ("next-vertex descent", 1)]
 
 
 class TestReductions:

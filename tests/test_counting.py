@@ -389,7 +389,7 @@ class TestNarrowTables:
 
 
 class TestEdgeSums:
-    """``_edge_sums`` against the oracle's edge weights in every table
+    """``_gather`` and ``_slot_sums`` against the oracle's edge weights in every table
     dtype, on each side of every prefix/suffix split, the zero-width sides
     and the hypergraph with no edges included."""
 
@@ -410,7 +410,7 @@ class TestEdgeSums:
             slots = counting._plan((h,)).slots
             for p in range(n + 1):  # p = 0 and p = n give a zero-width side
                 for side in (slice(0, p), slice(p, n)):
-                    sums = counting._edge_sums(W[:, side], table, slots, side.start)
+                    sums = counting._slot_sums(counting._gather(W[:, side], table, side.start), slots)
                     assert sums.shape == (h.m, len(W)) and sums.dtype == table.dtype
                     inside = range(n)[side]
                     edges = [[v for v in edge_vertices(e) if v - 1 in inside] for e in h.edges]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -192,6 +193,15 @@ class TestObjectiveStrategy:
         assert str(info.value) == "unknown strategy kind 'bogus'"
 
 
+def _accepted(seed, batch, n, M, layer1):
+    """The seeded sampler's batches of draws as lists of rows, each cut to
+    the rows with some entry 1 when ``layer1``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = rng.integers(1, M + 1, size=(batch, n), dtype=np.int64).tolist()
+        yield [w for w in rows if 1 in w] if layer1 else rows
+
+
 class TestSamplers:
     def test_uniform_consistency(self):
         rep = sample_uniform(singleton_hypergraph(2), 2, identity_objective(2), 20000, 1)
@@ -239,32 +249,56 @@ class TestSamplers:
         )
         assert 0 < plain.successes < plain.trials
 
+    # (n, M, edges, values, zero_allowed, trials, cut); trials None: the
+    # rows accepted from exactly three batches, so no batch is cut
+    REPLAYS = {
+        "cut": (4, 3, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], (1, 2, 3), False, 1000, True),
+        # a row whose only 1 sits on the uncovered vertex 4 is accepted too
+        "uncovered": (4, 3, [[1, 2], [2, 3], [1, 3]], (1, 2, 3), False, 1000, True),
+        # table[1] is 0, the padding row's value
+        "zero": (4, 3, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], (0, 1, 3), True, 1000, True),
+        "boundary": (4, 3, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], (1, 2, 3), False, None, False),
+        # every row is all ones, which isolates edge {1, 2}
+        "M1": (4, 1, [[1, 2], [2, 3, 4]], (1,), False, 1000, True),
+    }
+
     @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int16", "object"])
     @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
     def test_replayed_draws_match_the_oracle(self, sampler, scale, monkeypatch):
         """Replay the seeded batches and classify the first ``trials``
-        accepted rows with the oracle; the final batch holds more accepted
-        rows than the trials left, so it is cut."""
-        n, M, trials, seed, batch = 4, 3, 1000, 5, 64
-        H = Hypergraph.from_edges(n, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]])
-        f = explicit_objective([v * scale for v in (1, 2, 3)])
-        assert counting._table(f, n).dtype == (np.int16 if scale == 1 else object)
-        edges, values = [list(edge_vertices(e)) for e in H.edges], [None, *f.values]
-        rng = np.random.default_rng(seed)
-        successes = accepted = draws = 0
-        while accepted < trials:
-            rows = rng.integers(1, M + 1, size=(batch, n), dtype=np.int64).tolist()
-            draws += batch
-            if sampler is sample_layer1:
-                rows = [w for w in rows if 1 in w]
-            cut, rows = len(rows) > trials - accepted, rows[: trials - accepted]
-            successes += sum(oracle.classify(edges, values, w)[0] for w in rows)
-            accepted += len(rows)
-        assert cut and 0 < successes < trials
+        accepted rows with the oracle; in every case but ``boundary`` the
+        final batch holds more accepted rows than the trials left, so it is
+        cut."""
+        seed, batch = 5, 64
         monkeypatch.setattr(search, "_BATCH", batch)
-        rep = sampler(H, M, f, trials, seed)
-        expected_draws = draws if sampler is sample_layer1 else trials
-        assert (rep.successes, rep.draws) == (successes, expected_draws)
+        for case, (n, M, edges, values, zero, trials, cut) in self.REPLAYS.items():
+            H = Hypergraph.from_edges(n, edges)
+            f = explicit_objective([v * scale for v in values], zero_allowed=zero)
+            table = counting._table(f, n)
+            assert table.dtype == (np.int16 if scale == 1 else object), case
+            assert (table[1] == 0) == zero, case
+            vertex_lists = [list(edge_vertices(e)) for e in H.edges]
+            layer1 = sampler is sample_layer1
+            if trials is None:
+                trials = sum(map(len, itertools.islice(_accepted(seed, batch, n, M, layer1), 3)))
+            successes = accepted = draws = 0
+            lone = False  # an accepted row whose only 1 is on vertex 4
+            for rows in _accepted(seed, batch, n, M, layer1):
+                if accepted == trials:
+                    break
+                draws += batch
+                last_cut, rows = len(rows) > trials - accepted, rows[: trials - accepted]
+                successes += sum(oracle.classify(vertex_lists, [None, *f.values], w)[0] for w in rows)
+                lone |= any(w.count(1) == 1 and w[3] == 1 for w in rows)
+                accepted += len(rows)
+            assert last_cut == cut, case
+            assert lone or case != "uncovered"
+            assert 0 < successes < trials if M > 1 else successes == trials, case
+            rep = sampler(H, M, f, trials, seed)
+            expected_draws = draws if sampler is sample_layer1 else trials
+            assert (rep.successes, rep.draws) == (successes, expected_draws), case
+            if case == "boundary":
+                assert draws == 3 * batch
 
     def test_deterministic_given_seed(self):
         a = sample_uniform(singleton_hypergraph(3), 3, identity_objective(3), 5000, 42)

@@ -73,8 +73,8 @@ class TestEdgeWeight:
     @staticmethod
     def edge_sum(f, w, vertices):
         h = Hypergraph.from_edges(len(w), [vertices], allow_empty_edge=True)
-        table = counting._table(f, len(w))
-        return int(counting._edge_sums(np.array([w]), table, counting._plan((h,)).slots)[0, 0])
+        values = counting._gather(np.array([w]), counting._table(f, len(w)))
+        return int(counting._slot_sums(values, counting._plan((h,)).slots)[0, 0])
 
     def test_identity_sum(self):
         assert self.edge_sum(identity_objective(3), (1, 2, 3), [1, 3]) == 4
@@ -97,7 +97,8 @@ class TestIsolation:
     def classify(H, f, W):
         """(isolating mask, edges at the minimum) of each row of W."""
         W = np.array(W, dtype=np.int64).reshape(-1, H.n)
-        sums = counting._edge_sums(W, counting._table(f, H.n), counting._plan((H,)).slots)
+        values = counting._gather(W, counting._table(f, H.n))
+        sums = counting._slot_sums(values, counting._plan((H,)).slots)
         iso, at_min = counting._classify(sums)
         return iso.tolist(), [tuple(e for e, hit in zip(H.edges, col) if hit) for col in at_min.T]
 
