@@ -107,7 +107,7 @@ class _Witnesses(NamedTuple):
     order of first appearance: ``first`` is the flat index of each in
     ``targets``' rows, ``degree`` its degree.  ``classified`` is the left
     nodes' (isolating mask, edges at the minimum) as ``_classify`` gives
-    them, None with no edges."""
+    them."""
 
     left: np.ndarray
     targets: np.ndarray
@@ -116,7 +116,7 @@ class _Witnesses(NamedTuple):
     ids: np.ndarray
     first: np.ndarray
     degree: np.ndarray
-    classified: Optional[tuple[np.ndarray, np.ndarray]]
+    classified: tuple[np.ndarray, np.ndarray]
 
     @property
     def right(self) -> np.ndarray:
@@ -183,10 +183,10 @@ def _witnesses(
     targets = np.broadcast_to(left[:, None], (c, left.shape[0], 2, n))
     two = np.zeros((c, left.shape[0]), dtype=bool)
     isolating = np.ones(two.shape + (2,), dtype=bool)
+    if classified is None:
+        classified = _classify(_stacked_sums(f, members, left))
     if m:
         pivot = (left == 1).argmax(axis=1)
-        if classified is None:
-            classified = _classify(_stacked_sums(f, members, left))
         iso, at_min = classified[0], classified[1].swapaxes(1, 2)
         edge = members.astype(bool)
         avoiding = at_min & ~edge[:, :, pivot].swapaxes(1, 2)

@@ -30,13 +30,14 @@ draws through the same edge sums.
 Edge sums need no multiplication, and take two steps that the scans and
 the samplers share: ``_gather`` takes a side's (or a batch of draws')
 values once, vertex-major, over a zero padding row, and ``_slot_sums``
-adds, for each edge, the rows of its vertices, in the table's dtype.  The
-samplers also read layer-1 acceptance from the gathered values: a row
-holds a 1 exactly when its least value is the table's value of label 1,
-which is the table's unique least value.  The constructions' stacks of
-hypergraphs (``_stacked_sums``) keep a matmul: on at most 5 vertices one
-matmul costs fewer numpy calls than a gather through slots offset per
-hypergraph, which made ``verify --n-max 4 --M 2,3`` slower.
+adds, for each edge, the rows of its vertices, in the table's dtype.
+Where most draws are on layer 1, ``sample --layer1`` reads acceptance
+from a whole gathered batch: a row holds a 1 exactly when its least value
+is the table's value of label 1, the table's unique least value.  The
+constructions' stacks of hypergraphs (``_stacked_sums``) keep a matmul:
+on at most 5 vertices one matmul costs fewer numpy calls than a gather
+through slots offset per hypergraph, which made ``verify --n-max 4 --M
+2,3`` slower.
 """
 
 from __future__ import annotations

@@ -277,12 +277,13 @@ def _sample(
 ) -> SampleReport:
     """Classify the first ``trials`` accepted rows of seeded uniform draws
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
-    rows with some entry 1 for ``layer1``.  Each batch is gathered and
-    classified whole, rejected rows included; the accepted rows are a mask
-    over it, cleared after the ``trials``-th, so no row is copied.  More
-    trials than ``budget`` are refused before the first draw.  The exact
-    probability comes with the estimate when M^n is at most both
-    ``budget`` and _EXACT_BUDGET."""
+    rows with some entry 1 for ``layer1``.  Layer 1 holds a share 1 - (1 -
+    1/M)^n of the draws.  Above a quarter, with a fixed-width table, each
+    batch is classified whole and its rejected rows are masked, which costs
+    less than copying the accepted ones out; otherwise the accepted rows
+    are found from W's ones and copied.  More trials than ``budget`` are
+    refused before the first draw.  The exact probability comes with the
+    estimate when M^n is at most both ``budget`` and _EXACT_BUDGET."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -290,22 +291,24 @@ def _sample(
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
     table, slots = _table(f, H.n), _plan((H,)).slots
+    masked = kind == "layer1" and table.dtype != object and 4 * (M - 1) ** H.n < 3 * M**H.n
     successes = accepted = batches = 0
     while accepted < trials:
-        values = _gather(rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64), table)
+        W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
         batches += 1
+        if kind == "layer1" and not masked:
+            hit = np.zeros(_BATCH, dtype=bool)
+            hit[np.flatnonzero(W == 1) // H.n] = True  # the rows holding a 1
+            W = W.take(np.flatnonzero(hit), axis=0)
+        values = _gather(W if masked else W[: trials - accepted], table)
         iso = _classify(_slot_sums(values, slots))[0]
-        if kind == "layer1":
+        if masked:
             # f is strictly increasing and scaled by a positive lcm, so label
-            # 1 has the table's unique least value, in every dtype
-            keep = np.minimum.reduce(values[: H.n], axis=0) == table[1]
-        else:
-            keep = np.ones(_BATCH, dtype=bool)
-        need, kept = trials - accepted, int(np.count_nonzero(keep))
-        if kept > need:  # the last batch: only its first ``need`` accepted rows count
-            keep[np.flatnonzero(keep)[need] :] = False
-        successes += int(np.count_nonzero(iso & keep))
-        accepted += min(kept, need)
+            # 1 has the table's unique least value
+            hit = np.minimum.reduce(values[: H.n], axis=0) == table[1]
+            iso = iso[np.flatnonzero(hit)[: trials - accepted]]
+        successes += int(np.count_nonzero(iso))
+        accepted += iso.size
     exact = None
     if M**H.n <= min(budget, _EXACT_BUDGET):
         report = count_isolating(H, M, f, budget=_EXACT_BUDGET)

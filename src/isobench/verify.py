@@ -139,7 +139,7 @@ def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dic
     found = {"right": count(A.owner), "right_ok": count(A.owner[ok]), "charge": A.charges()[0]}
     if with_B.any():
         # B has A's left nodes, so it reuses A's classification of them
-        left = None if A.classified is None else tuple(part[with_B] for part in A.classified)
+        left = tuple(part[with_B] for part in A.classified)
         B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent", left)
         for name, values in zip(("charge_B", "least_B"), B.charges()):
             found[name] = np.zeros(c, dtype=object)

@@ -260,6 +260,12 @@ class TestSamplers:
         "boundary": (4, 3, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], (1, 2, 3), False, None, False),
         # every row is all ones, which isolates edge {1, 2}
         "M1": (4, 1, [[1, 2], [2, 3, 4]], (1,), False, 1000, True),
+        # layer 1 holds 1 - (19/20)^4 < 1/4 of the draws, so layer1 copies
+        # its accepted rows out at every dtype; in every other case an int16
+        # layer1 masks the rejected rows of whole batches
+        "sparse": (
+            4, 20, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], tuple(range(1, 21)), False, 1000, True
+        ),
     }
 
     @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int16", "object"])
