@@ -20,6 +20,7 @@ from .counting import (
     _membership,
     _rank_rows,
     _stacked_sums,
+    _table,
     count_isolating,
     count_layer1,
 )
@@ -40,7 +41,7 @@ def _require_inclusion_free(H: Hypergraph) -> None:
 
 
 def _assert_isolates(
-    f: Objective,
+    tables: np.ndarray,
     members: np.ndarray,
     W: np.ndarray,
     edges: np.ndarray,
@@ -49,10 +50,14 @@ def _assert_isolates(
 ) -> np.ndarray:
     """Check in one batch that each row of W, shape (graphs, rows, n), where
     ``need`` holds isolates the edge of the same index in ``edges``
-    (graphs, rows) of its hypergraph in the stack ``members``; name the
-    first row, hypergraph by hypergraph, that does not.  Returns the
-    isolating mask of every row of W, (graphs, rows)."""
-    iso, at_min = _classify(_stacked_sums(f, members, W))
+    (graphs, rows) of its hypergraph in the stack ``members``, under its
+    row of the value tables ``tables`` (see ``_stacked_sums``); name the
+    first row, in stack order, that does not.  ``verify`` builds the
+    stacks of one M edge-count group by edge-count group, each stack
+    objective by objective, then hypergraph by hypergraph, so the row it
+    names is the first failing one in that order.  Returns the isolating
+    mask of every row of W, (graphs, rows)."""
+    iso, at_min = _classify(_stacked_sums(tables, members, W))
     hit = np.take_along_axis(at_min, edges[:, None, :], axis=1)[:, 0]
     bad = need & ~(iso & hit)
     if bad.any():
@@ -90,9 +95,13 @@ class WitnessGraph:
 @functools.lru_cache(maxsize=64)
 def _left_nodes(n: int, M: int) -> np.ndarray:
     """Weights with exactly one entry 1, in (position, remainder) order, as
-    a read-only array of shape (n (M-1)^(n-1), n)."""
+    a read-only array of shape (n (M-1)^(n-1), n), in the narrowest signed
+    integer type that holds M: the descents and their targets keep it, so
+    a stack of many (objective, hypergraph) pairs holds them in a fraction
+    of int64's memory."""
+    narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if M <= np.iinfo(t).max)
     rests = _decode_rows(n - 1, M - 1) + 1
-    left = np.concatenate([np.insert(rests, pos, 1, axis=1) for pos in range(n)])
+    left = np.concatenate([np.insert(rests, pos, 1, axis=1) for pos in range(n)]).astype(narrow)
     left.flags.writeable = False
     return left
 
@@ -161,13 +170,14 @@ def _next_vertex_step(edge_rows: np.ndarray, pivot: np.ndarray) -> np.ndarray:
 def _witnesses(
     members: np.ndarray,
     M: int,
-    f: Objective,
+    tables: np.ndarray,
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     what: str,
     classified: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> _Witnesses:
     """Charge each left node w, whose unique 1 sits at the pivot i, in each
-    hypergraph of the stack ``members`` (graphs, m, n): if some min-weight
+    hypergraph of the stack ``members`` (graphs, m, n), under its row of
+    the value tables ``tables`` (see ``_stacked_sums``): if some min-weight
     edge avoids i, to the descent along the first such edge; otherwise to
     w itself (when already isolating) and the descent ``step`` along the
     first min-weight edge, or to the descents along the first two
@@ -184,7 +194,7 @@ def _witnesses(
     two = np.zeros((c, left.shape[0]), dtype=bool)
     isolating = np.ones(two.shape + (2,), dtype=bool)
     if classified is None:
-        classified = _classify(_stacked_sums(f, members, left))
+        classified = _classify(_stacked_sums(tables, members, left))
     if m:
         pivot = (left == 1).argmax(axis=1)
         iso, at_min = classified[0], classified[1].swapaxes(1, 2)
@@ -203,7 +213,7 @@ def _witnesses(
         slot1 = np.where(free[..., None], left, np.where(solo, *down))
         targets = np.stack([slot0, slot1], axis=2)
         isolating = _assert_isolates(
-            f,
+            tables,
             members,
             targets.reshape(c, -1, n),
             np.stack([first, np.where(iso, first, second)], axis=2).reshape(c, -1),
@@ -275,7 +285,8 @@ def build_witness_graph_A(
     building any.
     """
     _require_witness(H, M, f, budget)
-    return _graph(_witnesses(_membership(H), M, f, _pivot_step, "pivot descent"))
+    tables = _table(f, H.n)[None]
+    return _graph(_witnesses(_membership(H), M, tables, _pivot_step, "pivot descent"))
 
 
 def build_witness_graph_B(
@@ -291,7 +302,8 @@ def build_witness_graph_B(
         raise ValueError("witness graph B requires a linear hypergraph")
     if any(e.bit_count() < 2 for e in H.edges):
         raise ValueError("witness graph B requires every edge cardinality >= 2")
-    return _graph(_witnesses(_membership(H), M, f, _next_vertex_step, "next-vertex descent"))
+    tables = _table(f, H.n)[None]
+    return _graph(_witnesses(_membership(H), M, tables, _next_vertex_step, "next-vertex descent"))
 
 
 # ---------------------------------------------------------------------------

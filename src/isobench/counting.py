@@ -37,7 +37,8 @@ is the table's value of label 1, the table's unique least value.  The
 constructions' stacks of hypergraphs (``_stacked_sums``) keep a matmul:
 on at most 5 vertices one matmul costs fewer numpy calls than a gather
 through slots offset per hypergraph, which made ``verify --n-max 4 --M
-2,3`` slower.
+2,3`` slower.  Such a stack may mix objectives of one M: each hypergraph
+reads its own row of a stack of value tables.
 """
 
 from __future__ import annotations
@@ -225,13 +226,24 @@ def _slot_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.add.reduce(values.take(slots, axis=0, mode="clip"), axis=1, dtype=values.dtype)
 
 
-def _stacked_sums(f: Objective, members: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _stacked_sums(tables: np.ndarray, members: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Weight of each edge of a stack of hypergraphs on weight rows, in the
-    shape ``_classify`` takes: ``members`` is the (hypergraphs, m, n) 0/1
-    edge membership and W the rows, (hypergraphs, rows, n) or one (rows,
-    n) array for the whole stack; the result has shape (hypergraphs, m,
-    rows)."""
-    return members @ np.swapaxes(_table(f, members.shape[-1])[W], -1, -2)
+    shape ``_classify`` takes: ``tables`` holds the value tables (see
+    ``_table``) of the stack's objectives, (hypergraphs, M + 1), or one
+    (1, M + 1) for the whole stack, ``members`` is the (hypergraphs, m, n)
+    0/1 edge membership and W the rows, (hypergraphs, rows, n) or one
+    (rows, n) array for the whole stack; the result has shape
+    (hypergraphs, m, rows).  Each hypergraph reads its own table through a
+    flat offset into the stack; a stack of one objective reads one table,
+    so rows the stack shares (left nodes, the injection's domain, [2]^n)
+    are gathered once, not once per hypergraph.  The gather is a
+    ``take``, which reads through narrow rows (the int8 left nodes) about
+    twice as fast as indexing with them."""
+    if (tables[1:] != tables[:1]).any():
+        W = W + (np.arange(tables.shape[0]) * tables.shape[1]).reshape(-1, 1, 1)
+    else:
+        tables = tables[:1]
+    return members @ np.swapaxes(tables.reshape(-1).take(W), -1, -2)
 
 
 def _suffix_len(n: int, M: int) -> int:

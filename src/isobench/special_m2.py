@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify, _decode_rows, _membership, _stacked_sums
+from .counting import DEFAULT_BUDGET, _classify, _decode_rows, _membership, _stacked_sums, _table
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
 from .weights import Objective, identity_objective
@@ -38,7 +38,8 @@ def _special_scan(
         shape = (c, W.shape[0])
         return W, np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.intp)
     # an edge of unit weight at most 2n; the dropped edges weigh more
-    sums = _stacked_sums(_UNIT, members, W) + np.where(keep, 0, 2 * n + 1)[..., None]
+    unit = _table(_UNIT, n)[None]
+    sums = _stacked_sums(unit, members, W) + np.where(keep, 0, 2 * n + 1)[..., None]
     iso, at_min = _classify(sums)
     first = at_min.argmax(axis=1)
     inside = members[np.arange(c)[:, None], first] == 1
@@ -47,15 +48,21 @@ def _special_scan(
     return W, iso & cond1, first
 
 
-def _reduction(members: np.ndarray, f: Objective) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z'(H_r) against Z(H, 2, f) for each hypergraph H of the stack
-    ``members`` (graphs, m, n), H_r its least-cardinality edges: the rows
-    of [2]^n, the special weights of H_r and those of them that do not
-    isolate in H, both masks of shape (graphs, rows)."""
+def _reduction(
+    members: np.ndarray, tables: np.ndarray, graph: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z'(H_r) against Z(H, 2, f) for each pair g of a stack of instances:
+    H is hypergraph ``graph[g]`` of the stack ``members`` (graphs, m, n),
+    H_r its least-cardinality edges, and f reads row g of the value tables
+    ``tables`` (see ``_stacked_sums``).  [2]^n is scanned for special
+    weights once per hypergraph, however many pairs share it.  Returns the
+    rows of [2]^n, the special weights of each pair's H_r and those of them
+    that do not isolate in H, both masks of shape (pairs, rows)."""
     cards = members.sum(axis=2)
     keep = cards == cards.min(axis=1, initial=members.shape[2], keepdims=True)
     W, special, _ = _special_scan(members, keep)
-    iso = _classify(_stacked_sums(f, members, W))[0]
+    special = special[graph]
+    iso = _classify(_stacked_sums(tables, members[graph], W))[0]
     return W, special, special & ~iso
 
 
@@ -81,7 +88,8 @@ def check_min_cardinality_reduction(
         return SubsetCheck(holds=True, special_count=2**H.n, counterexamples=())
     if (1 << H.n) > budget:
         raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
-    W, special, bad = _reduction(_membership(H), f)
+    tables = _table(f, H.n)[None]
+    W, special, bad = _reduction(_membership(H), tables, np.zeros(1, dtype=np.intp))
     bad = tuple(map(tuple, W[bad[0]].tolist()))
     return SubsetCheck(holds=not bad, special_count=int(special.sum()), counterexamples=bad)
 

@@ -7,6 +7,9 @@ check is a bug, a failing conjecture check is a discovery; both carry the
 witness instance.  The checks of one (n, M, f) group of a walk are one
 table of array comparisons over its hypergraphs (``_checks``): passing
 checks are only counted, and a record is built for a failed one only.
+The constructions they read are built once per (n, M) for all of that
+M's objectives (``_constructions``), the objectives' value tables
+stacked on the hypergraph axis.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .counting import (
     _count_many,
     _plan,
     _rank_rows,
+    _table,
 )
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
@@ -43,7 +47,7 @@ from .weights import Objective, preset_objectives
 from .zero_weight import _injection
 
 # the most cells (rows times edges, or vertices when more) of one
-# hypergraph's construction stack, which is built unchunked
+# (objective, hypergraph) pair's construction stack, which is built unchunked
 _STACK_CELLS = 1 << 22
 
 
@@ -92,64 +96,90 @@ def _stack_cells(n: int, M: int, m: int) -> int:
     return rows * max(m, n)
 
 
-def _constructions(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective) -> dict:
+def _constructions(
+    Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, fs: Sequence[Objective]
+) -> dict:
     """Build witness graphs A and B, the injection and, at M = 2, the
-    special-weight reduction for every inclusion-free hypergraph of Hs on
-    a positive objective, in batches of hypergraphs with one edge count,
-    and return what the checks read of them, as object arrays over Hs,
-    0 where nothing was built (a name nothing was built for reads 0).  A
-    batch holds at most _GATHER hypergraphs times rows times edges (or
-    vertices, when more), or one hypergraph."""
-    out: dict = defaultdict(int)
-    if M < 2 or f.zero_allowed:
+    special-weight reduction for every inclusion-free hypergraph of Hs
+    under each positive objective of ``fs``, all of one M, and return what
+    the checks read of them, as object arrays (objectives, Hs), 0 where
+    nothing was built (M < 2, a zero-allowed objective, nested edges; a
+    name nothing was built for is missing).  Every objective is built in
+    one stack per edge count: the (objective, hypergraph) pairs, objective
+    by objective, in chunks of at most _GATHER pairs times rows times edges
+    (or vertices, when more), or of one pair.  A chunk stacks the value
+    tables of its own objectives only, so one objective's wide table does
+    not widen the arithmetic of another's chunks."""
+    out: dict = defaultdict(lambda: np.zeros((len(fs), len(Hs)), dtype=object))
+    positive = np.flatnonzero([M >= 2 and not f.zero_allowed for f in fs])
+    if not positive.size:
         return out
+    n = Hs[0].n
+    tables = [_table(fs[i], n) for i in positive.tolist()]
     plan = _plan(Hs)
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
-        per = max(1, _GATHER // _stack_cells(Hs[0].n, M, cols.shape[1]))
-        for a in range(0, len(which), per):
-            at, members = which[a : a + per], plan.members.T[cols[a : a + per]]
-            for name, values in _batch(members, shape.with_B[at], M, f).items():
-                out.setdefault(name, np.zeros(len(Hs), dtype=object))[at] = values
+        pairs = positive.size * len(which)
+        per = max(1, _GATHER // _stack_cells(n, M, cols.shape[1]))
+        for a in range(0, pairs, per):
+            objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
+            distinct, graph = np.unique(h, return_inverse=True)
+            members = plan.members.T[cols[distinct]]
+            # the chunk's own objectives, a run of them, in their common dtype:
+            # exact, as each table's own holds n times its largest value
+            first = objective[0]
+            own = np.stack(tables[first : objective[-1] + 1])[objective - first]
+            found = _batch(members, graph, own, shape.with_B[which[h]], M)
+            at = positive[objective], which[h]
+            for name, values in found.items():
+                out[name][at] = values
     return out
 
 
-def _batch(members: np.ndarray, with_B: np.ndarray, M: int, f: Objective) -> dict:
+def _batch(
+    members: np.ndarray, graph: np.ndarray, tables: np.ndarray, with_B: np.ndarray, M: int
+) -> dict:
     """What the checks read of the constructions on one stack of
-    hypergraphs, ``members`` (graphs, m, n): the right nodes of witness
-    graph A and how many of them isolate on layer 1, its total charge, the
-    total and least charge of B where ``with_B`` (0 elsewhere), the
-    distinct images of the injection and how many of them isolate their
-    edge, and at M = 2 the special weights of the least-cardinality edges
-    and how many of them do not isolate."""
-    c, _, n = members.shape
+    (objective, hypergraph) pairs, pair g hypergraph ``graph[g]`` of
+    ``members`` (hypergraphs, m, n) under row g of the value tables
+    ``tables``: the right nodes of witness graph A and how many of them
+    isolate on layer 1, its total charge, the total and least charge of B
+    where ``with_B`` (0 elsewhere), the distinct images of the injection
+    and how many of them isolate their edge, and at M = 2 the special
+    weights of the least-cardinality edges and how many of them do not
+    isolate, each a list over the pairs."""
+    stack = members[graph]
+    c, _, n = stack.shape
 
-    def count(graphs: np.ndarray) -> list[int]:
-        return np.bincount(graphs, minlength=c).tolist()
+    def count(pairs: np.ndarray) -> list[int]:
+        return np.bincount(pairs, minlength=c).tolist()
 
     def distinct(keys: np.ndarray) -> list[int]:
-        """The number of distinct keys (see ``_rank_rows``) of each graph."""
+        """The number of distinct keys (see ``_rank_rows``) of each pair."""
         keys = np.sort(keys, axis=None)
         first = np.ones(keys.shape, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         return count((keys[first] // M**n).astype(np.intp))
 
-    A = _witnesses(members, M, f, _pivot_step, "pivot descent")
+    A = _witnesses(stack, M, tables, _pivot_step, "pivot descent")
     ok = A.isolating.reshape(-1)[A.first] & (A.right.min(axis=1) == 1)
     found = {"right": count(A.owner), "right_ok": count(A.owner[ok]), "charge": A.charges()[0]}
     if with_B.any():
         # B has A's left nodes, so it reuses A's classification of them
         left = tuple(part[with_B] for part in A.classified)
-        B = _witnesses(members[with_B], M, f, _next_vertex_step, "next-vertex descent", left)
+        B = _witnesses(
+            stack[with_B], M, tables[with_B], _next_vertex_step, "next-vertex descent", left
+        )
         for name, values in zip(("charge_B", "least_B"), B.charges()):
             found[name] = np.zeros(c, dtype=object)
             found[name][with_B] = values
-    _, _, images, bad = _injection(members, M, f)
+    _, _, images, bad = _injection(stack, M, tables)
     keys = _rank_rows(images, M)
     found["images"] = distinct(keys)
     found["images_ok"] = [size - k for size, k in zip(found["images"], distinct(keys[bad]))]
     if M == 2:
-        _, special, bad = _reduction(members, f)
+        # one [2]^n scan per hypergraph, whatever its objectives
+        _, special, bad = _reduction(members, tables, graph)
         found["special"] = special.sum(axis=1).tolist()
         found["special_bad"] = bad.sum(axis=1).tolist()
     return found
@@ -174,13 +204,15 @@ def _bounds(M: int, n: int, r_eff: np.ndarray) -> dict:
     return bounds
 
 
-def _checks(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective, bounds: dict) -> list:
+def _checks(
+    Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective, bounds: dict, built: dict
+) -> list:
     """The named checks on the instances (H, M, f), H in Hs, in the order
     an instance lists them: (name, kind, lhs, relation, rhs, applies)
     rows, where ``kind``, ``lhs``, ``rhs`` and ``applies`` are scalars or
     arrays over Hs and a check holds where ``relation(lhs, rhs)``.  The
-    group is counted with one ``_count_many`` call and its constructions
-    are built in batches.
+    group is counted with one ``_count_many`` call; ``built`` is what the
+    checks read of its constructions, f's row of ``_constructions``.
 
     For zero-allowed objectives or hypergraphs with nested edges only the
     universal (M-1)^n bound is claimed; the remaining machinery assumes an
@@ -188,7 +220,6 @@ def _checks(Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective, bou
     """
     n = Hs[0].n
     total, layer1 = _count_many(Hs, M, f)
-    built = _constructions(Hs, shape, M, f)
     ge, eq = np.greater_equal, np.equal
     plain = shape.simple & (not f.zero_allowed)
     M_ge_2, M_is_2 = plain & (M >= 2), plain & (M == 2)
@@ -231,6 +262,21 @@ def _at(value, h: int) -> str:
     return str(value[h] if isinstance(value, np.ndarray) else value)
 
 
+def _check_tables(
+    Hs: tuple[Hypergraph, ...], shape: _Shape, objectives: Sequence[tuple[int, Objective]]
+) -> Iterator[tuple[int, list]]:
+    """(j, check table of the j-th (M, f) of ``objectives`` on Hs; see
+    ``_checks``), M by M in order of first appearance: the constructions
+    of each M are built once, for all of its objectives."""
+    for M in dict.fromkeys(M for M, _ in objectives):
+        at = [j for j, (M_j, _) in enumerate(objectives) if M_j == M]
+        fs = [objectives[j][1] for j in at]
+        built, bounds = _constructions(Hs, shape, M, fs), _bounds(M, Hs[0].n, shape.r_eff)
+        for i, (j, f) in enumerate(zip(at, fs)):
+            own = defaultdict(int, {name: values[i] for name, values in built.items()})
+            yield j, _checks(Hs, shape, M, f, bounds, own)
+
+
 def walk_checks(
     Hs: tuple[Hypergraph, ...],
     objectives: Sequence[tuple[int, Objective]],
@@ -241,18 +287,15 @@ def walk_checks(
     hypergraphs on one n, and (M, f) in ``objectives``, and return how
     many ran and the failed ones: hypergraph by hypergraph, each in the
     order of ``objectives``, then of the check table.  Each (M, f) is
-    counted and built as one batch over Hs, after every scan was checked
-    against ``budget`` and the objective's range."""
+    counted as one batch over Hs, and the constructions of every f of one
+    M are built as one stack, after every scan was checked against
+    ``budget`` and the objective's range."""
     n = Hs[0].n
     for M, f in objectives:
         _check(f, M, M**n, budget, f"{M}^{n} = ")
-    shape = _shape(Hs)
-    bounds = {M: _bounds(M, n, shape.r_eff) for M in dict.fromkeys(M for M, _ in objectives)}
     checks_run, failed = 0, []
-    for j, (M, f) in enumerate(objectives):
-        for k, (name, kind, lhs, relation, rhs, applies) in enumerate(
-            _checks(Hs, shape, M, f, bounds[M])
-        ):
+    for j, table in _check_tables(Hs, _shape(Hs), objectives):
+        for k, (name, kind, lhs, relation, rhs, applies) in enumerate(table):
             checks_run += int(np.count_nonzero(applies))
             for h in np.flatnonzero(applies & ~relation(lhs, rhs)).tolist():
                 failed.append((h, j, k, name, *(_at(x, h) for x in (kind, lhs, rhs))))
@@ -287,8 +330,9 @@ def verify_grid(
     """Run every instance check with the preset objectives on each
     hypergraph of each (n, walk) pair, such as (n, enumerate_hypergraphs(n))
     or (H.n, [H]), in order.  The grid is refused before its first check
-    when a walk or a scan exceeds its budget, or when one hypergraph's
-    construction stack would exceed _STACK_CELLS cells."""
+    when a walk or a scan exceeds its budget, or when one (objective,
+    hypergraph) pair's construction stack would exceed _STACK_CELLS
+    cells."""
     grid = [
         (tuple(walk), [(M, f) for M in M_values for f in families[M]])
         for _, families, walk in _grid(walks, M_values, preset_objectives, budget)

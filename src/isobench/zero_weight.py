@@ -18,6 +18,7 @@ from .counting import (
     _decode_rows,
     _membership,
     _stacked_sums,
+    _table,
     count_isolating,
 )
 from .errors import BudgetExceededError
@@ -56,10 +57,11 @@ class MaximalInjectionReport:
 
 
 def _injection(
-    members: np.ndarray, M: int, f: Objective
+    members: np.ndarray, M: int, tables: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The injection on each hypergraph of the stack ``members`` (graphs, m,
-    n), on their shared domain {2..M}^n in lexicographic order: returns the
+    n), under its row of the value tables ``tables`` (see
+    ``_stacked_sums``), on their shared domain {2..M}^n in lexicographic order: returns the
     domain (weights, n), the lowered edge (graphs, weights), the images
     (graphs, weights, n) and the images that do not isolate their edge
     (graphs, weights).  With no edges every weight is its own image."""
@@ -69,14 +71,14 @@ def _injection(
         shape = (c, domain.shape[0])
         images = np.broadcast_to(domain, shape + (n,))
         return domain, np.zeros(shape, dtype=np.intp), images, np.zeros(shape, dtype=bool)
-    at_min = _classify(_stacked_sums(f, members, domain))[1]
+    at_min = _classify(_stacked_sums(tables, members, domain))[1]
     # inside[g, a, b]: edge a of graph g is a strict subset of its edge b
     edge = members.astype(bool)
     inside = (edge[:, :, None] <= edge[:, None, :]).all(axis=3) & ~np.eye(m, dtype=bool)
     covered = (inside.astype(np.int64) @ at_min) > 0
     e = (at_min & ~covered).argmax(axis=1)
     images = domain - members[np.arange(c)[:, None], e]
-    iso, hit = _classify(_stacked_sums(f, members, images))
+    iso, hit = _classify(_stacked_sums(tables, members, images))
     bad = ~(iso & np.take_along_axis(hit, e[:, None, :], axis=1)[:, 0])
     return domain, e, images, bad
 
@@ -99,7 +101,7 @@ def tashma_injection_maximal(
     domain_size = (M - 1) ** H.n
     if domain_size > budget:
         raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    domain, e, images, bad = _injection(_membership(H), M, f)
+    domain, e, images, bad = _injection(_membership(H), M, _table(f, H.n)[None])
     domain = list(map(tuple, domain.tolist()))
     pairs = list(zip(domain, map(tuple, images[0].tolist())))
     findings = [

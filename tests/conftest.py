@@ -70,9 +70,8 @@ def check_rows(Hs, objectives):
     list per hypergraph of a list per objective of rows, in table order."""
     shape = verify._shape(Hs)
     rows = [[[] for _ in objectives] for _ in Hs]
-    for j, (M, f) in enumerate(objectives):
-        bounds = verify._bounds(M, Hs[0].n, shape.r_eff)
-        for name, kind, lhs, relation, rhs, applies in verify._checks(Hs, shape, M, f, bounds):
+    for j, table in verify._check_tables(Hs, shape, objectives):
+        for name, kind, lhs, relation, rhs, applies in table:
             holds = np.broadcast_to(relation(lhs, rhs), applies.shape)
             for h in np.flatnonzero(applies).tolist():
                 texts = (verify._at(x, h) for x in (kind, lhs, rhs))

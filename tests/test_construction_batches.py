@@ -7,10 +7,12 @@ no package code); whether the targets isolate is checked by the builders
 themselves and by ``test_constructions.py``.  Every case also runs with the
 objective multiplied by 2^70, which forces the exact ``dtype=object`` edge
 sums.  The verify checks also run with a small batch bound, so batch
-boundaries fall inside every group of hypergraphs with one edge count.
+boundaries fall inside every group of hypergraphs with one edge count,
+and with a mixed list of objectives whose constructions share stacks.
 """
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -36,10 +38,14 @@ from isobench import (
     random_hypergraph,
     singleton_hypergraph,
     tashma_injection_maximal,
+    verify_grid,
+    zero_based_identity,
 )
+from isobench.cli import main
 from isobench.constructions import _assert_isolates
 from isobench.counting import _CHUNK, _membership, _table
 from isobench.hypergraph import edge_vertices
+from isobench.verify import walk_checks
 
 SCALES = (1, 2**70)
 
@@ -154,6 +160,9 @@ def test_batched_constructions_match_per_weight_references(H, data):
         (Hypergraph(2, ()), 3),
         (Hypergraph.from_edges(3, [[1, 2], [1, 3], [2, 3]]), 3),
         (Hypergraph.from_edges(4, [[1, 2, 3], [1, 4], [2, 4], [3, 4]]), 4),
+        # the left nodes are int8 up to M = 127 and int16 from 128
+        (Hypergraph.from_edges(2, [[1, 2]]), 127),
+        (singleton_hypergraph(2), 128),
     ],
 )
 def test_named_instances_match_references(H, M):
@@ -180,14 +189,15 @@ def test_batches_wider_than_one_block():
 
 def test_failed_isolation_names_the_first_weight_and_edge():
     members = _membership(singleton_hypergraph(2))
-    f, W, edges = identity_objective(2), np.array([[[1, 2], [2, 2], [2, 2]]]), np.array([[0, 0, 1]])
+    tables, W = _table(identity_objective(2), 2)[None], np.array([[[1, 2], [2, 2], [2, 2]]])
+    edges = np.array([[0, 0, 1]])
     message = r"^probe failed to isolate edge \(1,\) at weight \(2, 2\)$"
     with pytest.raises(AssertionError, match=message):
-        _assert_isolates(f, members, W, edges, np.ones((1, 3), dtype=bool), "probe")
+        _assert_isolates(tables, members, W, edges, np.ones((1, 3), dtype=bool), "probe")
     message = r"^probe failed to isolate edge \(2,\) at weight \(2, 2\)$"
     with pytest.raises(AssertionError, match=message):
-        _assert_isolates(f, members, W, edges, np.array([[True, False, True]]), "probe")
-    _assert_isolates(f, members, W, edges, np.array([[True, False, False]]), "probe")
+        _assert_isolates(tables, members, W, edges, np.array([[True, False, True]]), "probe")
+    _assert_isolates(tables, members, W, edges, np.array([[True, False, False]]), "probe")
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +256,103 @@ def test_batched_checks_match_one_hypergraph_walks_and_references(M_values, scal
                     assert got[name][0] == lhs or lhs is None, (H, M, name)
                     assert got[name][1] == rhs or rhs is None, (H, M, name)
                 assert ("witnessB_charge_bound" in got) == ("witnessB_per_node_charge" in reference_values(H, M, f))
+
+
+# ---------------------------------------------------------------------------
+# Every objective of one M in one construction stack
+
+BOUNDS = ("ta_shma_bound", "corollary_Y_bound", "main_theorem_bound", "bounded_edge_bound")
+BOUNDS += ("conjectured_Y", "conjectured_Y1")
+
+
+def mixed_objectives(n):
+    """The presets at both scales, so int and ``object`` tables share a
+    stack, a zero-allowed objective among them, and M = 2 listed twice."""
+    objectives = [
+        (M, _scaled(f, scale)) for M in (2, 3, 2) for scale in SCALES for f in preset_objectives(M, n)
+    ]
+    objectives.insert(4, (2, zero_based_identity(2)))
+    return objectives
+
+
+@pytest.mark.parametrize("gather", [7, 200, isobench.counting._GATHER])
+def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
+    """With every bound tripled, so that checks fail, one walk over a mixed
+    list of objectives runs as many checks and fails the same ones as one
+    walk per objective, whatever the chunks its stacks are cut into."""
+    for module in (isobench.counting, isobench.verify):
+        monkeypatch.setattr(module, "_GATHER", gather)
+    for name in BOUNDS:
+        bound = getattr(isobench.verify, name)
+        monkeypatch.setattr(isobench.verify, name, lambda *args, bound=bound: 3 * bound(*args))
+    failures = 0
+    for n, Hs in grid_walks():
+        objectives = mixed_objectives(n)
+        assert len({str(_table(f, n).dtype) for M, f in objectives if M == 2}) > 1
+        run, failed = walk_checks(Hs, objectives)
+        singles = [walk_checks(Hs, [objective]) for objective in objectives]
+        assert run == sum(r for r, _ in singles)
+        assert sorted(failed, key=repr) == sorted((r for _, f in singles for r in f), key=repr)
+        failures += len(failed)
+    assert failures > 0
+
+
+def spy_on_stacks(monkeypatch):
+    """Record the shape, the distinct value tables and their dtype of each
+    stack that witness graph A is built on."""
+    stacks = []
+    real = isobench.verify._witnesses
+
+    def spy(members, M, tables, step, what, *classified):
+        if what == "pivot descent":
+            rows = frozenset(tuple(row) for row in tables.tolist())
+            stacks.append((members.shape, M, rows, tables.dtype))
+        return real(members, M, tables, step, what, *classified)
+
+    monkeypatch.setattr(isobench.verify, "_witnesses", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("gather", [7, 50])
+def test_stacks_exceed_the_cap_only_as_one_pair(gather, monkeypatch):
+    """Each stack holds (objective, hypergraph) pairs up to _GATHER cells,
+    or one pair over it; the objectives of one M share stacks.  Both caps
+    are below some pair's cells (72 at n = 3, M = 3 with 3 edges) and
+    above others' (2 at n = 1)."""
+    monkeypatch.setattr(isobench.verify, "_GATHER", gather)
+    stacks = spy_on_stacks(monkeypatch)
+    assert verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2, 3)], [2, 3]).ok
+    cells = [isobench.verify._stack_cells(n, M, m) for (_, m, n), M, _, _ in stacks]
+    pairs = [c for (c, _, _), *_ in stacks]
+    assert all(c == 1 or c * size <= gather for c, size in zip(pairs, cells))
+    assert any(size > gather for size in cells) and max(pairs) > 1
+    assert max(len(rows) for _, _, rows, _ in stacks) == 3
+
+
+@pytest.mark.parametrize("gather", [1, 200])
+def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
+    """A stack's value tables are widened only as far as its own
+    objectives need, so a chunk of int objectives is not ``object``
+    because a 2^70-scaled objective of the same M is."""
+    monkeypatch.setattr(isobench.verify, "_GATHER", gather)
+    stacks, dtypes = spy_on_stacks(monkeypatch), set()
+    for n, Hs in grid_walks():
+        objectives = mixed_objectives(n)
+        own = {tuple(_table(f, n).tolist()): _table(f, n).dtype for _, f in objectives}
+        stacks.clear()
+        walk_checks(Hs, objectives)
+        for _, _, rows, dtype in stacks:
+            assert dtype == np.result_type(*(own[row] for row in rows))
+            dtypes.add(dtype)
+    assert dtypes > {np.dtype(object)}
+
+
+def test_one_stack_per_edge_count_at_the_default_cap(monkeypatch, capsys):
+    """``verify --n-max 3 --M 2,3`` builds A once per (n, M, edge count),
+    for the three preset objectives together."""
+    stacks = spy_on_stacks(monkeypatch)
+    assert main(["verify", "--n-max", "3", "--M", "2,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    groups = [(n, M, m) for n in (1, 2, 3) for M in (2, 3) for m in {H.m for H in enumerate_hypergraphs(n)}]
+    assert Counter((n, M, m) for (_, m, n), M, _, _ in stacks) == Counter(groups)
+    assert {len(rows) for _, _, rows, _ in stacks} == {3}

@@ -11,7 +11,7 @@ from isobench import (
     zero_based_identity,
 )
 from conftest import check_rows
-from isobench.counting import _membership
+from isobench.counting import _membership, _table
 from isobench.verify import verify_grid, walk_checks
 
 
@@ -58,7 +58,7 @@ class TestInstanceChecks:
         H, f = singleton_hypergraph(2), identity_objective(3)
         mapping = tashma_injection_maximal(H, 3, f).mapping
         assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
-        domain, edges, _, _ = isobench.verify._injection(_membership(H), 3, f)
+        domain, edges, _, _ = isobench.verify._injection(_membership(H), 3, _table(f, 2)[None])
         # a collision; an image that does not isolate its edge, as the
         # injection reports it
         images = [img for _, img in mapping]
