@@ -14,17 +14,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .counting import (
-    DEFAULT_BUDGET,
     _classify,
     _decode_rows,
-    _membership,
     _rank_rows,
+    _single,
     _stacked_sums,
-    _table,
     count_isolating,
     count_layer1,
 )
-from .errors import BudgetExceededError
 from .hypergraph import (
     Hypergraph,
     disjoint_union,
@@ -33,11 +30,6 @@ from .hypergraph import (
     remove_vertex,
 )
 from .weights import Objective
-
-
-def _require_inclusion_free(H: Hypergraph) -> None:
-    if not is_inclusion_free(H):
-        raise ValueError("construction requires an inclusion-free hypergraph")
 
 
 def _assert_isolates(
@@ -260,20 +252,17 @@ def _graph(W: _Witnesses) -> WitnessGraph:
     )
 
 
-def _require_witness(H: Hypergraph, M: int, f: Objective, budget: int) -> None:
+def _require_witness(H: Hypergraph, M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse before any work, through ``_single`` with the n (M-1)^(n-1)
+    left nodes as its rows; then H and f as a stack of one."""
     if M < 2:
         raise ValueError("witness graph requires M >= 2")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    _require_inclusion_free(H)
-    left_nodes = H.n * (M - 1) ** (H.n - 1)
-    if left_nodes > budget:
-        raise BudgetExceededError(f"{left_nodes} left nodes exceed budget {budget}")
+    if not is_inclusion_free(H):
+        raise ValueError("construction requires an inclusion-free hypergraph")
+    return _single(H, M, f, H.n * (M - 1) ** (H.n - 1), f"{H.n} * {M - 1}^{H.n - 1} = ")
 
 
-def build_witness_graph_A(
-    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> WitnessGraph:
+def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     """The general witness graph.
 
     For a left node w whose unique 1 sits at vertex i: if some min-weight
@@ -281,29 +270,25 @@ def build_witness_graph_A(
     such edge; otherwise charge w itself (when already isolating) plus the
     pivot descent, or the pivot descents along the two lexicographically
     smallest min-weight edges.  Coincident targets merge into one simple
-    edge.  Refuses more than ``budget`` left nodes, n (M-1)^(n-1), before
-    building any.
+    edge.  Refuses more than DEFAULT_BUDGET left nodes, n (M-1)^(n-1),
+    before building any.
     """
-    _require_witness(H, M, f, budget)
-    tables = _table(f, H.n)[None]
-    return _graph(_witnesses(_membership(H), M, tables, _pivot_step, "pivot descent"))
+    members, tables = _require_witness(H, M, f)
+    return _graph(_witnesses(members, M, tables, _pivot_step, "pivot descent"))
 
 
-def build_witness_graph_B(
-    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> WitnessGraph:
+def build_witness_graph_B(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     """The witness graph for linear hypergraphs whose edges all have
     cardinality at least two; pivot descents are replaced by single-vertex
     descents at the next vertex of the charged edge.  Refuses more than
-    ``budget`` left nodes, as A does.
+    DEFAULT_BUDGET left nodes, as A does.
     """
-    _require_witness(H, M, f, budget)
+    members, tables = _require_witness(H, M, f)
     if not is_linear(H):
         raise ValueError("witness graph B requires a linear hypergraph")
     if any(e.bit_count() < 2 for e in H.edges):
         raise ValueError("witness graph B requires every edge cardinality >= 2")
-    tables = _table(f, H.n)[None]
-    return _graph(_witnesses(_membership(H), M, tables, _next_vertex_step, "next-vertex descent"))
+    return _graph(_witnesses(members, M, tables, _next_vertex_step, "next-vertex descent"))
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +309,14 @@ class ReductionCheck:
         return self.holds
 
 
-def check_degree_zero_reduction(
-    H: Hypergraph, v: int, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> ReductionCheck:
+def check_degree_zero_reduction(H: Hypergraph, v: int, M: int, f: Objective) -> ReductionCheck:
     """|Z_1(H)| >= M |Z_1(H-v)| + sum_{j>=2} |Z_j(H-v)| for degree-0 v."""
     if H.degree(v) != 0:
         raise ValueError(f"vertex {v} has degree {H.degree(v)}, expected 0")
-    sub = count_isolating(remove_vertex(H, v), M, f, budget=budget)
-    lhs = count_layer1(H, M, f, budget=budget)
+    # H's scan first: its M^n - (M-1)^n rows outnumber H-v's M^(n-1), so an
+    # instance over budget is refused before any count
+    lhs = count_layer1(H, M, f)
+    sub = count_isolating(remove_vertex(H, v), M, f)
     upper_layers = sum(sub.per_layer[1:])
     rhs = M * sub.layer1 + upper_layers
     return ReductionCheck(
@@ -343,14 +328,12 @@ def check_degree_zero_reduction(
     )
 
 
-def check_degree_one_reduction(
-    H: Hypergraph, v: int, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> ReductionCheck:
+def check_degree_one_reduction(H: Hypergraph, v: int, M: int, f: Objective) -> ReductionCheck:
     """|Z_1(H)| >= (M-1) |Z_1(H-v)| + (M-1)^(n-1) for degree-1 v."""
     if H.degree(v) != 1:
         raise ValueError(f"vertex {v} has degree {H.degree(v)}, expected 1")
-    sub_layer1 = count_layer1(remove_vertex(H, v), M, f, budget=budget)
-    lhs = count_layer1(H, M, f, budget=budget)
+    lhs = count_layer1(H, M, f)  # the larger scan first, as above
+    sub_layer1 = count_layer1(remove_vertex(H, v), M, f)
     rhs = (M - 1) * sub_layer1 + (M - 1) ** (H.n - 1)
     return ReductionCheck(
         name="degree_one_reduction",
@@ -362,13 +345,13 @@ def check_degree_one_reduction(
 
 
 def check_disjoint_union_reduction(
-    H1: Hypergraph, H2: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
+    H1: Hypergraph, H2: Hypergraph, M: int, f: Objective
 ) -> ReductionCheck:
     """|Z_1(H1 + H2)| >= (M-1)^n2 |Z_1(H1)| + (M-1)^n1 |Z_1(H2)|."""
     union = disjoint_union(H1, H2)
-    lhs = count_layer1(union, M, f, budget=budget)
-    z1_a = count_layer1(H1, M, f, budget=budget)
-    z1_b = count_layer1(H2, M, f, budget=budget)
+    lhs = count_layer1(union, M, f)
+    z1_a = count_layer1(H1, M, f)
+    z1_b = count_layer1(H2, M, f)
     rhs = (M - 1) ** H2.n * z1_a + (M - 1) ** H1.n * z1_b
     return ReductionCheck(
         name="disjoint_union_reduction",

@@ -145,12 +145,6 @@ def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
     return _Plan(members, slots, groups)
 
 
-def _membership(H: Hypergraph) -> np.ndarray:
-    """H's (1, m, n) 0/1 edge membership, in its edge order: a stack of one
-    for the batched constructions."""
-    return _plan((H,)).members.T[None]
-
-
 @functools.lru_cache(maxsize=256)
 def _value_table(scaled: tuple[int, ...], n: int) -> np.ndarray:
     top = max(abs(s) for s in scaled) * max(n, 1)  # the largest edge sum
@@ -348,6 +342,17 @@ def _check(f: Optional[Objective], M: int, rows: int, budget: int, label: str = 
         raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
 
 
+def _single(
+    H: Hypergraph, M: int, f: Objective, rows: int, label: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse a single-instance entry point before any work, as ``_check``
+    does, with the budget DEFAULT_BUDGET as it reads at call time; then hand
+    the batched cores their stack of one: H's (1, m, n) 0/1 edge membership,
+    in its edge order, and f's (1, M + 1) value table."""
+    _check(f, M, rows, DEFAULT_BUDGET, label)
+    return _plan((H,)).members.T[None], _table(f, H.n)[None]
+
+
 def count_isolating(
     H: Hypergraph,
     M: int,
@@ -385,15 +390,10 @@ def count_isolating(
     )
 
 
-def count_layer1(
-    H: Hypergraph,
-    M: int,
-    f: Objective,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1."""
-    _check(f, M, M**H.n - (M - 1) ** H.n, budget)
+def count_layer1(H: Hypergraph, M: int, f: Objective) -> int:
+    """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1;
+    refused as by ``_single``, without the stack of one it would not use."""
+    _check(f, M, M**H.n - (M - 1) ** H.n, DEFAULT_BUDGET)
     blocks = _blocks((H,), f, M, _suffix_len(H.n, M), layer1=True)
     return sum(int(np.count_nonzero(iso)) for _, iso, *_ in blocks)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _classify, _decode_rows, _membership, _stacked_sums, _table
+from .counting import _classify, _decode_rows, _single, _stacked_sums, _table
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, edge_vertices
 from .weights import Objective, identity_objective
@@ -78,18 +78,14 @@ class SubsetCheck:
         return self.holds
 
 
-def check_min_cardinality_reduction(
-    H: Hypergraph, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> SubsetCheck:
+def check_min_cardinality_reduction(H: Hypergraph, f: Objective) -> SubsetCheck:
     """Verify Z'(H_r) is contained in Z(H, 2, f) by direct enumeration."""
     if f.M != 2:
         raise ValueError("this reduction is specific to M = 2")
     if not H.edges:
         return SubsetCheck(holds=True, special_count=2**H.n, counterexamples=())
-    if (1 << H.n) > budget:
-        raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
-    tables = _table(f, H.n)[None]
-    W, special, bad = _reduction(_membership(H), tables, np.zeros(1, dtype=np.intp))
+    members, tables = _single(H, 2, f, 1 << H.n, f"2^{H.n} = ")
+    W, special, bad = _reduction(members, tables, np.zeros(1, dtype=np.intp))
     bad = tuple(map(tuple, W[bad[0]].tolist()))
     return SubsetCheck(holds=not bad, special_count=int(special.sum()), counterexamples=bad)
 
@@ -138,7 +134,7 @@ class RichEdgeReport:
     edges: tuple[EdgeRichness, ...]
 
 
-def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdgeReport:
+def rich_edge_report(H: Hypergraph) -> RichEdgeReport:
     """Full per-edge richness report for a nonempty r-uniform hypergraph.
 
     The difference hypergraphs H1(e) = {e - e'} and H2(e) = {e' - e} range
@@ -153,8 +149,7 @@ def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdge
     r = cards.pop()
     if r == 0:
         raise ValueError("uniform cardinality must be >= 1")
-    if (1 << H.n) > budget:
-        raise BudgetExceededError(f"2^{H.n} weight evaluations exceed budget {budget}")
+    members = _single(H, 2, _UNIT, 1 << H.n, f"2^{H.n} = ")[0]
 
     def cover(differences) -> tuple[int, ...]:
         edges = tuple(sorted(set(differences), key=edge_vertices))
@@ -166,7 +161,7 @@ def rich_edge_report(H: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> RichEdge
         (cover(e & ~o for o in rest), cover(o & ~e for o in rest))
         for e, rest in zip(H.edges, others)
     ]
-    _, special, first = _special_scan(_membership(H), np.ones((1, H.m), dtype=bool))
+    _, special, first = _special_scan(members, np.ones((1, H.m), dtype=bool))
     hist = np.bincount(first[0, special[0]], minlength=H.m)
     reports = []
     for t, (e, (c1, c2)) in enumerate(zip(H.edges, covers)):

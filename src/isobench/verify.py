@@ -76,10 +76,16 @@ class _Shape(NamedTuple):
     m: np.ndarray
 
 
+def _simple(H: Hypergraph) -> bool:
+    """Inclusion-free: read off a hypergraph validated so when it was built,
+    scanned only for one built without that check."""
+    return H.require_inclusion_free or is_inclusion_free(H)
+
+
 def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
     rows = []
     for H in Hs:
-        simple = is_inclusion_free(H)
+        simple = _simple(H)
         linear = simple and is_linear(H)
         proven = linear or (simple and one_degenerate_order(H) is not None)
         cards = {e.bit_count() for e in H.edges}
@@ -338,7 +344,7 @@ def verify_grid(
         for _, families, walk in _grid(walks, M_values, preset_objectives, budget)
     ]
     for Hs, objectives in grid:
-        built = [H.m for H in Hs if is_inclusion_free(H)]
+        built = [H.m for H in Hs if _simple(H)]
         for M in dict.fromkeys(M for M, f in objectives if M >= 2 and not f.zero_allowed):
             cells = _stack_cells(Hs[0].n, M, max(built)) if built else 0
             if cells > _STACK_CELLS:

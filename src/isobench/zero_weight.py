@@ -11,17 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (
-    DEFAULT_BUDGET,
-    CountReport,
-    _classify,
-    _decode_rows,
-    _membership,
-    _stacked_sums,
-    _table,
-    count_isolating,
-)
-from .errors import BudgetExceededError
+from .counting import CountReport, _classify, _decode_rows, _single, _stacked_sums, count_isolating
 from .hypergraph import Hypergraph, edge_vertices, power_set_hypergraph
 from .weights import Objective
 
@@ -83,9 +73,7 @@ def _injection(
     return domain, e, images, bad
 
 
-def tashma_injection_maximal(
-    H: Hypergraph, M: int, f: Objective, *, budget: int = DEFAULT_BUDGET
-) -> MaximalInjectionReport:
+def tashma_injection_maximal(H: Hypergraph, M: int, f: Objective) -> MaximalInjectionReport:
     """Map each w in {2..M}^n to w minus the indicator of an inclusion-wise
     maximal min-weight edge (lexicographically smallest among the maximal
     ones).  Works for hypergraphs with nested edges and zero-allowed
@@ -96,12 +84,8 @@ def tashma_injection_maximal(
     """
     if M < 2:
         raise ValueError("injection requires M >= 2")
-    if f.M != M:
-        raise ValueError(f"objective range {f.M} does not match M={M}")
-    domain_size = (M - 1) ** H.n
-    if domain_size > budget:
-        raise BudgetExceededError(f"domain size {domain_size} exceeds budget {budget}")
-    domain, e, images, bad = _injection(_membership(H), M, _table(f, H.n)[None])
+    members, tables = _single(H, M, f, (M - 1) ** H.n, f"{M - 1}^{H.n} = ")
+    domain, e, images, bad = _injection(members, M, tables)
     domain = list(map(tuple, domain.tolist()))
     pairs = list(zip(domain, map(tuple, images[0].tolist())))
     findings = [
@@ -122,11 +106,12 @@ def tashma_injection_maximal(
     )
 
 
-def zero_weight_tightness(n: int, M: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
+def zero_weight_tightness(n: int, M: int) -> CountReport:
     """Exact count for the power-set hypergraph under f(i) = i - 1; equals
     (M-1)^n, which is verified before returning."""
-    H = power_set_hypergraph(n)
-    report = count_isolating(H, M, zero_based_identity(M), budget=budget)
+    H, f = power_set_hypergraph(n), zero_based_identity(M)
+    _single(H, M, f, M**n, f"{M}^{n} = ")
+    report = count_isolating(H, M, f)
     expected = (M - 1) ** n
     if report.total != expected:
         raise AssertionError(

@@ -43,7 +43,7 @@ from isobench import (
 )
 from isobench.cli import main
 from isobench.constructions import _assert_isolates
-from isobench.counting import _CHUNK, _membership, _table
+from isobench.counting import _CHUNK, _single, _table
 from isobench.hypergraph import edge_vertices
 from isobench.verify import walk_checks
 
@@ -188,8 +188,8 @@ def test_batches_wider_than_one_block():
 
 
 def test_failed_isolation_names_the_first_weight_and_edge():
-    members = _membership(singleton_hypergraph(2))
-    tables, W = _table(identity_objective(2), 2)[None], np.array([[[1, 2], [2, 2], [2, 2]]])
+    members, tables = _single(singleton_hypergraph(2), 2, identity_objective(2), 0)
+    W = np.array([[[1, 2], [2, 2], [2, 2]]])
     edges = np.array([[0, 0, 1]])
     message = r"^probe failed to isolate edge \(1,\) at weight \(2, 2\)$"
     with pytest.raises(AssertionError, match=message):

@@ -27,9 +27,9 @@ from isobench import (
     singleton_hypergraph,
     tashma_injection_maximal,
 )
-from isobench import cli, constructions
+from isobench import cli, constructions, counting
 from isobench.hypergraph import edge_mask
-from isobench.counting import _membership
+from isobench.counting import _plan
 from isobench.verify import walk_checks
 
 F = Fraction
@@ -42,7 +42,7 @@ def H(n, *edges, **kw):
 def pivot_descents(h, W, pivots, edges):
     """Each weight row minus ``_pivot_step`` of the charged edge (an index
     into h.edges) at its 1-based pivot."""
-    members = _membership(h)[0].astype(bool)
+    members = _plan((h,)).members.T.astype(bool)
     step = constructions._pivot_step(members[np.array(edges, dtype=np.intp)], np.array(pivots) - 1)
     return np.array(W, dtype=np.int64).reshape(-1, h.n) - step
 
@@ -262,10 +262,13 @@ class TestWitnessBudget:
 
         monkeypatch.setattr(constructions, "_stacked_sums", never)
         monkeypatch.setattr(constructions, "_left_nodes", never)
-        with pytest.raises(BudgetExceededError, match="^32 left nodes exceed budget 31$"):
-            build(h, 3, f, budget=31)
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 31)
+        message = r"^4 \* 2\^3 = 32 weight evaluations exceed budget 31$"
+        with pytest.raises(BudgetExceededError, match=message):
+            build(h, 3, f)
         monkeypatch.undo()
-        assert build(h, 3, f, budget=32) == expected
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 32)
+        assert build(h, 3, f) == expected
 
     def test_instance_checks_pass_their_budget(self, monkeypatch):
         """The checks refuse a scan over their budget before building any
@@ -319,6 +322,35 @@ class TestReductions:
         assert chk.holds and (chk.lhs, chk.rhs) == (4, 4)
         chk = check_disjoint_union_reduction(Hypergraph(1, ()), s1, 2, f)
         assert chk.holds
+
+    @pytest.mark.parametrize(
+        "check,args",
+        [
+            (check_degree_zero_reduction, (H(3, [1], [2]), 3)),
+            (check_degree_one_reduction, (H(3, [1, 2], [3]), 3)),
+            (check_disjoint_union_reduction, (H(2, [1, 2]), singleton_hypergraph(1))),
+        ],
+        ids=["degree-zero", "degree-one", "union"],
+    )
+    def test_refused_before_the_first_count(self, check, args, monkeypatch):
+        """The largest scan is H's (or the union's) 3^3 - 2^3 = 19 layer-1
+        rows: a budget of 18 refuses the check before any count."""
+        f = identity_objective(3)
+        expected = check(*args, 3, f)
+        seen = []
+        blocks = counting._blocks
+
+        def spy(*a, **k):
+            seen.append(a[0])
+            return blocks(*a, **k)
+
+        monkeypatch.setattr(counting, "_blocks", spy)
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 18)
+        with pytest.raises(BudgetExceededError, match="^19 weight evaluations exceed budget 18$"):
+            check(*args, 3, f)
+        assert seen == []
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 19)
+        assert check(*args, 3, f) == expected
 
     def test_wrong_degree_rejected(self):
         f = identity_objective(2)

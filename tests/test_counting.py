@@ -424,11 +424,13 @@ class TestCountLayer1:
         assert count_layer1(singleton_hypergraph(3), 3, identity_objective(3)) == 12
         assert count_layer1(Hypergraph(2, ()), 3, identity_objective(3)) == 3**2 - 2**2
 
-    def test_budget_counts_only_layer1_weights(self):
+    def test_budget_counts_only_layer1_weights(self, monkeypatch):
         # 3^3 - 2^3 = 19 evaluations fit a budget of 20 even though 3^3 = 27
-        assert count_layer1(singleton_hypergraph(3), 3, identity_objective(3), budget=20) == 12
-        with pytest.raises(BudgetExceededError):
-            count_layer1(singleton_hypergraph(3), 3, identity_objective(3), budget=18)
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 20)
+        assert count_layer1(singleton_hypergraph(3), 3, identity_objective(3)) == 12
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 18)
+        with pytest.raises(BudgetExceededError, match="^19 weight evaluations exceed budget 18$"):
+            count_layer1(singleton_hypergraph(3), 3, identity_objective(3))
 
     @pytest.mark.parametrize("n,M", [(3, 3), (9, 4)])
     def test_overflow_path_classifies_only_layer1_rows(self, monkeypatch, n, M):

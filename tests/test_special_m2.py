@@ -22,8 +22,8 @@ from isobench import (
     singleton_hypergraph,
     tashma_injection_maximal,
 )
-from isobench import cli, special_m2
-from isobench.counting import _membership
+from isobench import cli, counting, special_m2
+from isobench.counting import _plan
 from isobench.hypergraph import edge_mask, edge_vertices
 from isobench.special_m2 import _special_scan, min_vertex_cover
 
@@ -35,7 +35,7 @@ def H(n, *edges, **kw):
 def special_isolating_weights(h):
     """All special isolating weights of h, sorted lexicographically: the
     special scan on a stack of one, every edge kept."""
-    W, special, _ = _special_scan(_membership(h), np.ones((1, h.m), dtype=bool))
+    W, special, _ = _special_scan(_plan((h,)).members.T[None], np.ones((1, h.m), dtype=bool))
     return list(map(tuple, W[special[0]].tolist()))
 
 
@@ -238,11 +238,14 @@ class TestBuilderRefusals:
     @pytest.mark.parametrize(
         "build", [rich_edge_report, check_min_cardinality_reduction], ids=["rich", "reduction"]
     )
-    def test_budget_refusals(self, build):
+    def test_budget_refusals(self, build, monkeypatch):
         args = () if build is rich_edge_report else (identity_objective(2),)
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 15)
         with pytest.raises(BudgetExceededError) as info:
-            build(singleton_hypergraph(4), *args, budget=15)
-        assert str(info.value) == "2^4 weight evaluations exceed budget 15"
+            build(singleton_hypergraph(4), *args)
+        assert str(info.value) == "2^4 = 16 weight evaluations exceed budget 15"
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 16)
+        build(singleton_hypergraph(4), *args)
 
     @pytest.mark.parametrize(
         "H,message",

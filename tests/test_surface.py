@@ -1,9 +1,9 @@
 """The package's public surface: ``isobench`` exports only names that its
 callers use, meaning the CLI, the scripts, the benchmark harness and the
 acceptance suite, so a name that only unit tests reach does not creep
-back into ``__init__``; and nothing public in a module, neither a
-function or class nor a method or property of a public class, is reached
-only by unit tests."""
+back into ``__init__``; nothing public in a module, neither a function
+or class nor a method or property of a public class, is reached only by
+unit tests; and no defaulted parameter of one is set only by them."""
 
 import ast
 import types
@@ -88,3 +88,95 @@ def test_only_document_formats_define_to_json_dict():
         )
     }
     assert sorted(defining) == sorted(SERIALIZERS)
+
+
+def defaulted(path: Path):
+    """(qualified name, name, defaulted parameters) of each public function
+    of the module and each public method of its public classes; a
+    parameter is (its position in a call, or None when keyword-only, its
+    name), the position counted past ``self`` or ``cls``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in node.body if owner else (node,):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            bound = 1 if owner and not static else 0
+            first = len(positional) - len(args.defaults)
+            params = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if params:
+                yield f"{path.stem}.{owner}{fn.name}", fn.name, params
+
+
+def callee(node: ast.expr) -> set[str]:
+    """The names a callee expression may be: a name or an attribute, or
+    either branch of a conditional expression of them."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.IfExp):
+        return callee(node.body) | callee(node.orelse)
+    return set()
+
+
+def passed(path: Path):
+    """(callee name, positions passed, keywords passed) of each call in the
+    file; a position or keyword set of None stands for every one, passed
+    through ``*`` or an unresolved ``**``.  One level of local aliases is
+    resolved: a call through ``run = cli.main`` is a call to ``main``, and
+    ``**flags`` after ``flags = {...}`` passes the dictionary's keys."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, dicts = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            name, value = node.targets[0].id, node.value
+            if callee(value):
+                aliases.setdefault(name, set()).update(callee(value))
+            elif isinstance(value, ast.Dict) and all(isinstance(k, ast.Constant) for k in value.keys):
+                dicts[name] = {k.value for k in value.keys}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        positions = None if starred else len(node.args)
+        keywords = set()
+        for kw in node.keywords:
+            if kw.arg is not None:
+                keywords.add(kw.arg)
+            elif isinstance(kw.value, ast.Name) and kw.value.id in dicts:
+                keywords |= dicts[kw.value.id]
+            else:
+                keywords = None
+                break
+        for name in callee(node.func):
+            for target in aliases.get(name, set()) | {name}:
+                yield target, positions, keywords
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Some call outside the unit tests passes each defaulted parameter of
+    each public function or method, by keyword, by position, or through
+    ``*`` or ``**``; a parameter only the unit tests set is a constant."""
+    calls: dict[str, list] = {}
+    for path in dict.fromkeys((*MODULES, *CALLERS)):
+        for name, positions, keywords in passed(path):
+            calls.setdefault(name, []).append((positions, keywords))
+    unset = [
+        f"{qualified}({param})"
+        for path in MODULES
+        for qualified, name, params in defaulted(path)
+        for at, param in params
+        if not any(
+            keywords is None
+            or param in keywords
+            or (at is not None and (positions is None or at < positions))
+            for positions, keywords in calls.get(name, ())
+        )
+    ]
+    assert sorted(unset) == []

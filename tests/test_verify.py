@@ -11,7 +11,7 @@ from isobench import (
     zero_based_identity,
 )
 from conftest import check_rows
-from isobench.counting import _membership, _table
+from isobench.counting import _single
 from isobench.verify import verify_grid, walk_checks
 
 
@@ -58,7 +58,8 @@ class TestInstanceChecks:
         H, f = singleton_hypergraph(2), identity_objective(3)
         mapping = tashma_injection_maximal(H, 3, f).mapping
         assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
-        domain, edges, _, _ = isobench.verify._injection(_membership(H), 3, _table(f, 2)[None])
+        members, tables = _single(H, 3, f, 0)
+        domain, edges, _, _ = isobench.verify._injection(members, 3, tables)
         # a collision; an image that does not isolate its edge, as the
         # injection reports it
         images = [img for _, img in mapping]
@@ -80,3 +81,25 @@ class TestSummaries:
         assert summary.ok
         assert summary.instances == (2 + 5) * 3
         assert summary.checks_run > 0
+
+    def test_inclusion_freeness_is_read_off_the_hypergraph(self, monkeypatch):
+        """A walk built inclusion-free is not scanned again; a hypergraph
+        built without that check is, and its nested edges get only the
+        universal bound."""
+        walk = list(enumerate_hypergraphs(3))
+        calls = []
+        scan = isobench.verify.is_inclusion_free
+
+        def spy(H):
+            calls.append(H)
+            return scan(H)
+
+        monkeypatch.setattr(isobench.verify, "is_inclusion_free", spy)
+        assert verify_grid([(3, walk)], [2, 3]).ok
+        assert calls == []
+        nested = Hypergraph.from_edges(2, [[1], [1, 2]], require_inclusion_free=False)
+        summary = verify_grid([(2, [nested])], [2])
+        assert (summary.ok, summary.checks_run) == (True, 3)  # one check per preset
+        assert calls == [nested, nested]  # the stack-size pre-pass and the check table
+        results = instance_checks(nested, 2, identity_objective(2))
+        assert [r.name for r in results] == ["total_ge_zero_weight_bound"]

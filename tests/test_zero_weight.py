@@ -41,9 +41,11 @@ class TestTightness:
         rep = zero_weight_tightness(n, M)
         assert rep.total == expected == (M - 1) ** n
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            zero_weight_tightness(5, 30, budget=10**6)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 10**6)
+        with pytest.raises(BudgetExceededError) as info:
+            zero_weight_tightness(5, 30)
+        assert str(info.value) == "30^5 = 24300000 weight evaluations exceed budget 1000000"
 
 
 class TestMaximalInjection:
@@ -81,9 +83,10 @@ class TestMaximalInjection:
             raise AssertionError("the injection ran")
 
         monkeypatch.setattr(zero_weight, "_injection", injected)
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 7)
         with pytest.raises(BudgetExceededError) as info:
-            tashma_injection_maximal(singleton_hypergraph(3), 3, identity_objective(3), budget=7)
-        assert str(info.value) == "domain size 8 exceeds budget 7"
+            tashma_injection_maximal(singleton_hypergraph(3), 3, identity_objective(3))
+        assert str(info.value) == "2^3 = 8 weight evaluations exceed budget 7"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_nested_instances_verify_clean(self, seed):
