@@ -253,13 +253,13 @@ def _graph(W: _Witnesses) -> WitnessGraph:
 
 
 def _require_witness(H: Hypergraph, M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """Refuse before any work, through ``_single`` with the n (M-1)^(n-1)
-    left nodes as its rows; then H and f as a stack of one."""
+    """Refuse before any work, through ``_single`` at the end; then H and f
+    as a stack of one."""
     if M < 2:
         raise ValueError("witness graph requires M >= 2")
     if not is_inclusion_free(H):
         raise ValueError("construction requires an inclusion-free hypergraph")
-    return _single(H, M, f, H.n * (M - 1) ** (H.n - 1), f"{H.n} * {M - 1}^{H.n - 1} = ")
+    return _single(H, M, f)
 
 
 def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
@@ -270,8 +270,8 @@ def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     such edge; otherwise charge w itself (when already isolating) plus the
     pivot descent, or the pivot descents along the two lexicographically
     smallest min-weight edges.  Coincident targets merge into one simple
-    edge.  Refuses more than DEFAULT_BUDGET left nodes, n (M-1)^(n-1),
-    before building any.
+    edge.  Refuses, before building any left node, an (H, M) whose
+    construction stack ``verify`` refuses (``counting._check_stack``).
     """
     members, tables = _require_witness(H, M, f)
     return _graph(_witnesses(members, M, tables, _pivot_step, "pivot descent"))
@@ -280,8 +280,8 @@ def build_witness_graph_A(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
 def build_witness_graph_B(H: Hypergraph, M: int, f: Objective) -> WitnessGraph:
     """The witness graph for linear hypergraphs whose edges all have
     cardinality at least two; pivot descents are replaced by single-vertex
-    descents at the next vertex of the charged edge.  Refuses more than
-    DEFAULT_BUDGET left nodes, as A does.
+    descents at the next vertex of the charged edge.  Refuses what A
+    refuses, before building any left node.
     """
     members, tables = _require_witness(H, M, f)
     if not is_linear(H):

@@ -59,6 +59,7 @@ DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
 _GATHER = 1 << 16  # bound on rows times gathered edge columns in _count_many
+_STACK_CELLS = 1 << 22  # cells of one (objective, hypergraph) pair's construction stack
 # the narrow edge-sum dtypes and the largest sum each holds; int64 up to 2^62
 _RUNGS = ((np.dtype(np.int16), (1 << 15) - 1), (np.dtype(np.int32), (1 << 31) - 1))
 
@@ -333,7 +334,7 @@ def _tally(
     return np.array(per_layer, dtype=np.int64), np.array(per_edge, dtype=np.int64)
 
 
-def _check(f: Optional[Objective], M: int, rows: int, budget: int, label: str = "") -> None:
+def _check(f: Optional[Objective], M: int, rows: int = 0, budget: int = 0, label: str = "") -> None:
     """Refuse a scan before any work: wrong objective range, or more rows
     than the budget (only that with no objective, before it is built)."""
     if f is not None and f.M != M:
@@ -342,14 +343,32 @@ def _check(f: Optional[Objective], M: int, rows: int, budget: int, label: str = 
         raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
 
 
-def _single(
-    H: Hypergraph, M: int, f: Objective, rows: int, label: str = ""
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refuse a single-instance entry point before any work, as ``_check``
-    does, with the budget DEFAULT_BUDGET as it reads at call time; then hand
-    the batched cores their stack of one: H's (1, m, n) 0/1 edge membership,
-    in its edge order, and f's (1, M + 1) value table."""
-    _check(f, M, rows, DEFAULT_BUDGET, label)
+def _stack_cells(n: int, M: int, m: int) -> int:
+    """Rows times edges (or vertices, when more) of the construction stack,
+    built unchunked, of one hypergraph with m edges on n vertices at M >= 2."""
+    rows = max(2 * n * (M - 1) ** (n - 1), (M - 1) ** n, 2**n if M == 2 else 0)
+    return rows * max(m, n)
+
+
+def _check_stack(n: int, M: int, m: int) -> int:
+    """The one size rule of the constructions, ``verify``'s and the builders':
+    refuse a stack of more than _STACK_CELLS cells, as it reads at call
+    time, before any work; else return the stack's cells."""
+    cells = _stack_cells(n, M, m)
+    if cells > _STACK_CELLS:
+        raise BudgetExceededError(
+            f"the constructions of one hypergraph on {n} vertices at M = {M}"
+            f" stack {cells} cells, more than {_STACK_CELLS}"
+        )
+    return cells
+
+
+def _single(H: Hypergraph, M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse a single-instance construction before any work, f's range and
+    H's stack; then hand the batched cores their stack of one: H's (1, m, n)
+    0/1 edge membership, in its edge order, and f's (1, M + 1) value table."""
+    _check(f, M)
+    _check_stack(H.n, M, H.m)
     return _plan((H,)).members.T[None], _table(f, H.n)[None]
 
 
@@ -358,12 +377,12 @@ def count_isolating(
     M: int,
     f: Objective,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     workers: int = 1,
 ) -> CountReport:
     """Exact |Z(H, M, f)| with per-layer and per-isolated-edge breakdowns,
-    by full enumeration of [M]^n."""
-    _check(f, M, M**H.n, budget, f"{M}^{H.n} = ")
+    by full enumeration of [M]^n; ``budget`` defaults to DEFAULT_BUDGET at call time."""
+    _check(f, M, M**H.n, DEFAULT_BUDGET if budget is None else budget, f"{M}^{H.n} = ")
     k = _suffix_len(H.n, M)
     heads = M ** (H.n - k)
     jobs = max(1, min(workers, heads))
@@ -392,7 +411,7 @@ def count_isolating(
 
 def count_layer1(H: Hypergraph, M: int, f: Objective) -> int:
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1;
-    refused as by ``_single``, without the stack of one it would not use."""
+    its rows are refused against DEFAULT_BUDGET, as it reads at call time."""
     _check(f, M, M**H.n - (M - 1) ** H.n, DEFAULT_BUDGET)
     blocks = _blocks((H,), f, M, _suffix_len(H.n, M), layer1=True)
     return sum(int(np.count_nonzero(iso)) for _, iso, *_ in blocks)

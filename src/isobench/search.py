@@ -5,6 +5,7 @@ seeded Monte Carlo samplers, and the asymptotic comparison table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -23,11 +24,13 @@ from .counting import (
     _table,
     count_isolating,
 )
+from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, enumerate_hypergraphs
 from .weights import Objective, preset_objectives, random_objective
 
 _BATCH = 1 << 14  # weight rows a sampler draws at a time
 _EXACT_BUDGET = 1_000_000  # the most rows a sampler's exact count scans
+_MAX_OBJECTIVES = 1_000_000  # the most objectives a strategy builds at one M, as a walk's antichains
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,20 @@ def conjecture_search(
     ``prune`` restricts to connected hypergraphs with minimum degree two,
     the shape any minimal counterexample must have.  Deterministic given
     the strategy, whose seed feeds its random objectives.  Each vertex
-    count's walk is counted whole, one batch per (M, f).
+    count's walk is counted whole, one batch per (M, f).  A strategy of
+    more than _MAX_OBJECTIVES objectives at some M is refused before any
+    objective is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     M_values = tuple(M_values)
     if not M_values or any(M < 1 for M in M_values):
         raise ValueError("M_values must be a nonempty list of positive integers")
+    for M in M_values:
+        # a strategy's count and bound are 0 unless they size its family
+        size = max(strategy.count, math.comb(strategy.bound, M))
+        if size > _MAX_OBJECTIVES:
+            raise BudgetExceededError(f"{size} objectives at M = {M} exceed budget {_MAX_OBJECTIVES}")
 
     instances = 0
     # Each instance is keyed by the order of the per-instance walk,

@@ -84,7 +84,7 @@ def check_min_cardinality_reduction(H: Hypergraph, f: Objective) -> SubsetCheck:
         raise ValueError("this reduction is specific to M = 2")
     if not H.edges:
         return SubsetCheck(holds=True, special_count=2**H.n, counterexamples=())
-    members, tables = _single(H, 2, f, 1 << H.n, f"2^{H.n} = ")
+    members, tables = _single(H, 2, f)
     W, special, bad = _reduction(members, tables, np.zeros(1, dtype=np.intp))
     bad = tuple(map(tuple, W[bad[0]].tolist()))
     return SubsetCheck(holds=not bad, special_count=int(special.sum()), counterexamples=bad)
@@ -149,22 +149,18 @@ def rich_edge_report(H: Hypergraph) -> RichEdgeReport:
     r = cards.pop()
     if r == 0:
         raise ValueError("uniform cardinality must be >= 1")
-    members = _single(H, 2, _UNIT, 1 << H.n, f"2^{H.n} = ")[0]
+    members = _single(H, 2, _UNIT)[0]
 
     def cover(differences) -> tuple[int, ...]:
         edges = tuple(sorted(set(differences), key=edge_vertices))
         return min_vertex_cover(Hypergraph(H.n, edges, require_inclusion_free=False))
 
-    # the covers read nothing of the scan: a cover search too large refuses before it
-    others = [[o for o in H.edges if o != e] for e in H.edges]
-    covers = [
-        (cover(e & ~o for o in rest), cover(o & ~e for o in rest))
-        for e, rest in zip(H.edges, others)
-    ]
     _, special, first = _special_scan(members, np.ones((1, H.m), dtype=bool))
     hist = np.bincount(first[0, special[0]], minlength=H.m)
     reports = []
-    for t, (e, (c1, c2)) in enumerate(zip(H.edges, covers)):
+    for t, e in enumerate(H.edges):
+        rest = [o for o in H.edges if o != e]
+        c1, c2 = cover(e & ~o for o in rest), cover(o & ~e for o in rest)
         s_lower = 2 ** (H.n - r - len(c2)) + 2 ** (r - len(c1)) - 1
         rich = len(c2) < H.n - r or len(c1) < r
         swaps = []

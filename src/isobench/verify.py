@@ -34,21 +34,17 @@ from .counting import (
     _GATHER,
     DEFAULT_BUDGET,
     _check,
+    _check_stack,
     _count_many,
     _plan,
     _rank_rows,
     _table,
 )
-from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
 from .search import _grid
 from .special_m2 import _reduction
 from .weights import Objective, preset_objectives
 from .zero_weight import _injection
-
-# the most cells (rows times edges, or vertices when more) of one
-# (objective, hypergraph) pair's construction stack, which is built unchunked
-_STACK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -95,13 +91,6 @@ def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
     return _Shape(*map(np.array, zip(*rows)))
 
 
-def _stack_cells(n: int, M: int, m: int) -> int:
-    """Rows times edges (or vertices, when more) of the construction stack
-    of one hypergraph with m edges on n vertices at M >= 2."""
-    rows = max(2 * n * (M - 1) ** (n - 1), (M - 1) ** n, 2**n if M == 2 else 0)
-    return rows * max(m, n)
-
-
 def _constructions(
     Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, fs: Sequence[Objective]
 ) -> dict:
@@ -126,7 +115,7 @@ def _constructions(
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
         pairs = positive.size * len(which)
-        per = max(1, _GATHER // _stack_cells(n, M, cols.shape[1]))
+        per = max(1, _GATHER // _check_stack(n, M, cols.shape[1]))
         for a in range(0, pairs, per):
             objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
             distinct, graph = np.unique(h, return_inverse=True)
@@ -337,21 +326,16 @@ def verify_grid(
     hypergraph of each (n, walk) pair, such as (n, enumerate_hypergraphs(n))
     or (H.n, [H]), in order.  The grid is refused before its first check
     when a walk or a scan exceeds its budget, or when one (objective,
-    hypergraph) pair's construction stack would exceed _STACK_CELLS
-    cells."""
+    hypergraph) pair's construction stack would exceed
+    ``counting._STACK_CELLS`` cells (``counting._check_stack``)."""
     grid = [
         (tuple(walk), [(M, f) for M in M_values for f in families[M]])
         for _, families, walk in _grid(walks, M_values, preset_objectives, budget)
     ]
     for Hs, objectives in grid:
         built = [H.m for H in Hs if _simple(H)]
-        for M in dict.fromkeys(M for M, f in objectives if M >= 2 and not f.zero_allowed):
-            cells = _stack_cells(Hs[0].n, M, max(built)) if built else 0
-            if cells > _STACK_CELLS:
-                raise BudgetExceededError(
-                    f"the constructions of one hypergraph on {Hs[0].n} vertices at M = {M}"
-                    f" stack {cells} cells, more than {_STACK_CELLS}"
-                )
+        for M in dict.fromkeys(M for M, f in objectives if built and M >= 2 and not f.zero_allowed):
+            _check_stack(Hs[0].n, M, max(built))
     checks_run, violations = 0, []
     for Hs, objectives in grid:
         run, failed = walk_checks(Hs, objectives, budget=budget)

@@ -507,6 +507,40 @@ class TestSearch:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            # C(3000, 3) integer objectives, and 5 * 10^7 random ones
+            ("--M 3 --strategy integers:3000", 4495501000),
+            ("--M 2 --strategy random:50000000", 50000000),
+        ],
+    )
+    def test_strategy_family_cap(self, argv, size, capsys, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the family was built or counted")
+
+        monkeypatch.setattr(isobench.weights.Objective, "__post_init__", started)
+        monkeypatch.setattr(isobench.search, "_count_many", started)
+        assert main(["search", "--n-max", "1", *argv.split()]) == 3
+        captured = capsys.readouterr()
+        M = argv.split()[1]
+        message = f"error: {size} objectives at M = {M} exceed budget 1000000\n"
+        assert (captured.out, captured.err) == ("", message)
+
+    def test_strategy_family_cap_boundary(self, capsys, monkeypatch):
+        """C(5, 2) = 10 integer objectives at M = 2, 10 at M = 3."""
+        monkeypatch.setattr(isobench.search, "_MAX_OBJECTIVES", 9)
+        for spec in ("integers:5", "random:10"):
+            assert main(["search", "--n-max", "2", "--M", "3,2", "--strategy", spec]) == 3
+            captured = capsys.readouterr()
+            message = "error: 10 objectives at M = 3 exceed budget 9\n"
+            assert (captured.out, captured.err) == ("", message)
+        monkeypatch.setattr(isobench.search, "_MAX_OBJECTIVES", 10)
+        for spec in ("integers:5", "random:10"):
+            assert main(["search", "--n-max", "2", "--M", "3,2", "--strategy", spec]) == 0
+            # 10 objectives at each of 2 M on the 2 + 5 hypergraphs with n <= 2
+            assert json.loads(capsys.readouterr().out)["instances"] == 2 * 10 * 7
+
     def test_missing_ratio_is_an_empty_cell(self, capsys):
         # the one pruned hypergraph, the triangle, under three objectives at
         # M = 1: both conjectured minima are 0 there, so neither ratio exists

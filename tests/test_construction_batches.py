@@ -188,7 +188,7 @@ def test_batches_wider_than_one_block():
 
 
 def test_failed_isolation_names_the_first_weight_and_edge():
-    members, tables = _single(singleton_hypergraph(2), 2, identity_objective(2), 0)
+    members, tables = _single(singleton_hypergraph(2), 2, identity_objective(2))
     W = np.array([[[1, 2], [2, 2], [2, 2]]])
     edges = np.array([[0, 0, 1]])
     message = r"^probe failed to isolate edge \(1,\) at weight \(2, 2\)$"
@@ -322,7 +322,7 @@ def test_stacks_exceed_the_cap_only_as_one_pair(gather, monkeypatch):
     monkeypatch.setattr(isobench.verify, "_GATHER", gather)
     stacks = spy_on_stacks(monkeypatch)
     assert verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2, 3)], [2, 3]).ok
-    cells = [isobench.verify._stack_cells(n, M, m) for (_, m, n), M, _, _ in stacks]
+    cells = [isobench.counting._stack_cells(n, M, m) for (_, m, n), M, _, _ in stacks]
     pairs = [c for (c, _, _), *_ in stacks]
     assert all(c == 1 or c * size <= gather for c, size in zip(pairs, cells))
     assert any(size > gather for size in cells) and max(pairs) > 1

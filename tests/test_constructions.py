@@ -260,14 +260,16 @@ class TestWitnessBudget:
         def never(*args, **kwargs):
             raise AssertionError("the builder started work")
 
+        # 2 * 4 * 2^3 rows times 4 edges
+        assert counting._stack_cells(4, 3, 4) == 256
         monkeypatch.setattr(constructions, "_stacked_sums", never)
         monkeypatch.setattr(constructions, "_left_nodes", never)
-        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 31)
-        message = r"^4 \* 2\^3 = 32 weight evaluations exceed budget 31$"
+        monkeypatch.setattr(counting, "_STACK_CELLS", 255)
+        message = "^the constructions of one hypergraph on 4 vertices at M = 3 stack 256 cells, more than 255$"
         with pytest.raises(BudgetExceededError, match=message):
             build(h, 3, f)
         monkeypatch.undo()
-        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 32)
+        monkeypatch.setattr(counting, "_STACK_CELLS", 256)
         assert build(h, 3, f) == expected
 
     def test_instance_checks_pass_their_budget(self, monkeypatch):

@@ -210,15 +210,29 @@ class TestRichEdgeReport:
 
 
 class TestBuilderRefusals:
-    def test_cover_limit_refuses_before_the_scan(self, monkeypatch):
-        # 2^22 rows fit the default budget; each edge's H2 needs 21 vertices
-        def scanned(*args, **kwargs):
-            raise AssertionError("the special scan ran")
+    def test_cover_limit(self):
+        """The cover search tries subsets of at most 20 vertices, those in
+        the edges, however many the hypergraph has."""
+        assert min_vertex_cover(H(21, range(1, 21))) == (1,)
+        with pytest.raises(BudgetExceededError) as info:
+            min_vertex_cover(H(21, range(1, 22)))
+        assert str(info.value) == "exact cover search limited to 20 vertices"
 
-        monkeypatch.setattr(special_m2, "_special_scan", scanned)
+    def test_rich_edge_report_refused_by_the_stack_rule_first(self, monkeypatch):
+        """22 singletons would need covers over 21 vertices, but 2^22 rows
+        times 22 vertices refuse the report before any cover or scan."""
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the report started work")
+
+        monkeypatch.setattr(special_m2, "min_vertex_cover", ran)
+        monkeypatch.setattr(special_m2, "_special_scan", ran)
         with pytest.raises(BudgetExceededError) as info:
             rich_edge_report(singleton_hypergraph(22))
-        assert str(info.value) == "exact cover search limited to 20 vertices"
+        assert str(info.value) == (
+            "the constructions of one hypergraph on 22 vertices at M = 2"
+            " stack 92274688 cells, more than 4194304"
+        )
 
     @pytest.mark.parametrize(
         "build,M,f,message",
@@ -239,12 +253,15 @@ class TestBuilderRefusals:
         "build", [rich_edge_report, check_min_cardinality_reduction], ids=["rich", "reduction"]
     )
     def test_budget_refusals(self, build, monkeypatch):
+        """The stack rule of ``verify``: 2^4 rows times 4 vertices."""
         args = () if build is rich_edge_report else (identity_objective(2),)
-        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 15)
+        monkeypatch.setattr(counting, "_STACK_CELLS", 63)
         with pytest.raises(BudgetExceededError) as info:
             build(singleton_hypergraph(4), *args)
-        assert str(info.value) == "2^4 = 16 weight evaluations exceed budget 15"
-        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 16)
+        assert str(info.value) == (
+            "the constructions of one hypergraph on 4 vertices at M = 2 stack 64 cells, more than 63"
+        )
+        monkeypatch.setattr(counting, "_STACK_CELLS", 64)
         build(singleton_hypergraph(4), *args)
 
     @pytest.mark.parametrize(

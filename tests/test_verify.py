@@ -58,7 +58,7 @@ class TestInstanceChecks:
         H, f = singleton_hypergraph(2), identity_objective(3)
         mapping = tashma_injection_maximal(H, 3, f).mapping
         assert [img for _, img in mapping] == [(1, 2), (1, 3), (3, 1), (2, 3)]
-        members, tables = _single(H, 3, f, 0)
+        members, tables = _single(H, 3, f)
         domain, edges, _, _ = isobench.verify._injection(members, 3, tables)
         # a collision; an image that does not isolate its edge, as the
         # injection reports it

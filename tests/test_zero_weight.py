@@ -82,11 +82,17 @@ class TestMaximalInjection:
         def injected(*args, **kwargs):
             raise AssertionError("the injection ran")
 
+        # the stack rule of ``verify``: 2 * 3 * 2^2 rows times 3 vertices
         monkeypatch.setattr(zero_weight, "_injection", injected)
-        monkeypatch.setattr(counting, "DEFAULT_BUDGET", 7)
+        monkeypatch.setattr(counting, "_STACK_CELLS", 71)
         with pytest.raises(BudgetExceededError) as info:
             tashma_injection_maximal(singleton_hypergraph(3), 3, identity_objective(3))
-        assert str(info.value) == "2^3 = 8 weight evaluations exceed budget 7"
+        assert str(info.value) == (
+            "the constructions of one hypergraph on 3 vertices at M = 3 stack 72 cells, more than 71"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(counting, "_STACK_CELLS", 72)
+        assert tashma_injection_maximal(singleton_hypergraph(3), 3, identity_objective(3)).injective
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_nested_instances_verify_clean(self, seed):
