@@ -157,11 +157,11 @@ def _cmd_verify(args) -> _Result:
         raise ValueError("--hypergraph and --n-max are mutually exclusive")
     if args.hypergraph is not None:
         H = _load_hypergraph(args.hypergraph)
-        walks = [(H.n, [H])]
+        walks = [[H]]
     elif args.n_max is not None:
         if args.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        walks = ((n, enumerate_hypergraphs(n)) for n in range(1, args.n_max + 1))
+        walks = (enumerate_hypergraphs(n) for n in range(1, args.n_max + 1))
     else:
         raise ValueError("verify needs --hypergraph PATH or --n-max N")
     summary = verify_grid(walks, _parse_m_list(args.M), budget=args.budget)
@@ -178,7 +178,7 @@ def _cmd_search(args) -> _Result:
         _parse_m_list(args.M),
         _parse_strategy(args.strategy, args.seed),
         prune=args.prune,
-        count_budget=args.budget,
+        budget=args.budget,
     )
     header = "n_max,M_values,instances,min_ratio_total,min_ratio_layer1,violations"
     row = (report.n_max, report.M_values, report.instances, report.min_ratio_total,

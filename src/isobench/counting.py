@@ -39,6 +39,9 @@ on at most 5 vertices one matmul costs fewer numpy calls than a gather
 through slots offset per hypergraph, which made ``verify --n-max 4 --M
 2,3`` slower.  Such a stack may mix objectives of one M: each hypergraph
 reads its own row of a stack of value tables.
+
+The grid that ``search`` and ``verify`` sweep, ``_grid``, is here too,
+next to the refusal it applies to each scan before any objective is built.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -108,8 +111,7 @@ class CountReport:
         }
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """``members``: the read-only (n, edges) 0/1 matrix of a tuple's distinct
     edges in first-seen order (so (H,) keeps H's order), [v - 1, t] = 1 when
     vertex v is in edge t; ``slots``: the same edges as the read-only
@@ -341,6 +343,31 @@ def _check(f: Optional[Objective], M: int, rows: int = 0, budget: int = 0, label
         raise ValueError(f"objective range {f.M} does not match M={M}")
     if rows > budget:
         raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
+
+
+def _grid(
+    walks: Iterable[Iterable[Hypergraph]],
+    M_values: Sequence[int],
+    candidates: Callable[[int, int], Sequence[Objective]],
+    budget: int,
+) -> list[tuple[tuple[Hypergraph, ...], list[tuple[int, Objective]]]]:
+    """(the walk as a tuple, [(M, f) for M in M_values for f in
+    candidates(M, n)]) for each walk, such as ``enumerate_hypergraphs(n)``
+    or [H], that yields a hypergraph, n read off the first.  Every walk is
+    started and its scans of [M]^n refused over ``budget`` before any
+    objective is built, which at a large M takes long, and the walks are
+    materialized last."""
+    started = []
+    for walk in walks:
+        walk = iter(walk)
+        first = next(walk, None)
+        if first is None:
+            continue
+        for M in M_values:
+            _check(None, M, M**first.n, budget, f"{M}^{first.n} = ")
+        started.append((first, walk))
+    built = [[(M, f) for M in M_values for f in candidates(M, first.n)] for first, _ in started]
+    return [((first, *walk), objectives) for (first, walk), objectives in zip(started, built)]
 
 
 def _stack_cells(n: int, M: int, m: int) -> int:

@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .counting import (
     _classify,
     _count_many,
     _gather,
+    _grid,
     _plan,
     _slot_sums,
     _table,
@@ -116,37 +117,13 @@ class SearchReport:
     violations: tuple[InstanceRecord, ...]
 
 
-def _grid(
-    walks: Iterable[tuple[int, Iterable[Hypergraph]]],
-    M_values: Sequence[int],
-    candidates: Callable[[int, int], Sequence[Objective]],
-    budget: int,
-) -> list[tuple[int, dict, Iterator[Hypergraph]]]:
-    """(n, objectives per M, walk) for each (n, walk) pair whose walk, an
-    iterable of hypergraphs on n vertices, yields a hypergraph.  Walk by
-    walk, each walk is started and its (n, M) scans of [M]^n checked
-    against ``budget``; only then are the objectives built.  So a grid is
-    refused before its first count, and a scan over budget before any
-    objective is built, which at a large M takes long."""
-    started = []
-    for n, walk in walks:
-        walk = iter(walk)
-        first = next(walk, None)
-        if first is None:
-            continue
-        for M in M_values:
-            _check(None, M, M**n, budget, f"{M}^{n} = ")
-        started.append((n, itertools.chain([first], walk)))
-    return [(n, {M: candidates(M, n) for M in M_values}, walk) for n, walk in started]
-
-
 def conjecture_search(
     n_max: int,
     M_values: Sequence[int],
     strategy: ObjectiveStrategy,
     *,
     prune: bool = False,
-    count_budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exhaustive sweep of inclusion-free hypergraphs on up to n_max
     vertices against both conjectured minima.
@@ -170,32 +147,31 @@ def conjecture_search(
             raise BudgetExceededError(f"{size} objectives at M = {M} exceed budget {_MAX_OBJECTIVES}")
 
     instances = 0
-    # Each instance is keyed by the order of the per-instance walk,
-    # (n, index of H in the walk, index of M, index of f): ratio ties go
+    # Each instance is keyed by the order of the per-instance walk, (n,
+    # index of H, index of (M, f) in the walk's objectives): ratio ties go
     # to the first instance in that order, and violations are listed in it.
     witness: list[Optional[tuple]] = [None, None]  # (ratio, key, instance) for |Z|, |Z_1|
     violations: list[tuple] = []  # (key, instance)
-    walks = ((n, enumerate_hypergraphs(n, prune=prune)) for n in range(1, n_max + 1))
-    for n, families, walk in _grid(walks, M_values, strategy.candidates, count_budget):
-        Hs = tuple(walk)
-        for i, M in enumerate(M_values):
-            denoms = (conjectured_Y(M, n), conjectured_Y1(M, n))
-            for j, f in enumerate(families[M]):
-                counts = _count_many(Hs, M, f)
-                instances += len(Hs)
+    walks = (enumerate_hypergraphs(n, prune=prune) for n in range(1, n_max + 1))
+    for Hs, objectives in _grid(walks, M_values, strategy.candidates, budget):
+        n = Hs[0].n
+        minima = {M: (conjectured_Y(M, n), conjectured_Y1(M, n)) for M in M_values}
+        for j, (M, f) in enumerate(objectives):
+            counts = _count_many(Hs, M, f)
+            instances += len(Hs)
 
-                def keyed(h: int) -> tuple:
-                    return (n, h, i, j), (Hs[h], M, f, *(c[h] for c in counts))
+            def keyed(h: int) -> tuple:
+                return (n, h, j), (Hs[h], M, f, *(c[h] for c in counts))
 
-                below = np.zeros(len(Hs), dtype=bool)
-                for k, (denom, count) in enumerate(zip(denoms, counts)):
-                    if denom:
-                        h = int(count.argmin())
-                        candidate = (Fraction(int(count[h]), denom), *keyed(h))
-                        if witness[k] is None or candidate[:2] < witness[k][:2]:
-                            witness[k] = candidate
-                        below |= count < denom
-                violations.extend(map(keyed, np.flatnonzero(below).tolist()))
+            below = np.zeros(len(Hs), dtype=bool)
+            for k, (denom, count) in enumerate(zip(minima[M], counts)):
+                if denom:
+                    h = int(count.argmin())
+                    candidate = (Fraction(int(count[h]), denom), *keyed(h))
+                    if witness[k] is None or candidate[:2] < witness[k][:2]:
+                        witness[k] = candidate
+                    below |= count < denom
+            violations.extend(map(keyed, np.flatnonzero(below).tolist()))
     violations.sort(key=lambda v: v[0])
     ratios = [None if w is None else w[0] for w in witness]
     records = [None if w is None else _record(*w[2]) for w in witness]

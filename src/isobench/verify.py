@@ -30,18 +30,9 @@ from .bounds import (
     ta_shma_bound,
 )
 from .constructions import _next_vertex_step, _pivot_step, _witnesses
-from .counting import (
-    _GATHER,
-    DEFAULT_BUDGET,
-    _check,
-    _check_stack,
-    _count_many,
-    _plan,
-    _rank_rows,
-    _table,
-)
+from . import counting
+from .counting import DEFAULT_BUDGET, _check_stack, _count_many, _grid, _plan, _rank_rows, _table
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
-from .search import _grid
 from .special_m2 import _reduction
 from .weights import Objective, preset_objectives
 from .zero_weight import _injection
@@ -101,10 +92,11 @@ def _constructions(
     nothing was built (M < 2, a zero-allowed objective, nested edges; a
     name nothing was built for is missing).  Every objective is built in
     one stack per edge count: the (objective, hypergraph) pairs, objective
-    by objective, in chunks of at most _GATHER pairs times rows times edges
-    (or vertices, when more), or of one pair.  A chunk stacks the value
-    tables of its own objectives only, so one objective's wide table does
-    not widen the arithmetic of another's chunks."""
+    by objective, in chunks of at most ``counting._GATHER`` (read at call
+    time) pairs times rows times edges (or vertices, when more), or of one
+    pair.  A chunk stacks the value tables of its own objectives only, so
+    one objective's wide table does not widen the arithmetic of another's
+    chunks."""
     out: dict = defaultdict(lambda: np.zeros((len(fs), len(Hs)), dtype=object))
     positive = np.flatnonzero([M >= 2 and not f.zero_allowed for f in fs])
     if not positive.size:
@@ -115,7 +107,7 @@ def _constructions(
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
         pairs = positive.size * len(which)
-        per = max(1, _GATHER // _check_stack(n, M, cols.shape[1]))
+        per = max(1, counting._GATHER // _check_stack(n, M, cols.shape[1]))
         for a in range(0, pairs, per):
             objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
             distinct, graph = np.unique(h, return_inverse=True)
@@ -272,22 +264,16 @@ def _check_tables(
             yield j, _checks(Hs, shape, M, f, bounds, own)
 
 
-def walk_checks(
-    Hs: tuple[Hypergraph, ...],
-    objectives: Sequence[tuple[int, Objective]],
-    *,
-    budget: int = DEFAULT_BUDGET,
+def _walk_checks(
+    Hs: tuple[Hypergraph, ...], objectives: Sequence[tuple[int, Objective]]
 ) -> tuple[int, list[CheckResult]]:
     """Run every applicable check on each instance (H, M, f), for H in Hs,
     hypergraphs on one n, and (M, f) in ``objectives``, and return how
     many ran and the failed ones: hypergraph by hypergraph, each in the
     order of ``objectives``, then of the check table.  Each (M, f) is
     counted as one batch over Hs, and the constructions of every f of one
-    M are built as one stack, after every scan was checked against
-    ``budget`` and the objective's range."""
-    n = Hs[0].n
-    for M, f in objectives:
-        _check(f, M, M**n, budget, f"{M}^{n} = ")
+    M are built as one stack; ``_grid`` has refused every scan over
+    budget."""
     checks_run, failed = 0, []
     for j, table in _check_tables(Hs, _shape(Hs), objectives):
         for k, (name, kind, lhs, relation, rhs, applies) in enumerate(table):
@@ -317,28 +303,25 @@ class VerifySummary:
 
 
 def verify_grid(
-    walks: Iterable[tuple[int, Iterable[Hypergraph]]],
+    walks: Iterable[Iterable[Hypergraph]],
     M_values: Sequence[int],
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> VerifySummary:
     """Run every instance check with the preset objectives on each
-    hypergraph of each (n, walk) pair, such as (n, enumerate_hypergraphs(n))
-    or (H.n, [H]), in order.  The grid is refused before its first check
-    when a walk or a scan exceeds its budget, or when one (objective,
-    hypergraph) pair's construction stack would exceed
-    ``counting._STACK_CELLS`` cells (``counting._check_stack``)."""
-    grid = [
-        (tuple(walk), [(M, f) for M in M_values for f in families[M]])
-        for _, families, walk in _grid(walks, M_values, preset_objectives, budget)
-    ]
+    hypergraph of each walk, such as enumerate_hypergraphs(n) or [H], in
+    order.  The grid is refused before its first check when a walk or a
+    scan exceeds its budget, or when one (objective, hypergraph) pair's
+    construction stack would exceed ``counting._STACK_CELLS`` cells
+    (``counting._check_stack``)."""
+    grid = _grid(walks, M_values, preset_objectives, budget)
     for Hs, objectives in grid:
         built = [H.m for H in Hs if _simple(H)]
         for M in dict.fromkeys(M for M, f in objectives if built and M >= 2 and not f.zero_allowed):
             _check_stack(Hs[0].n, M, max(built))
     checks_run, violations = 0, []
     for Hs, objectives in grid:
-        run, failed = walk_checks(Hs, objectives, budget=budget)
+        run, failed = _walk_checks(Hs, objectives)
         checks_run += run
         violations += failed
     return VerifySummary(

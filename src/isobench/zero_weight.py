@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountReport, _classify, _decode_rows, _single, _stacked_sums, count_isolating
+from . import counting
+from .counting import CountReport, _check, _classify, _decode_rows, _single, _stacked_sums, count_isolating
 from .hypergraph import Hypergraph, edge_vertices, power_set_hypergraph
 from .weights import Objective
 
@@ -108,7 +109,10 @@ def tashma_injection_maximal(H: Hypergraph, M: int, f: Objective) -> MaximalInje
 
 def zero_weight_tightness(n: int, M: int) -> CountReport:
     """Exact count for the power-set hypergraph under f(i) = i - 1; equals
-    (M-1)^n, which is verified before returning."""
+    (M-1)^n, which is verified before returning.  M^n is refused against
+    DEFAULT_BUDGET, as it reads at call time, before the hypergraph or the
+    objective is built."""
+    _check(None, M, M**n, counting.DEFAULT_BUDGET, f"{M}^{n} = ")
     report = count_isolating(power_set_hypergraph(n), M, zero_based_identity(M))
     expected = (M - 1) ** n
     if report.total != expected:

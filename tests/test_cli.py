@@ -286,6 +286,14 @@ class TestVerify:
         digest = "87e9d18488ab0fd8fa082667f65163f20888debeee6ef0d8844118d817f90751"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_grid_output_with_a_repeated_M(self, capsys):
+        # sha256 of stdout, recorded before the grid's objectives became one
+        # flat (M, f) list per walk: a repeated M is checked once per listing
+        assert main(["verify", "--n-max", "3", "--M", "3,2,3"]) == 0
+        out = capsys.readouterr().out
+        digest = "2c8c6c7c065fd9e9da4bd3dc7f83c7881aff200cc1f7e15eea8109c19fe7cd32"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_records_only_the_failed_checks(self, capsys, monkeypatch):
         """A passing check builds no record; a failed one builds one, kept
         in the report."""
@@ -391,7 +399,7 @@ class TestGridRefusals:
             raise AssertionError("a refused grid was counted")
 
         monkeypatch.setattr(isobench.search, "_count_many", counted)
-        monkeypatch.setattr(isobench.verify, "walk_checks", counted)
+        monkeypatch.setattr(isobench.verify, "_walk_checks", counted)
         monkeypatch.setattr(isobench.verify, "_count_many", counted)
         assert main(argv.format(h12=h12_path, c8=c8_path).split()) == 3
         captured = capsys.readouterr()
@@ -470,6 +478,12 @@ class TestSearch:
         "--n-max 4 --M 2,3 --strategy integers:5": (
             "c142673a3fb4abf75a8e8431556b919a8c04a1ce5af919960212828e7c0bb2a8",
             "ed49be960d83b9c1c775fb1c78dd492e41fa0c1e4c25d81dae0e487f608568af",
+        ),
+        # a repeated, unsorted M list, recorded before the grid's objectives
+        # became one flat (M, f) list per walk
+        "--n-max 3 --M 3,1,3": (
+            "845fb2dc5f6aaca6f2399f77d27b06e105005dbdc410f4ce82755b0bceb658f9",
+            "c89b7568ed327fe9c7f7a88509bb3cd2bf14b86ec48b1ca2cc4d6edbc62fb2da",
         ),
     }
 

@@ -45,7 +45,7 @@ from isobench.cli import main
 from isobench.constructions import _assert_isolates
 from isobench.counting import _CHUNK, _single, _table
 from isobench.hypergraph import edge_vertices
-from isobench.verify import walk_checks
+from isobench.verify import _walk_checks
 
 SCALES = (1, 2**70)
 
@@ -242,9 +242,7 @@ def test_batched_checks_match_one_hypergraph_walks_and_references(M_values, scal
         objectives = [(M, _scaled(f, scale)) for M in M_values for f in preset_objectives(M, n)]
         want = [check_rows((H,), objectives)[0] for H in Hs]
         for gather in (7, 200):
-            with mock.patch.object(isobench.counting, "_GATHER", gather), mock.patch.object(
-                isobench.verify, "_GATHER", gather
-            ):
+            with mock.patch.object(isobench.counting, "_GATHER", gather):
                 assert check_rows(Hs, objectives) == want
         for H, per_objective in zip(Hs, want):
             for (M, f), rows in zip(objectives, per_objective):
@@ -280,8 +278,7 @@ def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
     """With every bound tripled, so that checks fail, one walk over a mixed
     list of objectives runs as many checks and fails the same ones as one
     walk per objective, whatever the chunks its stacks are cut into."""
-    for module in (isobench.counting, isobench.verify):
-        monkeypatch.setattr(module, "_GATHER", gather)
+    monkeypatch.setattr(isobench.counting, "_GATHER", gather)
     for name in BOUNDS:
         bound = getattr(isobench.verify, name)
         monkeypatch.setattr(isobench.verify, name, lambda *args, bound=bound: 3 * bound(*args))
@@ -289,8 +286,8 @@ def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
     for n, Hs in grid_walks():
         objectives = mixed_objectives(n)
         assert len({str(_table(f, n).dtype) for M, f in objectives if M == 2}) > 1
-        run, failed = walk_checks(Hs, objectives)
-        singles = [walk_checks(Hs, [objective]) for objective in objectives]
+        run, failed = _walk_checks(Hs, objectives)
+        singles = [_walk_checks(Hs, [objective]) for objective in objectives]
         assert run == sum(r for r, _ in singles)
         assert sorted(failed, key=repr) == sorted((r for _, f in singles for r in f), key=repr)
         failures += len(failed)
@@ -319,9 +316,9 @@ def test_stacks_exceed_the_cap_only_as_one_pair(gather, monkeypatch):
     or one pair over it; the objectives of one M share stacks.  Both caps
     are below some pair's cells (72 at n = 3, M = 3 with 3 edges) and
     above others' (2 at n = 1)."""
-    monkeypatch.setattr(isobench.verify, "_GATHER", gather)
+    monkeypatch.setattr(isobench.counting, "_GATHER", gather)
     stacks = spy_on_stacks(monkeypatch)
-    assert verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2, 3)], [2, 3]).ok
+    assert verify_grid([enumerate_hypergraphs(n) for n in (1, 2, 3)], [2, 3]).ok
     cells = [isobench.counting._stack_cells(n, M, m) for (_, m, n), M, _, _ in stacks]
     pairs = [c for (c, _, _), *_ in stacks]
     assert all(c == 1 or c * size <= gather for c, size in zip(pairs, cells))
@@ -334,13 +331,13 @@ def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
     """A stack's value tables are widened only as far as its own
     objectives need, so a chunk of int objectives is not ``object``
     because a 2^70-scaled objective of the same M is."""
-    monkeypatch.setattr(isobench.verify, "_GATHER", gather)
+    monkeypatch.setattr(isobench.counting, "_GATHER", gather)
     stacks, dtypes = spy_on_stacks(monkeypatch), set()
     for n, Hs in grid_walks():
         objectives = mixed_objectives(n)
         own = {tuple(_table(f, n).tolist()): _table(f, n).dtype for _, f in objectives}
         stacks.clear()
-        walk_checks(Hs, objectives)
+        _walk_checks(Hs, objectives)
         for _, _, rows, dtype in stacks:
             assert dtype == np.result_type(*(own[row] for row in rows))
             dtypes.add(dtype)

@@ -30,7 +30,7 @@ from isobench import (
 from isobench import cli, constructions, counting
 from isobench.hypergraph import edge_mask
 from isobench.counting import _plan
-from isobench.verify import walk_checks
+from isobench.verify import verify_grid
 
 F = Fraction
 
@@ -283,12 +283,12 @@ class TestWitnessBudget:
             return real(members, M, f, step, what, *classified)
 
         monkeypatch.setattr(isobench.verify, "_witnesses", spy)
-        h, objectives = H(3, [1, 2], [2, 3]), [(3, identity_objective(3))]
+        h = H(3, [1, 2], [2, 3])
         with pytest.raises(BudgetExceededError, match=r"^3\^3 = 27 weight evaluations exceed budget 26$"):
-            list(walk_checks((h,), objectives, budget=26))
+            verify_grid([[h]], [3], budget=26)
         assert seen == []
-        checks_run, failed = walk_checks((h,), objectives, budget=27)
-        assert checks_run > 0 and failed == []
+        summary = verify_grid([[h]], [3], budget=27)
+        assert summary.checks_run > 0 and summary.ok
         # B is handed A's classification of their shared left nodes
         assert seen == [("pivot descent", 0), ("next-vertex descent", 1)]
 

@@ -123,14 +123,16 @@ class TestConjectureSearch:
     def test_violations_match_the_per_instance_sweep(self, monkeypatch, prune, strategy, gather):
         # raised minima turn most instances into violations; M = 1 has
         # zero minima for n >= 2, so those ratios are None.  A small
-        # _GATHER cuts each walk's batch into small blocks.
+        # _GATHER cuts each walk's batch into small blocks.  A repeated,
+        # unsorted M list sweeps each listing of M in turn.
         raise_conjectures(monkeypatch, 3)
         if gather:
             monkeypatch.setattr(counting, "_GATHER", gather)
-        got = conjecture_search(4, [1, 2, 3], strategy, prune=prune)
-        expected = per_instance_search(4, [1, 2, 3], strategy, prune=prune)
-        assert len(expected["violations"]) > 50
-        assert json.loads(cli._json_text(got)) == expected
+        for M_values in ([1, 2, 3], [3, 1, 3]):
+            got = conjecture_search(4, M_values, strategy, prune=prune)
+            expected = per_instance_search(4, M_values, strategy, prune=prune)
+            assert len(expected["violations"]) > 50
+            assert json.loads(cli._json_text(got)) == expected
 
     def test_ratio_ties_go_to_the_first_instance_visited(self, monkeypatch):
         # synthetic counts with many ties at the minimum, placed so that a
@@ -168,9 +170,9 @@ class TestConjectureSearch:
         # with pruning nothing is yielded below n = 3, so the first refusal
         # is 2^3 rows there, not 2^2 rows at n = 2
         with pytest.raises(BudgetExceededError, match=r"^2\^3 = 8 weight evaluations exceed budget 3$"):
-            conjecture_search(3, [2], PRESETS, prune=True, count_budget=3)
+            conjecture_search(3, [2], PRESETS, prune=True, budget=3)
         with pytest.raises(BudgetExceededError, match=r"^3\^2 = 9 weight evaluations exceed budget 8$"):
-            conjecture_search(3, [2, 3], PRESETS, count_budget=8)
+            conjecture_search(3, [2, 3], PRESETS, budget=8)
 
     def test_prune_restricts_the_family(self):
         full = conjecture_search(3, [2], PRESETS)

@@ -55,7 +55,7 @@ def builders(h, M):
 def test_verify_and_the_builders_share_the_boundary(name, M, monkeypatch):
     h = HYPERGRAPHS[name]
     cells = counting._stack_cells(h.n, M, h.m)
-    calls = [lambda: verify_grid([(h.n, [h])], [M])] + builders(h, M)
+    calls = [lambda: verify_grid([[h]], [M])] + builders(h, M)
     monkeypatch.setattr(counting, "_STACK_CELLS", cells - 1)
     message = (
         f"the constructions of one hypergraph on {h.n} vertices at M = {M}"

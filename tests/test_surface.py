@@ -3,7 +3,9 @@ callers use, meaning the CLI, the scripts, the benchmark harness and the
 acceptance suite, so a name that only unit tests reach does not creep
 back into ``__init__``; nothing public in a module, neither a function
 or class nor a method or property of a public class, is reached only by
-unit tests; and no defaulted parameter of one is set only by them."""
+unit tests; and no defaulted parameter of one is set only by them.
+Also the one layering rule between modules: ``verify`` does not import
+the sampler module ``search``."""
 
 import ast
 import types
@@ -180,3 +182,23 @@ def test_every_defaulted_parameter_has_a_caller():
         )
     ]
     assert sorted(unset) == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The dotted name of every module the file imports, and of every name
+    it imports from one (which may be a submodule)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            out |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return out
+
+
+def test_verify_does_not_import_search():
+    """``verify`` reads the grid from ``counting``, next to the refusals,
+    not from the sampler module."""
+    imported = imported_modules(ROOT / "src" / "isobench" / "verify.py")
+    assert sorted(name for name in imported if "search" in name.split(".")) == []

@@ -12,7 +12,7 @@ from isobench import (
 )
 from conftest import check_rows
 from isobench.counting import _single
-from isobench.verify import verify_grid, walk_checks
+from isobench.verify import _walk_checks, verify_grid
 
 
 def instance_checks(H, M, f):
@@ -70,14 +70,14 @@ class TestInstanceChecks:
         for name, (images, bad) in broken.items():
             report = (domain, edges, np.array(images), np.array(bad))
             monkeypatch.setattr(isobench.verify, "_injection", lambda *a, report=report: report)
-            failed = walk_checks((H,), [(3, f)])[1]
+            failed = _walk_checks((H,), [(3, f)])[1]
             assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]
             assert failed[0].instance["hypergraph"] == H.to_json_dict()
 
 
 class TestSummaries:
     def test_small_grid_clean(self):
-        summary = verify_grid([(n, enumerate_hypergraphs(n)) for n in (1, 2)], [2])
+        summary = verify_grid([enumerate_hypergraphs(n) for n in (1, 2)], [2])
         assert summary.ok
         assert summary.instances == (2 + 5) * 3
         assert summary.checks_run > 0
@@ -95,10 +95,10 @@ class TestSummaries:
             return scan(H)
 
         monkeypatch.setattr(isobench.verify, "is_inclusion_free", spy)
-        assert verify_grid([(3, walk)], [2, 3]).ok
+        assert verify_grid([walk], [2, 3]).ok
         assert calls == []
         nested = Hypergraph.from_edges(2, [[1], [1, 2]], require_inclusion_free=False)
-        summary = verify_grid([(2, [nested])], [2])
+        summary = verify_grid([[nested]], [2])
         assert (summary.ok, summary.checks_run) == (True, 3)  # one check per preset
         assert calls == [nested, nested]  # the stack-size pre-pass and the check table
         results = instance_checks(nested, 2, identity_objective(2))

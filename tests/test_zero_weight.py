@@ -47,6 +47,19 @@ class TestTightness:
             zero_weight_tightness(5, 30)
         assert str(info.value) == "30^5 = 24300000 weight evaluations exceed budget 1000000"
 
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        """M^n is refused before the power set or the objective of M values
+        is built, which at a large M takes long."""
+
+        def built(*args, **kwargs):
+            raise AssertionError("built before the refusal")
+
+        monkeypatch.setattr(Objective, "__post_init__", built)
+        monkeypatch.setattr(zero_weight, "power_set_hypergraph", built)
+        with pytest.raises(BudgetExceededError) as info:
+            zero_weight_tightness(2, 20_001)
+        assert str(info.value) == "20001^2 = 400040001 weight evaluations exceed budget 100000000"
+
 
 class TestMaximalInjection:
     def test_power_set_with_zero_objective(self):
