@@ -9,31 +9,35 @@ exactly.  A row isolates when exactly one edge is at its minimum, counted
 in bytes below 256 edges.
 
 One generator, ``_blocks``, walks [M]^n for a tuple of hypergraphs on the
-same n.  It splits the coordinates into a prefix and a suffix of length k
-(meet-in-the-middle, after Horowitz and Sahni 1974): each distinct edge's
-weight is summed once per suffix and once per prefix, and a block of rows
-is one broadcast addition of the two.  Both sides come from one cached
-table per length, sorted by row minimum, so every scan is a set of index
-ranges over the two tables: a block's rows with minimum at least j are one
-rectangle, the layer counts are flat counts over rectangles with no
-per-row layer, and the rows with some entry 1 are two spans of the same
-edge sums.  One hypergraph is classified in place; a batch is classified
-group by group, the hypergraphs with the same number of edges gathered
-into one array.  Three reducers sum its blocks: ``count_isolating`` (per
-layer and per edge, with the sorted prefixes optionally cut into ranges
-across worker processes), ``count_layer1`` (the rows with some entry 1
-only) and the conjecture sweep's ``_count_many`` (|Z| and |Z_1| of every
-hypergraph of a batch).  Explicit weight rows (the constructions' weights,
-the samplers' draws) go through the same classify step, and the samplers'
+same n under a stack of objectives, their value tables of one dtype on a
+leading axis.  It splits the coordinates into a prefix and a suffix of
+length k (meet-in-the-middle, after Horowitz and Sahni 1974): each
+distinct edge's weight is summed once per suffix and once per prefix, and
+a block of rows is one broadcast addition of the two.  Both sides come
+from one cached table per length, sorted by row minimum, so every scan is
+a set of index ranges over the two tables: a block's rows with minimum at
+least j are one rectangle, the layer counts are flat counts over
+rectangles with no per-row layer, and the rows with some entry 1 are two
+spans of the same edge sums.  One hypergraph is classified in place; a
+batch is classified group by group, the hypergraphs with the same number
+of edges gathered into one array.  Three reducers sum its blocks:
+``count_isolating`` (per layer and per edge, with the sorted prefixes
+optionally cut into ranges across worker processes) and ``count_layer1``
+(the rows with some entry 1 only), each on a stack of one objective, and
+the sweeps' ``_count_many`` (|Z| and |Z_1| of every hypergraph of a batch
+under every objective of one M, in stacks of one dtype, handed back one
+stack at a time).  Explicit weight rows (the constructions' weights, the
+samplers' draws) go through the same classify step, and the samplers'
 draws through the same edge sums.
 
 Edge sums need no multiplication, and take two steps that the scans and
 the samplers share: ``_gather`` takes a side's (or a batch of draws')
-values once, vertex-major, over a zero padding row, and ``_slot_sums``
-adds, for each edge, the rows of its vertices, in the table's dtype.
-Where most draws are on layer 1, ``sample --layer1`` reads acceptance
-from a whole gathered batch: a row holds a 1 exactly when its least value
-is the table's value of label 1, the table's unique least value.  The
+values once, vertex-major, over a zero padding row, under each table of a
+stack (or the samplers' one table), and ``_slot_sums`` adds, for each
+edge, the rows of its vertices, in the tables' dtype.  Where most draws
+are on layer 1, ``sample --layer1`` reads acceptance from a whole
+gathered batch: a row holds a 1 exactly when its least value is the
+table's value of label 1, the table's unique least value.  The
 constructions' stacks of hypergraphs (``_stacked_sums``) keep a matmul:
 on at most 5 vertices one matmul costs fewer numpy calls than a gather
 through slots offset per hypergraph, which made ``verify --n-max 4 --M
@@ -61,7 +65,7 @@ from .weights import Objective
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
-_GATHER = 1 << 16  # bound on rows times gathered edge columns in _count_many
+_GATHER = 1 << 16  # bound on rows times gathered edge columns times objectives in _count_many
 _STACK_CELLS = 1 << 22  # cells of one (objective, hypergraph) pair's construction stack
 # the narrow edge-sum dtypes and the largest sum each holds; int64 up to 2^62
 _RUNGS = ((np.dtype(np.int16), (1 << 15) - 1), (np.dtype(np.int32), (1 << 31) - 1))
@@ -189,7 +193,8 @@ def _rank_rows(rows: np.ndarray, M: int) -> np.ndarray:
 
 def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Isolation of each row of an array of edge weights with the edges on
-    axis -2: shape (edges, rows), or (hypergraphs, edges, rows).
+    axis -2 and any leading axes: shape (..., edges, rows), such as
+    ``_blocks``' (objectives, hypergraphs, edges, rows).
 
     Returns the isolating mask, of the shape of ``sums`` without the edge
     axis, and the mask of edges at the row's minimum, of the shape of
@@ -207,20 +212,26 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(W: np.ndarray, table: np.ndarray, first: int = 0) -> np.ndarray:
     """The values of W's rows, whose coordinates are the vertices first,
-    first + 1, ..., gathered once, vertex-major: shape (first + W's
-    columns + 1, rows), in the table's dtype.  The rows of the vertices
+    first + 1, ..., gathered once, vertex-major, under each table of a
+    stack (..., M + 1), or one table (M + 1,): shape (..., first + W's
+    columns + 1, rows), in the tables' dtype.  The rows of the vertices
     before W are zero, and so is the last row, the padding onto which
-    ``_slot_sums`` clips every index past W."""
-    values = np.zeros((first + W.shape[1] + 1, W.shape[0]), dtype=table.dtype)
-    values[first:-1] = table[W].T
+    ``_slot_sums`` clips every index past W.  The gather is a ``take`` in
+    W's own order, transposed as it is copied in: indexing with a leading
+    Ellipsis, or through ``table.T``, or with W transposed, takes up to
+    four times as long on a stack and as much as half again on one
+    table."""
+    values = np.zeros((*table.shape[:-1], first + W.shape[1] + 1, W.shape[0]), dtype=table.dtype)
+    values[..., first:-1, :] = np.swapaxes(table.take(W, axis=-1), -1, -2)
     return values
 
 
 def _slot_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Weight of each edge of ``slots`` (a plan's vertex lists, padded with
-    n) over gathered ``values``: shape (edges, rows), in their dtype.  Each
-    edge adds its slots' rows, so no value is multiplied by 0 or 1."""
-    return np.add.reduce(values.take(slots, axis=0, mode="clip"), axis=1, dtype=values.dtype)
+    n) over gathered ``values`` (..., vertices + 1, rows): shape (...,
+    edges, rows), in their dtype.  Each edge adds its slots' rows, so no
+    value is multiplied by 0 or 1."""
+    return np.add.reduce(values.take(slots, axis=-2, mode="clip"), axis=-2, dtype=values.dtype)
 
 
 def _stacked_sums(tables: np.ndarray, members: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -266,8 +277,8 @@ def _suffix_table(k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(
-    Hs: tuple[Hypergraph, ...],
-    f: Objective,
+    plan: _Plan,
+    tables: np.ndarray,
     M: int,
     k: int,
     start: int = 0,
@@ -276,46 +287,48 @@ def _blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Classify the rows of [M]^n whose (n - k)-prefix is at a position in
     [start, stop) of the sorted prefix table, or with ``layer1`` only those
-    with some entry 1, for every hypergraph of Hs (one n).  Yields
-    (positions in Hs, isolating mask (hypergraphs, rows), edges at the
-    minimum (hypergraphs, m, rows), prefix minima, suffix minima) per
-    block, a range of prefixes times a range of suffixes, and group.  A
-    block's rows are prefix-major and both sides are sorted by minimum, so
-    the rows with minimum at least j form one rectangle: the prefixes and
-    the suffixes with minimum at least j.  For the same reason the rows
-    with some entry 1 are two index ranges: the prefixes holding a 1 times
-    every suffix, and the other prefixes times the suffixes holding a 1.
-    Blocks hold at most _CHUNK rows, and for a batch at most _GATHER rows
-    times edges."""
-    p = Hs[0].n - k
-    plan = _plan(Hs)
-    table = _table(f, Hs[0].n)
+    with some entry 1, for every hypergraph of a tuple Hs (one n), given
+    as its ``_plan(Hs)``, under each value table of ``tables``, a stack
+    (objectives, M + 1) of one dtype (see ``_table``).  Yields (positions
+    in Hs, isolating mask (objectives, hypergraphs, rows), edges at the
+    minimum (objectives, hypergraphs, m, rows), prefix minima, suffix
+    minima) per block, a range of prefixes times a range of suffixes, and
+    group.  A block's rows are prefix-major
+    and both sides are sorted by minimum, so the rows with minimum at least
+    j form one rectangle: the prefixes and the suffixes with minimum at
+    least j.  For the same reason the rows with some entry 1 are two index
+    ranges: the prefixes holding a 1 times every suffix, and the other
+    prefixes times the suffixes holding a 1.  Blocks hold at most _CHUNK
+    rows, and for a batch at most _GATHER rows times edges times
+    objectives."""
+    p = plan.members.shape[0] - k
+    single = len(plan.groups) == 1 and plan.groups[0][0].size == 1
     prefix, prefix_low = (side[start:stop] for side in _suffix_table(p, M))
     suffix, suffix_low = _suffix_table(k, M)
-    pre_sums = _slot_sums(_gather(prefix, table), plan.slots)
-    suf_sums = _slot_sums(_gather(suffix, table, p), plan.slots)
+    pre_sums = _slot_sums(_gather(prefix, tables), plan.slots)
+    suf_sums = _slot_sums(_gather(suffix, tables, p), plan.slots)
     spans = [(0, prefix_low.size, suffix_low.size)]  # (first prefix, end, suffixes)
     if layer1:
         one = int(prefix_low.searchsorted(2))
         spans = [(0, one, suffix_low.size), (one, prefix_low.size, int(suffix_low.searchsorted(2)))]
-    edges = plan.members.shape[1]  # no hypergraph has more
-    bound = _CHUNK if len(Hs) == 1 else max(1, min(_CHUNK, _GATHER // max(edges, 1)))
+    stack, edges = len(tables), plan.members.shape[1]  # no hypergraph has more edges
+    bound = _CHUNK if single else max(1, min(_CHUNK, _GATHER // (stack * max(edges, 1))))
     for first, end, width in spans:
         if not width:  # no suffix holds a 1, as at k = 0
             continue
         step, span = max(1, bound // width), min(width, bound)
         for a, c in itertools.product(range(first, end, step), range(0, width, span)):
             b, d = min(a + step, end), min(c + span, width)
-            block = pre_sums[:, a:b, None] + suf_sums[:, None, c:d]
-            block = block.reshape(edges, (b - a) * (d - c))
+            block = pre_sums[:, :, a:b, None] + suf_sums[:, :, None, c:d]
+            block = block.reshape(stack, edges, (b - a) * (d - c))
             low = prefix_low[a:b], suffix_low[c:d]
-            if len(Hs) == 1:  # in place, with no gathered copy
-                yield (plan.groups[0][0], *_classify(block[None]), *low)
+            if single:  # in place, with no gathered copy
+                yield (plan.groups[0][0], *_classify(block[:, None]), *low)
                 continue
             for which, cols in plan.groups:
-                per = max(1, _GATHER // (max(cols.shape[1], 1) * block.shape[1]))
+                per = max(1, _GATHER // (stack * max(cols.shape[1], 1) * block.shape[2]))
                 for g in range(0, len(which), per):
-                    yield (which[g : g + per], *_classify(block[cols[g : g + per]]), *low)
+                    yield (which[g : g + per], *_classify(block.take(cols[g : g + per], axis=1)), *low)
 
 
 def _tally(
@@ -327,11 +340,13 @@ def _tally(
     at_least = [0] * M  # rows with minimum at least j, for j = 1..M
     per_edge = [0] * H.m
     labels = np.arange(1, M + 1)
-    for _, iso, at_min, pre_low, suf_low in _blocks((H,), f, M, k, start, stop):
-        grid = iso[0].reshape(pre_low.shape[0], suf_low.shape[0])
+    blocks = _blocks(_plan((H,)), _table(f, H.n)[None], M, k, start, stop)
+    for _, iso, at_min, pre_low, suf_low in blocks:
+        iso, at_min = iso[0, 0], at_min[0, 0]
+        grid = iso.reshape(pre_low.shape[0], suf_low.shape[0])
         corners = zip(pre_low.searchsorted(labels).tolist(), suf_low.searchsorted(labels).tolist())
         at_least = [t + np.count_nonzero(grid[a:, c:]) for t, (a, c) in zip(at_least, corners)]
-        per_edge = [t + np.count_nonzero(hit) for t, hit in zip(per_edge, at_min[0] & iso[0])]
+        per_edge = [t + np.count_nonzero(hit) for t, hit in zip(per_edge, at_min & iso)]
     per_layer = [0] + [a - b for a, b in zip(at_least, at_least[1:] + [0])]
     return np.array(per_layer, dtype=np.int64), np.array(per_edge, dtype=np.int64)
 
@@ -353,7 +368,8 @@ def _grid(
 ) -> list[tuple[tuple[Hypergraph, ...], list[tuple[int, Objective]]]]:
     """(the walk as a tuple, [(M, f) for M in M_values for f in
     candidates(M, n)]) for each walk, such as ``enumerate_hypergraphs(n)``
-    or [H], that yields a hypergraph, n read off the first.  Every walk is
+    or [H], that yields a hypergraph, n read off the first, the candidates
+    of a repeated M built once and listed again.  Every walk is
     started and its scans of [M]^n refused over ``budget`` before any
     objective is built, which at a large M takes long, and the walks are
     materialized last."""
@@ -366,8 +382,26 @@ def _grid(
         for M in M_values:
             _check(None, M, M**first.n, budget, f"{M}^{first.n} = ")
         started.append((first, walk))
-    built = [[(M, f) for M in M_values for f in candidates(M, first.n)] for first, _ in started]
-    return [((first, *walk), objectives) for (first, walk), objectives in zip(started, built)]
+    built = [{M: candidates(M, first.n) for M in dict.fromkeys(M_values)} for first, _ in started]
+    return [
+        ((first, *walk), [(M, f) for M in M_values for f in by_M[M]])
+        for (first, walk), by_M in zip(started, built)
+    ]
+
+
+def _per_M(
+    objectives: Sequence[tuple[int, Objective]],
+) -> Iterator[tuple[int, list[Objective], list[list[int]]]]:
+    """For each M of a walk's flat (M, f) list, in order of first
+    appearance: (M, its distinct objectives, the positions j in the list
+    of each), so that a repeated objective is counted once and read at
+    every listing."""
+    for M in dict.fromkeys(M for M, _ in objectives):
+        listings: dict[Objective, list[int]] = {}
+        for j, (M_j, f) in enumerate(objectives):
+            if M_j == M:
+                listings.setdefault(f, []).append(j)
+        yield M, list(listings), list(listings.values())
 
 
 def _stack_cells(n: int, M: int, m: int) -> int:
@@ -440,20 +474,50 @@ def count_layer1(H: Hypergraph, M: int, f: Objective) -> int:
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1;
     its rows are refused against DEFAULT_BUDGET, as it reads at call time."""
     _check(f, M, M**H.n - (M - 1) ** H.n, DEFAULT_BUDGET)
-    blocks = _blocks((H,), f, M, _suffix_len(H.n, M), layer1=True)
+    blocks = _blocks(_plan((H,)), _table(f, H.n)[None], M, _suffix_len(H.n, M), layer1=True)
     return sum(int(np.count_nonzero(iso)) for _, iso, *_ in blocks)
 
 
-def _count_many(Hs: Sequence[Hypergraph], M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, as int64
-    arrays in the order of Hs; the caller checks the budget."""
-    total = np.zeros(len(Hs), dtype=np.int64)
-    layer1 = np.zeros(len(Hs), dtype=np.int64)
-    for which, iso, _, pre_low, suf_low in _blocks(tuple(Hs), f, M, _suffix_len(Hs[0].n, M)):
-        count = np.count_nonzero(iso, axis=1)
-        # the rows with no entry 1: the prefixes and suffixes with no 1
-        grid = iso.reshape(len(which), pre_low.shape[0], suf_low.shape[0])
-        above = grid[:, pre_low.searchsorted(2) :, suf_low.searchsorted(2) :]
-        total[which] += count
-        layer1[which] += count - np.count_nonzero(above, axis=(1, 2))
-    return total, layer1
+def _count_many(
+    Hs: Sequence[Hypergraph], M: int, fs: Sequence[Objective]
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, under
+    each objective of ``fs``, one stack of objectives at a time: (the
+    stack's positions in ``fs``, and two int64 arrays (stack, hypergraphs)
+    in the orders of those positions and of Hs); the caller checks the
+    budget.  A stack holds objectives whose tables share a dtype, so a wide
+    table never widens a narrow one's arithmetic, at most _GATHER over
+    (distinct edges times M^n) of them, or one: a block then holds as many
+    rows per objective as a scan of one objective would.  A stack is
+    scanned once it is full, and the part-full ones last, so memory is
+    bounded by the stack, not by ``fs``."""
+    Hs = tuple(Hs)
+    n, plan = Hs[0].n, _plan(Hs)
+    size = max(1, _GATHER // (max(plan.members.shape[1], 1) * M**n))
+
+    def stacks() -> Iterator[list[tuple[int, np.ndarray]]]:
+        pending: dict[np.dtype, list[tuple[int, np.ndarray]]] = {}
+        for i, f in enumerate(fs):
+            table = _table(f, n)
+            pending.setdefault(table.dtype, []).append((i, table))
+            if len(pending[table.dtype]) == size:
+                yield pending.pop(table.dtype)
+        yield from pending.values()
+
+    for stack in stacks():
+        at, tables = zip(*stack)
+        # flat, so that a block's counts land with a one-dimensional index;
+        # ``outside`` counts the isolating rows with no entry 1
+        total = np.zeros(len(at) * len(Hs), dtype=np.int64)
+        outside = np.zeros(len(at) * len(Hs), dtype=np.int64)
+        offset = np.arange(len(at))[:, None] * len(Hs)
+        blocks = _blocks(plan, np.stack(tables), M, _suffix_len(n, M))
+        for which, iso, _, pre_low, suf_low in blocks:
+            # the rows with no entry 1: the prefixes and suffixes with no 1
+            grid = iso.reshape(*iso.shape[:2], pre_low.shape[0], suf_low.shape[0])
+            above = grid[..., pre_low.searchsorted(2) :, suf_low.searchsorted(2) :]
+            cells = offset + which
+            total[cells] += iso.sum(axis=2)
+            outside[cells] += above.sum(axis=(2, 3))
+        total = total.reshape(len(at), len(Hs))
+        yield list(at), total, total - outside.reshape(len(at), len(Hs))

@@ -20,6 +20,7 @@ from .counting import (
     _count_many,
     _gather,
     _grid,
+    _per_M,
     _plan,
     _slot_sums,
     _table,
@@ -131,7 +132,7 @@ def conjecture_search(
     ``prune`` restricts to connected hypergraphs with minimum degree two,
     the shape any minimal counterexample must have.  Deterministic given
     the strategy, whose seed feeds its random objectives.  Each vertex
-    count's walk is counted whole, one batch per (M, f).  A strategy of
+    count's walk is counted whole, one batch per M.  A strategy of
     more than _MAX_OBJECTIVES objectives at some M is refused before any
     objective is built.
     """
@@ -155,23 +156,25 @@ def conjecture_search(
     walks = (enumerate_hypergraphs(n, prune=prune) for n in range(1, n_max + 1))
     for Hs, objectives in _grid(walks, M_values, strategy.candidates, budget):
         n = Hs[0].n
-        minima = {M: (conjectured_Y(M, n), conjectured_Y1(M, n)) for M in M_values}
-        for j, (M, f) in enumerate(objectives):
-            counts = _count_many(Hs, M, f)
-            instances += len(Hs)
+        for M, fs, listings in _per_M(objectives):
+            minima = conjectured_Y(M, n), conjectured_Y1(M, n)
+            for at, *counted in _count_many(Hs, M, fs):
+                rows = zip(at, zip(*counted))
+                for j, f, counts in [(j, fs[i], c) for i, c in rows for j in listings[i]]:
+                    instances += len(Hs)
 
-            def keyed(h: int) -> tuple:
-                return (n, h, j), (Hs[h], M, f, *(c[h] for c in counts))
+                    def keyed(h: int) -> tuple:
+                        return (n, h, j), (Hs[h], M, f, *(c[h] for c in counts))
 
-            below = np.zeros(len(Hs), dtype=bool)
-            for k, (denom, count) in enumerate(zip(minima[M], counts)):
-                if denom:
-                    h = int(count.argmin())
-                    candidate = (Fraction(int(count[h]), denom), *keyed(h))
-                    if witness[k] is None or candidate[:2] < witness[k][:2]:
-                        witness[k] = candidate
-                    below |= count < denom
-            violations.extend(map(keyed, np.flatnonzero(below).tolist()))
+                    below = np.zeros(len(Hs), dtype=bool)
+                    for k, (denom, count) in enumerate(zip(minima, counts)):
+                        if denom:
+                            h = int(count.argmin())
+                            candidate = (Fraction(int(count[h]), denom), *keyed(h))
+                            if witness[k] is None or candidate[:2] < witness[k][:2]:
+                                witness[k] = candidate
+                            below |= count < denom
+                    violations.extend(map(keyed, np.flatnonzero(below).tolist()))
     violations.sort(key=lambda v: v[0])
     ratios = [None if w is None else w[0] for w in witness]
     records = [None if w is None else _record(*w[2]) for w in witness]

@@ -7,9 +7,10 @@ check is a bug, a failing conjecture check is a discovery; both carry the
 witness instance.  The checks of one (n, M, f) group of a walk are one
 table of array comparisons over its hypergraphs (``_checks``): passing
 checks are only counted, and a record is built for a failed one only.
-The constructions they read are built once per (n, M) for all of that
-M's objectives (``_constructions``), the objectives' value tables
-stacked on the hypergraph axis.
+The counts and constructions they read are made once per (n, M) for all
+of that M's distinct objectives: one ``_count_many`` scan, the
+objectives' value tables stacked on an objective axis, and one build
+(``_constructions``), the tables stacked on the hypergraph axis.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ from .bounds import (
 )
 from .constructions import _next_vertex_step, _pivot_step, _witnesses
 from . import counting
-from .counting import DEFAULT_BUDGET, _check_stack, _count_many, _grid, _plan, _rank_rows, _table
+from .counting import (
+    DEFAULT_BUDGET,
+    _check_stack,
+    _count_many,
+    _grid,
+    _per_M,
+    _plan,
+    _rank_rows,
+    _table,
+)
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
 from .special_m2 import _reduction
 from .weights import Objective, preset_objectives
@@ -197,16 +207,17 @@ def _checks(
     """The named checks on the instances (H, M, f), H in Hs, in the order
     an instance lists them: (name, kind, lhs, relation, rhs, applies)
     rows, where ``kind``, ``lhs``, ``rhs`` and ``applies`` are scalars or
-    arrays over Hs and a check holds where ``relation(lhs, rhs)``.  The
-    group is counted with one ``_count_many`` call; ``built`` is what the
-    checks read of its constructions, f's row of ``_constructions``.
+    arrays over Hs and a check holds where ``relation(lhs, rhs)``.
+    ``built`` is what the checks read of the group's counts and
+    constructions: f's rows of ``_count_many`` (``total``, ``layer1``) and
+    of ``_constructions``.
 
     For zero-allowed objectives or hypergraphs with nested edges only the
     universal (M-1)^n bound is claimed; the remaining machinery assumes an
     inclusion-free hypergraph and strictly positive objective.
     """
     n = Hs[0].n
-    total, layer1 = _count_many(Hs, M, f)
+    total, layer1 = built["total"], built["layer1"]
     ge, eq = np.greater_equal, np.equal
     plain = shape.simple & (not f.zero_allowed)
     M_ge_2, M_is_2 = plain & (M >= 2), plain & (M == 2)
@@ -253,15 +264,19 @@ def _check_tables(
     Hs: tuple[Hypergraph, ...], shape: _Shape, objectives: Sequence[tuple[int, Objective]]
 ) -> Iterator[tuple[int, list]]:
     """(j, check table of the j-th (M, f) of ``objectives`` on Hs; see
-    ``_checks``), M by M in order of first appearance: the constructions
-    of each M are built once, for all of its objectives."""
-    for M in dict.fromkeys(M for M, _ in objectives):
-        at = [j for j, (M_j, _) in enumerate(objectives) if M_j == M]
-        fs = [objectives[j][1] for j in at]
-        built, bounds = _constructions(Hs, shape, M, fs), _bounds(M, Hs[0].n, shape.r_eff)
-        for i, (j, f) in enumerate(zip(at, fs)):
-            own = defaultdict(int, {name: values[i] for name, values in built.items()})
-            yield j, _checks(Hs, shape, M, f, bounds, own)
+    ``_checks``), M by M in order of first appearance: each M's distinct
+    objectives are counted with one ``_count_many`` call, stack by stack,
+    and their constructions built once, and a repeated (M, f) reads the
+    same table."""
+    for M, fs, listings in _per_M(objectives):
+        built = _constructions(Hs, shape, M, fs)
+        bounds = _bounds(M, Hs[0].n, shape.r_eff)
+        for at, total, layer1 in _count_many(Hs, M, fs):
+            for i, own_total, own_layer1 in zip(at, total, layer1):
+                own = defaultdict(int, {name: values[i] for name, values in built.items()})
+                own["total"], own["layer1"] = own_total, own_layer1
+                table = _checks(Hs, shape, M, fs[i], bounds, own)
+                yield from ((j, table) for j in listings[i])
 
 
 def _walk_checks(
@@ -270,10 +285,9 @@ def _walk_checks(
     """Run every applicable check on each instance (H, M, f), for H in Hs,
     hypergraphs on one n, and (M, f) in ``objectives``, and return how
     many ran and the failed ones: hypergraph by hypergraph, each in the
-    order of ``objectives``, then of the check table.  Each (M, f) is
-    counted as one batch over Hs, and the constructions of every f of one
-    M are built as one stack; ``_grid`` has refused every scan over
-    budget."""
+    order of ``objectives``, then of the check table.  The objectives of
+    one M are counted as one batch over Hs, and their constructions built
+    as one stack; ``_grid`` has refused every scan over budget."""
     checks_run, failed = 0, []
     for j, table in _check_tables(Hs, _shape(Hs), objectives):
         for k, (name, kind, lhs, relation, rhs, applies) in enumerate(table):

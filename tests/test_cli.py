@@ -12,6 +12,7 @@ import isobench.search
 import isobench.verify
 import isobench.weights
 from isobench import Hypergraph, count_isolating, generic_high_objective, generic_low_objective
+from isobench import counting
 from isobench.cli import EXIT_INTERNAL, build_parser, main
 
 
@@ -485,6 +486,13 @@ class TestSearch:
             "845fb2dc5f6aaca6f2399f77d27b06e105005dbdc410f4ce82755b0bceb658f9",
             "c89b7568ed327fe9c7f7a88509bb3cd2bf14b86ec48b1ca2cc4d6edbc62fb2da",
         ),
+        # the presets' tables mix dtypes at one M: int16, int32 and int16 at
+        # M = 12, int16, object and int16 at M = 32; recorded before the
+        # objectives of one M were counted in one scan
+        "--n-max 3 --M 2,12,32": (
+            "16afe8537c5b5d8abfcf06c9577de65b20416d02759255963f36da803d793eaa",
+            "f6501de1ce328bdea90424a9ebb949d9cd97a7c634bb644629e420c027c15080",
+        ),
     }
 
     @pytest.mark.parametrize("grid", sorted(GOLDEN))
@@ -585,6 +593,34 @@ class TestSearch:
     def test_strategy_field_below_one_refused(self, spec, message, capsys):
         assert main(["search", "--n-max", "2", "--M", "2", "--strategy", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestScans:
+    """The work shape of the two sweeps: one scan (``counting._blocks``
+    call) per walk and M, stacking that M's distinct objectives."""
+
+    @pytest.mark.parametrize(
+        "argv,stacks",
+        [
+            # the benchmark's sweep and verify grids: 4 walks times 4 and 2 M
+            ("search --n-max 4 --M 2,3,4,5", [(M, 3) for _ in range(4) for M in (2, 3, 4, 5)]),
+            ("verify --n-max 4 --M 2,3", [(M, 3) for _ in range(4) for M in (2, 3)]),
+            # a repeated M is counted once: 3 objectives at M = 3, not 6
+            ("search --n-max 3 --M 3,1,3", [(M, 3) for _ in range(3) for M in (3, 1)]),
+            ("verify --n-max 3 --M 3,2,3", [(M, 3) for _ in range(3) for M in (3, 2)]),
+        ],
+    )
+    def test_one_scan_per_walk_and_M(self, argv, stacks, capsys, monkeypatch):
+        seen = []
+        blocks = counting._blocks
+
+        def spy(plan, tables, M, *args, **kwargs):
+            seen.append((M, len(tables)))
+            return blocks(plan, tables, M, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "_blocks", spy)
+        assert main(argv.split()) == 0
+        assert seen == stacks
 
 
 class TestSeed:

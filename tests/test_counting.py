@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -182,9 +183,9 @@ def per_instance_counts(Hs, M, f):
 
 
 def batch_counts(Hs, M, f):
-    total, layer1 = counting._count_many(Hs, M, f)
-    assert total.shape == layer1.shape == (len(Hs),)
-    return list(zip(total.tolist(), layer1.tolist()))
+    [(at, total, layer1)] = counting._count_many(Hs, M, [f])
+    assert at == [0] and total.shape == layer1.shape == (1, len(Hs))
+    return list(zip(total[0].tolist(), layer1[0].tolist()))
 
 
 @st.composite
@@ -311,6 +312,131 @@ class TestCountMany:
     def test_only_empty_hypergraphs(self):
         Hs = [Hypergraph(3, ())] * 3
         assert batch_counts(Hs, 3, identity_objective(3)) == [(27, 27 - 8)] * 3
+
+
+def stacked_rows(Hs, M, fs):
+    """Row i of ``_count_many(Hs, M, fs)``, as (|Z|, |Z_1|) pairs, checked
+    against ``_count_many(Hs, M, [fs[i]])``; each objective is in one
+    stack, of the stack's bound or fewer."""
+    edges = counting._plan(tuple(Hs)).members.shape[1]
+    size = max(1, counting._GATHER // (max(edges, 1) * M ** Hs[0].n))
+    rows = {}
+    for at, total, layer1 in counting._count_many(Hs, M, fs):
+        assert total.shape == layer1.shape == (len(at), len(Hs)) and len(at) <= size
+        for i, t, l in zip(at, total, layer1):
+            assert i not in rows
+            rows[i] = list(zip(t.tolist(), l.tolist()))
+    rows = [rows[i] for i in range(len(fs))]
+    assert rows == [batch_counts(Hs, M, f) for f in fs]
+    return rows
+
+
+def oracle_rows(Hs, M, fs):
+    """The oracle's (|Z|, |Z_1|) pairs over Hs, a list per objective."""
+    return [[(t, layers[0]) for t, layers, _ in (oracle_counts(h, M, f) for h in Hs)] for f in fs]
+
+
+I16, I32, I64, OBJECT = (np.dtype(t) for t in (np.int16, np.int32, np.int64, object))
+
+
+class TestStackedCounts:
+    """``_count_many`` over a list of objectives of one M: row i is the
+    count of the i-th objective alone and the oracle's, whatever the
+    stacks, their dtypes and their blocks."""
+
+    # on 5 vertices at M = 3: int16, object, int32, int16, int64, object, int16
+    FS = [
+        identity_objective(3),
+        explicit_objective([1, 2, 10**18]),
+        explicit_objective([1, 2, 10**4]),
+        generic_high_objective(3, 5),
+        explicit_objective([1, 10**9, 10**12]),
+        explicit_objective([3, 5, 10**18]),
+        explicit_objective([21, 22, 23]),
+    ]
+    HS = [
+        Hypergraph(5, ()),
+        singleton_hypergraph(5),
+        H(5, [1, 2], [3, 4, 5]),
+        Hypergraph(5, ()),
+        H(5, [1, 2], [2, 3], [3, 4], [4, 5], [1, 5]),
+        H(5, [1, 2, 3], [3, 4], [1, 5], [2, 4, 5]),
+    ]
+
+    @pytest.mark.parametrize(
+        "gather,stacks",
+        [
+            (None, [(I16, 3), (OBJECT, 2), (I32, 1), (I64, 1)]),
+            # 2 * 13 edges * 3^5 rows: stacks of at most 2 objectives, each
+            # scanned when full and the part-full ones last
+            (6318, [(I16, 2), (OBJECT, 2), (I32, 1), (I64, 1), (I16, 1)]),
+            # stacks of 1, in the order of the objectives, and blocks of
+            # fewer than 3^5 rows
+            (50, [(d, 1) for d in (I16, OBJECT, I32, I16, I64, OBJECT, I16)]),
+        ],
+        ids=["default", "pairs", "single"],
+    )
+    def test_rows_match_single_objectives_and_oracle(self, monkeypatch, gather, stacks):
+        assert counting._plan(tuple(self.HS)).members.shape[1] == 13
+        if gather is not None:
+            monkeypatch.setattr(counting, "_GATHER", gather)
+        seen, rows = [], set()
+        blocks = counting._blocks
+
+        def spy(plan, tables, *args, **kwargs):
+            seen.append((tables.dtype, len(tables)))
+            for block in blocks(plan, tables, *args, **kwargs):
+                rows.add(block[3].size * block[4].size)
+                yield block
+
+        monkeypatch.setattr(counting, "_blocks", spy)
+        got = stacked_rows(self.HS, 3, self.FS)
+        # the object tables never widen the int16 ones' stack
+        assert seen[: len(stacks)] == stacks
+        assert (rows == {3**5}) == (gather != 50)
+        assert got == oracle_rows(self.HS, 3, self.FS)
+
+    def test_memory_bounded_by_the_stack(self, monkeypatch):
+        """2,000 objectives over the 167 hypergraphs on 4 vertices at M = 2,
+        in stacks of at most 8: a stack is scanned only once the one before
+        it has been handed back, and what is allocated meanwhile stays
+        under 1 MB, where one (objectives, hypergraphs) int64 array of the
+        whole family takes 2.7 MB."""
+        Hs = tuple(enumerate_hypergraphs(4))
+        fs = [explicit_objective([a, a + b]) for a in range(1, 41) for b in range(1, 51)]
+        edges = counting._plan(Hs).members.shape[1]
+        monkeypatch.setattr(counting, "_GATHER", 8 * edges * 2**4)
+        calls = []
+        blocks = counting._blocks
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return blocks(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_blocks", spy)
+        counted = []
+        tracemalloc.start()
+        try:
+            for at, total, layer1 in counting._count_many(Hs, 2, fs):
+                assert total.shape == layer1.shape == (len(at), len(Hs))
+                assert calls[-1] == len(at) and len(calls) == len(counted) + 1
+                counted.append(len(at))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [8] * 250 and peak < 1 << 20
+
+    @given(hypergraph_groups(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, group, data):
+        Hs, M, _ = group
+        Hs = [*Hs, Hypergraph(Hs[0].n, ())]
+        scales = st.sampled_from([1, 10**4, 10**9, 10**18])
+        fs = data.draw(st.lists(st.tuples(increasing_objectives(M), scales), min_size=1, max_size=5))
+        fs = [explicit_objective([v * scale for v in f.values]) for f, scale in fs]
+        gather = data.draw(st.sampled_from([1, 7, 40, 1 << 16]))
+        with mock.patch.object(counting, "_GATHER", gather):
+            assert stacked_rows(Hs, M, fs) == oracle_rows(Hs, M, fs)
 
 
 def _near(top, zero_allowed):

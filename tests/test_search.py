@@ -141,8 +141,9 @@ class TestConjectureSearch:
             value = (3 * len(H.edges) + M + len(f.kind) + sum(H.edges)) % 4 + 1
             return value, value
 
-        def count_many(Hs, M, f):
-            return tuple(np.array(c) for c in zip(*(counts(H, M, f) for H in Hs)))
+        def count_many(Hs, M, fs):
+            total, layer1 = np.array([[counts(H, M, f) for H in Hs] for f in fs]).transpose(2, 0, 1)
+            yield list(range(len(fs))), total, layer1
 
         monkeypatch.setattr(search, "conjectured_Y", lambda M, n: 4)
         monkeypatch.setattr(search, "conjectured_Y1", lambda M, n: 4)
