@@ -24,7 +24,7 @@ of edges gathered into one array.  Three reducers sum its blocks:
 ``count_isolating`` (per layer and per edge, with the sorted prefixes
 optionally cut into ranges across worker processes) and ``count_layer1``
 (the rows with some entry 1 only), each on a stack of one objective, and
-the sweeps' ``_count_many`` (|Z| and |Z_1| of every hypergraph of a batch
+the sweeps' ``_count_many`` (|Z| and |Z_1| of every hypergraph of a walk
 under every objective of one M, in stacks of one dtype, handed back one
 stack at a time).  Explicit weight rows (the constructions' weights, the
 samplers' draws) go through the same classify step, and the samplers'
@@ -46,6 +46,8 @@ reads its own row of a stack of value tables.
 
 The grid that ``search`` and ``verify`` sweep, ``_grid``, is here too,
 next to the refusal it applies to each scan before any objective is built.
+It hands out one ``_Walk`` per walk: the hypergraphs, their plan, built
+once, and the (M, f) listing grouped by M, which the sweeps read off it.
 """
 
 from __future__ import annotations
@@ -360,19 +362,46 @@ def _check(f: Optional[Objective], M: int, rows: int = 0, budget: int = 0, label
         raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
 
 
+class _Walk(NamedTuple):
+    """One walk of a grid, as ``search`` and ``verify`` read it:
+    ``hypergraphs``, the walk as a tuple (one n); ``plan``, their
+    ``_plan``; ``objectives``, the flat (M, f) listing; ``groups``, for
+    each M of the listing in order of first appearance, (M, its distinct
+    objectives, the positions in the listing of each), so that a repeated
+    objective is counted once and read at every listing."""
+
+    hypergraphs: tuple[Hypergraph, ...]
+    plan: _Plan
+    objectives: tuple[tuple[int, Objective], ...]
+    groups: tuple[tuple[int, list[Objective], list[list[int]]], ...]
+
+
+def _walk(Hs: Iterable[Hypergraph], objectives: Iterable[tuple[int, Objective]]) -> _Walk:
+    """The walk of the hypergraphs Hs, one n, under the (M, f) listing
+    ``objectives``, its plan built once."""
+    Hs, objectives = tuple(Hs), tuple(objectives)
+    groups = []
+    for M in dict.fromkeys(M for M, _ in objectives):
+        listings: dict[Objective, list[int]] = {}
+        for j, (M_j, f) in enumerate(objectives):
+            if M_j == M:
+                listings.setdefault(f, []).append(j)
+        groups.append((M, list(listings), list(listings.values())))
+    return _Walk(Hs, _plan(Hs), objectives, tuple(groups))
+
+
 def _grid(
     walks: Iterable[Iterable[Hypergraph]],
     M_values: Sequence[int],
     candidates: Callable[[int, int], Sequence[Objective]],
     budget: int,
-) -> list[tuple[tuple[Hypergraph, ...], list[tuple[int, Objective]]]]:
-    """(the walk as a tuple, [(M, f) for M in M_values for f in
-    candidates(M, n)]) for each walk, such as ``enumerate_hypergraphs(n)``
-    or [H], that yields a hypergraph, n read off the first, the candidates
-    of a repeated M built once and listed again.  Every walk is
-    started and its scans of [M]^n refused over ``budget`` before any
-    objective is built, which at a large M takes long, and the walks are
-    materialized last."""
+) -> list[_Walk]:
+    """The ``_walk`` of each walk, such as ``enumerate_hypergraphs(n)`` or
+    [H], that yields a hypergraph, n read off the first, under [(M, f) for
+    M in M_values for f in candidates(M, n)], the candidates of a repeated
+    M built once and listed again.  Every walk is started and its scans of
+    [M]^n refused over ``budget`` before any objective is built, which at
+    a large M takes long, and the walks are materialized last."""
     started = []
     for walk in walks:
         walk = iter(walk)
@@ -384,24 +413,9 @@ def _grid(
         started.append((first, walk))
     built = [{M: candidates(M, first.n) for M in dict.fromkeys(M_values)} for first, _ in started]
     return [
-        ((first, *walk), [(M, f) for M in M_values for f in by_M[M]])
+        _walk((first, *walk), [(M, f) for M in M_values for f in by_M[M]])
         for (first, walk), by_M in zip(started, built)
     ]
-
-
-def _per_M(
-    objectives: Sequence[tuple[int, Objective]],
-) -> Iterator[tuple[int, list[Objective], list[list[int]]]]:
-    """For each M of a walk's flat (M, f) list, in order of first
-    appearance: (M, its distinct objectives, the positions j in the list
-    of each), so that a repeated objective is counted once and read at
-    every listing."""
-    for M in dict.fromkeys(M for M, _ in objectives):
-        listings: dict[Objective, list[int]] = {}
-        for j, (M_j, f) in enumerate(objectives):
-            if M_j == M:
-                listings.setdefault(f, []).append(j)
-        yield M, list(listings), list(listings.values())
 
 
 def _stack_cells(n: int, M: int, m: int) -> int:
@@ -479,20 +493,20 @@ def count_layer1(H: Hypergraph, M: int, f: Objective) -> int:
 
 
 def _count_many(
-    Hs: Sequence[Hypergraph], M: int, fs: Sequence[Objective]
+    walk: _Walk, M: int, fs: Sequence[Objective]
 ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """|Z| and |Z_1| of every hypergraph in Hs, all on the same n, under
-    each objective of ``fs``, one stack of objectives at a time: (the
-    stack's positions in ``fs``, and two int64 arrays (stack, hypergraphs)
-    in the orders of those positions and of Hs); the caller checks the
-    budget.  A stack holds objectives whose tables share a dtype, so a wide
-    table never widens a narrow one's arithmetic, at most _GATHER over
-    (distinct edges times M^n) of them, or one: a block then holds as many
-    rows per objective as a scan of one objective would.  A stack is
-    scanned once it is full, and the part-full ones last, so memory is
-    bounded by the stack, not by ``fs``."""
-    Hs = tuple(Hs)
-    n, plan = Hs[0].n, _plan(Hs)
+    """|Z| and |Z_1| of every hypergraph of the walk, read through its
+    plan, under each objective of ``fs``, one stack of objectives at a
+    time: (the stack's positions in ``fs``, and two int64 arrays (stack,
+    hypergraphs) in the orders of those positions and of the walk); the
+    caller checks the budget.  A stack holds objectives whose tables share
+    a dtype, so a wide table never widens a narrow one's arithmetic, at
+    most _GATHER over (distinct edges times M^n) of them, or one: a block
+    then holds as many rows per objective as a scan of one objective
+    would.  A stack is scanned once it is full, and the part-full ones
+    last, so memory is bounded by the stack, not by ``fs``."""
+    Hs, plan = walk.hypergraphs, walk.plan
+    n = Hs[0].n
     size = max(1, _GATHER // (max(plan.members.shape[1], 1) * M**n))
 
     def stacks() -> Iterator[list[tuple[int, np.ndarray]]]:

@@ -20,7 +20,6 @@ from .counting import (
     _count_many,
     _gather,
     _grid,
-    _per_M,
     _plan,
     _slot_sums,
     _table,
@@ -154,11 +153,12 @@ def conjecture_search(
     witness: list[Optional[tuple]] = [None, None]  # (ratio, key, instance) for |Z|, |Z_1|
     violations: list[tuple] = []  # (key, instance)
     walks = (enumerate_hypergraphs(n, prune=prune) for n in range(1, n_max + 1))
-    for Hs, objectives in _grid(walks, M_values, strategy.candidates, budget):
+    for walk in _grid(walks, M_values, strategy.candidates, budget):
+        Hs = walk.hypergraphs
         n = Hs[0].n
-        for M, fs, listings in _per_M(objectives):
+        for M, fs, listings in walk.groups:
             minima = conjectured_Y(M, n), conjectured_Y1(M, n)
-            for at, *counted in _count_many(Hs, M, fs):
+            for at, *counted in _count_many(walk, M, fs):
                 rows = zip(at, zip(*counted))
                 for j, f, counts in [(j, fs[i], c) for i, c in rows for j in listings[i]]:
                     instances += len(Hs)

@@ -35,10 +35,9 @@ from . import counting
 from .counting import (
     DEFAULT_BUDGET,
     _check_stack,
+    _Walk,
     _count_many,
     _grid,
-    _per_M,
-    _plan,
     _rank_rows,
     _table,
 )
@@ -73,16 +72,12 @@ class _Shape(NamedTuple):
     m: np.ndarray
 
 
-def _simple(H: Hypergraph) -> bool:
-    """Inclusion-free: read off a hypergraph validated so when it was built,
-    scanned only for one built without that check."""
-    return H.require_inclusion_free or is_inclusion_free(H)
-
-
 def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
     rows = []
     for H in Hs:
-        simple = _simple(H)
+        # read off a hypergraph validated inclusion-free when it was built,
+        # scanned only for one built without that check
+        simple = H.require_inclusion_free or is_inclusion_free(H)
         linear = simple and is_linear(H)
         proven = linear or (simple and one_degenerate_order(H) is not None)
         cards = {e.bit_count() for e in H.edges}
@@ -92,31 +87,27 @@ def _shape(Hs: tuple[Hypergraph, ...]) -> _Shape:
     return _Shape(*map(np.array, zip(*rows)))
 
 
-def _constructions(
-    Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, fs: Sequence[Objective]
-) -> dict:
+def _constructions(walk: _Walk, shape: _Shape, M: int, fs: Sequence[Objective]) -> dict:
     """Build witness graphs A and B, the injection and, at M = 2, the
-    special-weight reduction for every inclusion-free hypergraph of Hs
-    under each positive objective of ``fs``, all of one M, and return what
-    the checks read of them, as object arrays (objectives, Hs), 0 where
-    nothing was built (M < 2, a zero-allowed objective, nested edges; a
-    name nothing was built for is missing).  Every objective is built in
-    one stack per edge count: the (objective, hypergraph) pairs, objective
-    by objective, in chunks of at most ``counting._GATHER`` (read at call
-    time) pairs times rows times edges (or vertices, when more), or of one
-    pair.  A chunk stacks the value tables of its own objectives only, so
-    one objective's wide table does not widen the arithmetic of another's
-    chunks."""
-    out: dict = defaultdict(lambda: np.zeros((len(fs), len(Hs)), dtype=object))
-    positive = np.flatnonzero([M >= 2 and not f.zero_allowed for f in fs])
-    if not positive.size:
+    special-weight reduction for every inclusion-free hypergraph of the
+    walk, read through its plan, under each objective of ``fs``, all of
+    one M, and return what the checks read of them, as object arrays
+    (objectives, hypergraphs), 0 where nothing was built (M < 2, nested
+    edges; a name nothing was built for is missing).  Every objective is
+    built in one stack per edge count: the (objective, hypergraph) pairs,
+    objective by objective, in chunks of at most ``counting._GATHER``
+    (read at call time) pairs times rows times edges (or vertices, when
+    more), or of one pair.  A chunk stacks the value tables of its own
+    objectives only, so one objective's wide table does not widen the
+    arithmetic of another's chunks."""
+    plan, n = walk.plan, walk.hypergraphs[0].n
+    out: dict = defaultdict(lambda: np.zeros((len(fs), len(walk.hypergraphs)), dtype=object))
+    if M < 2:
         return out
-    n = Hs[0].n
-    tables = [_table(fs[i], n) for i in positive.tolist()]
-    plan = _plan(Hs)
+    tables = [_table(f, n) for f in fs]
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
-        pairs = positive.size * len(which)
+        pairs = len(fs) * len(which)
         per = max(1, counting._GATHER // _check_stack(n, M, cols.shape[1]))
         for a in range(0, pairs, per):
             objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
@@ -127,7 +118,7 @@ def _constructions(
             first = objective[0]
             own = np.stack(tables[first : objective[-1] + 1])[objective - first]
             found = _batch(members, graph, own, shape.with_B[which[h]], M)
-            at = positive[objective], which[h]
+            at = objective, which[h]
             for name, values in found.items():
                 out[name][at] = values
     return out
@@ -201,26 +192,23 @@ def _bounds(M: int, n: int, r_eff: np.ndarray) -> dict:
     return bounds
 
 
-def _checks(
-    Hs: tuple[Hypergraph, ...], shape: _Shape, M: int, f: Objective, bounds: dict, built: dict
-) -> list:
-    """The named checks on the instances (H, M, f), H in Hs, in the order
-    an instance lists them: (name, kind, lhs, relation, rhs, applies)
-    rows, where ``kind``, ``lhs``, ``rhs`` and ``applies`` are scalars or
-    arrays over Hs and a check holds where ``relation(lhs, rhs)``.
+def _checks(n: int, shape: _Shape, M: int, bounds: dict, built: dict) -> list:
+    """The named checks on the instances (H, M, f), H of a walk on n
+    vertices with the ``shape``, in the order an instance lists them:
+    (name, kind, lhs, relation, rhs, applies) rows, where ``kind``,
+    ``lhs``, ``rhs`` and ``applies`` are scalars or arrays over the walk
+    and a check holds where ``relation(lhs, rhs)``.
     ``built`` is what the checks read of the group's counts and
-    constructions: f's rows of ``_count_many`` (``total``, ``layer1``) and
-    of ``_constructions``.
+    constructions: the objective's rows of ``_count_many`` (``total``,
+    ``layer1``) and of ``_constructions``.
 
-    For zero-allowed objectives or hypergraphs with nested edges only the
-    universal (M-1)^n bound is claimed; the remaining machinery assumes an
-    inclusion-free hypergraph and strictly positive objective.
+    For hypergraphs with nested edges only the universal (M-1)^n bound is
+    claimed; the remaining machinery assumes an inclusion-free hypergraph.
     """
-    n = Hs[0].n
     total, layer1 = built["total"], built["layer1"]
     ge, eq = np.greater_equal, np.equal
-    plain = shape.simple & (not f.zero_allowed)
-    M_ge_2, M_is_2 = plain & (M >= 2), plain & (M == 2)
+    simple = shape.simple
+    M_ge_2, M_is_2 = simple & (M >= 2), simple & (M == 2)
     with_B = M_ge_2 & shape.with_B
     # a uniform H is its own minimum-cardinality subgraph, so the
     # reduction check has counted its special weights
@@ -230,13 +218,13 @@ def _checks(
     kind = np.where(shape.proven | (M <= 2), "theorem", "conjecture")
     right, charge, images, specials = (built[k] for k in ("right", "charge", "images", "special"))
     return [
-        ("total_ge_zero_weight_bound", "theorem", total, ge, bounds["ta_shma"], ~plain),
-        ("total_ge_ta_shma", "theorem", total, ge, bounds["ta_shma"], plain),
-        ("total_ge_layered_bound", "theorem", total, ge, bounds["corollary_Y"], plain),
+        ("total_ge_zero_weight_bound", "theorem", total, ge, bounds["ta_shma"], ~simple),
+        ("total_ge_ta_shma", "theorem", total, ge, bounds["ta_shma"], simple),
+        ("total_ge_layered_bound", "theorem", total, ge, bounds["corollary_Y"], simple),
         ("layer1_ge_main_theorem", "theorem", layer1, ge, bounds["main_theorem"], M_ge_2),
         ("layer1_ge_bounded_edge", "theorem", layer1, ge, bounds["bounded_edge"], M_ge_2),
-        ("layer1_ge_conjecture2", kind, layer1, ge, bounds["Y1"], plain),
-        ("total_ge_conjecture1", kind, total, ge, bounds["Y"], plain),
+        ("layer1_ge_conjecture2", kind, layer1, ge, bounds["Y1"], simple),
+        ("total_ge_conjecture1", kind, total, ge, bounds["Y"], simple),
         ("witnessA_right_isolating_layer1", "theorem", built["right_ok"], eq, right, M_ge_2),
         ("witnessA_charge_identity", "theorem", charge, eq, right, M_ge_2),
         ("witnessA_charge_bound", "theorem", charge, ge, bounds["main_theorem"], M_ge_2),
@@ -260,36 +248,33 @@ def _at(value, h: int) -> str:
     return str(value[h] if isinstance(value, np.ndarray) else value)
 
 
-def _check_tables(
-    Hs: tuple[Hypergraph, ...], shape: _Shape, objectives: Sequence[tuple[int, Objective]]
-) -> Iterator[tuple[int, list]]:
-    """(j, check table of the j-th (M, f) of ``objectives`` on Hs; see
+def _check_tables(walk: _Walk, shape: _Shape) -> Iterator[tuple[int, list]]:
+    """(j, check table of the j-th (M, f) of the walk's objectives; see
     ``_checks``), M by M in order of first appearance: each M's distinct
     objectives are counted with one ``_count_many`` call, stack by stack,
     and their constructions built once, and a repeated (M, f) reads the
     same table."""
-    for M, fs, listings in _per_M(objectives):
-        built = _constructions(Hs, shape, M, fs)
-        bounds = _bounds(M, Hs[0].n, shape.r_eff)
-        for at, total, layer1 in _count_many(Hs, M, fs):
+    n = walk.hypergraphs[0].n
+    for M, fs, listings in walk.groups:
+        built = _constructions(walk, shape, M, fs)
+        bounds = _bounds(M, n, shape.r_eff)
+        for at, total, layer1 in _count_many(walk, M, fs):
             for i, own_total, own_layer1 in zip(at, total, layer1):
                 own = defaultdict(int, {name: values[i] for name, values in built.items()})
                 own["total"], own["layer1"] = own_total, own_layer1
-                table = _checks(Hs, shape, M, fs[i], bounds, own)
+                table = _checks(n, shape, M, bounds, own)
                 yield from ((j, table) for j in listings[i])
 
 
-def _walk_checks(
-    Hs: tuple[Hypergraph, ...], objectives: Sequence[tuple[int, Objective]]
-) -> tuple[int, list[CheckResult]]:
-    """Run every applicable check on each instance (H, M, f), for H in Hs,
-    hypergraphs on one n, and (M, f) in ``objectives``, and return how
-    many ran and the failed ones: hypergraph by hypergraph, each in the
-    order of ``objectives``, then of the check table.  The objectives of
-    one M are counted as one batch over Hs, and their constructions built
-    as one stack; ``_grid`` has refused every scan over budget."""
+def _walk_checks(walk: _Walk, shape: _Shape) -> tuple[int, list[CheckResult]]:
+    """Run every applicable check on each instance (H, M, f) of the walk,
+    whose ``_shape`` is ``shape``, and return how many ran and the failed
+    ones: hypergraph by hypergraph, each in the order of the walk's
+    objectives, then of the check table.  The objectives of one M are
+    counted as one batch over the walk, and their constructions built as
+    one stack; ``_grid`` has refused every scan over budget."""
     checks_run, failed = 0, []
-    for j, table in _check_tables(Hs, _shape(Hs), objectives):
+    for j, table in _check_tables(walk, shape):
         for k, (name, kind, lhs, relation, rhs, applies) in enumerate(table):
             checks_run += int(np.count_nonzero(applies))
             for h in np.flatnonzero(applies & ~relation(lhs, rhs)).tolist():
@@ -297,8 +282,8 @@ def _walk_checks(
 
     @functools.cache
     def instance(h: int, j: int) -> dict:
-        M, f = objectives[j]
-        return {"hypergraph": Hs[h].to_json_dict(), "M": M, "objective": f.to_json_dict()}
+        (M, f), H = walk.objectives[j], walk.hypergraphs[h]
+        return {"hypergraph": H.to_json_dict(), "M": M, "objective": f.to_json_dict()}
 
     return checks_run, [
         CheckResult(name, kind, lhs, rhs, False, instance(h, j))
@@ -329,18 +314,20 @@ def verify_grid(
     construction stack would exceed ``counting._STACK_CELLS`` cells
     (``counting._check_stack``)."""
     grid = _grid(walks, M_values, preset_objectives, budget)
-    for Hs, objectives in grid:
-        built = [H.m for H in Hs if _simple(H)]
-        for M in dict.fromkeys(M for M, f in objectives if built and M >= 2 and not f.zero_allowed):
-            _check_stack(Hs[0].n, M, max(built))
+    grid = [(walk, _shape(walk.hypergraphs)) for walk in grid]
+    for walk, shape in grid:
+        built = shape.m[shape.simple]
+        for M, _, _ in walk.groups:
+            if built.size and M >= 2:
+                _check_stack(walk.hypergraphs[0].n, M, int(built.max()))
     checks_run, violations = 0, []
-    for Hs, objectives in grid:
-        run, failed = _walk_checks(Hs, objectives)
+    for walk, shape in grid:
+        run, failed = _walk_checks(walk, shape)
         checks_run += run
         violations += failed
     return VerifySummary(
         checks_run=checks_run,
-        instances=sum(len(Hs) * len(objectives) for Hs, objectives in grid),
+        instances=sum(len(walk.hypergraphs) * len(walk.objectives) for walk, _ in grid),
         ok=not violations,
         violations=tuple(violations),
     )

@@ -50,11 +50,6 @@ class Objective:
             self, "scaled", tuple(int(v * denom) for v in values)
         )
 
-    def __call__(self, label: int) -> Fraction:
-        if not 1 <= label <= self.M:
-            raise ValueError(f"label {label} out of range 1..{self.M}")
-        return self.values[label - 1]
-
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "M": self.M}
         if self.kind == "explicit":

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from isobench import Hypergraph, Objective, verify
+from isobench import Hypergraph, Objective, counting, verify
 
 
 @st.composite
@@ -64,13 +64,20 @@ class CheckRow(NamedTuple):
     holds: bool
 
 
+def walk_checks(Hs, objectives):
+    """``verify._walk_checks`` on the walk of Hs under the (M, f) listing
+    ``objectives``, with the walk's shape."""
+    walk = counting._walk(Hs, objectives)
+    return verify._walk_checks(walk, verify._shape(walk.hypergraphs))
+
+
 def check_rows(Hs, objectives):
     """Every applicable check on each instance (H, M, f), for H in Hs and
     (M, f) in ``objectives``, expanded from ``verify``'s check table: a
     list per hypergraph of a list per objective of rows, in table order."""
-    shape = verify._shape(Hs)
+    walk = counting._walk(Hs, objectives)
     rows = [[[] for _ in objectives] for _ in Hs]
-    for j, table in verify._check_tables(Hs, shape, objectives):
+    for j, table in verify._check_tables(walk, verify._shape(walk.hypergraphs)):
         for name, kind, lhs, relation, rhs, applies in table:
             holds = np.broadcast_to(relation(lhs, rhs), applies.shape)
             for h in np.flatnonzero(applies).tolist():

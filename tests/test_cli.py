@@ -295,6 +295,14 @@ class TestVerify:
         digest = "2c8c6c7c065fd9e9da4bd3dc7f83c7881aff200cc1f7e15eea8109c19fe7cd32"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_grid_output_at_M_1(self, capsys):
+        # sha256 of stdout, recorded before the walk carried its plan: at
+        # M = 1 nothing is constructed, and only the count checks run
+        assert main(["verify", "--n-max", "3", "--M", "1,2"]) == 0
+        out = capsys.readouterr().out
+        digest = "facf12ae4b3f128cfdbebb4e65ef823b584f135cf976918169a0d758da80efb4"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_records_only_the_failed_checks(self, capsys, monkeypatch):
         """A passing check builds no record; a failed one builds one, kept
         in the report."""
@@ -597,7 +605,9 @@ class TestSearch:
 
 class TestScans:
     """The work shape of the two sweeps: one scan (``counting._blocks``
-    call) per walk and M, stacking that M's distinct objectives."""
+    call) per walk and M, stacking that M's distinct objectives, and one
+    ``counting._plan`` per walk, which every scan and construction of the
+    walk reads."""
 
     @pytest.mark.parametrize(
         "argv,stacks",
@@ -611,16 +621,23 @@ class TestScans:
         ],
     )
     def test_one_scan_per_walk_and_M(self, argv, stacks, capsys, monkeypatch):
-        seen = []
-        blocks = counting._blocks
+        seen, plans = [], []
+        blocks, build = counting._blocks, counting._plan
 
         def spy(plan, tables, M, *args, **kwargs):
             seen.append((M, len(tables)))
             return blocks(plan, tables, M, *args, **kwargs)
 
+        def plan_spy(Hs):
+            plans.append(Hs[0].n)
+            return build(Hs)
+
         monkeypatch.setattr(counting, "_blocks", spy)
+        monkeypatch.setattr(counting, "_plan", plan_spy)
         assert main(argv.split()) == 0
         assert seen == stacks
+        # one walk per vertex count up to --n-max
+        assert plans == list(range(1, int(argv.split()[2]) + 1))
 
 
 class TestSeed:
@@ -717,6 +734,16 @@ class TestSample:
         out = capsys.readouterr().out
         assert json.loads(out)["draws"] == (3 << 14 if layer1 else 40000)
         assert sha256(out) == self.GOLDEN_BATCHES[layer1]
+
+    def test_golden_at_a_low_layer1_share(self, h8_path, capsys):
+        """At M = 40 a share 1 - (39/40)^8 = 0.18 of the draws is on layer
+        1, below a quarter, so the rows holding a 1 are copied out of each
+        batch; sha256 of stdout, recorded before the walk carried its plan."""
+        argv = ["sample", "--hypergraph", h8_path, "--M", "40", "--trials", "1000", "--seed", "1"]
+        assert main([*argv, "--layer1"]) == 0
+        out = capsys.readouterr().out
+        digest = "3665b8af8ab52e5067b7d79a798cbfae2f37f70b5698024fbe14ed61997eb1b2"
+        assert sha256(out) == digest
 
     def test_csv(self, s2_path, capsys):
         code = main(

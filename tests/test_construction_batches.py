@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import isobench.counting
 import isobench.verify
 import oracle
-from conftest import check_rows, increasing_objectives, small_hypergraphs
+from conftest import check_rows, increasing_objectives, small_hypergraphs, walk_checks
 from isobench import (
     Hypergraph,
     Objective,
@@ -39,13 +39,11 @@ from isobench import (
     singleton_hypergraph,
     tashma_injection_maximal,
     verify_grid,
-    zero_based_identity,
 )
 from isobench.cli import main
 from isobench.constructions import _assert_isolates
 from isobench.counting import _CHUNK, _single, _table
 from isobench.hypergraph import edge_vertices
-from isobench.verify import _walk_checks
 
 SCALES = (1, 2**70)
 
@@ -265,12 +263,10 @@ BOUNDS += ("conjectured_Y", "conjectured_Y1")
 
 def mixed_objectives(n):
     """The presets at both scales, so int and ``object`` tables share a
-    stack, a zero-allowed objective among them, and M = 2 listed twice."""
-    objectives = [
+    stack, and M = 2 listed twice."""
+    return [
         (M, _scaled(f, scale)) for M in (2, 3, 2) for scale in SCALES for f in preset_objectives(M, n)
     ]
-    objectives.insert(4, (2, zero_based_identity(2)))
-    return objectives
 
 
 @pytest.mark.parametrize("gather", [7, 200, isobench.counting._GATHER])
@@ -286,8 +282,8 @@ def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
     for n, Hs in grid_walks():
         objectives = mixed_objectives(n)
         assert len({str(_table(f, n).dtype) for M, f in objectives if M == 2}) > 1
-        run, failed = _walk_checks(Hs, objectives)
-        singles = [_walk_checks(Hs, [objective]) for objective in objectives]
+        run, failed = walk_checks(Hs, objectives)
+        singles = [walk_checks(Hs, [objective]) for objective in objectives]
         assert run == sum(r for r, _ in singles)
         assert sorted(failed, key=repr) == sorted((r for _, f in singles for r in f), key=repr)
         failures += len(failed)
@@ -337,7 +333,7 @@ def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
         objectives = mixed_objectives(n)
         own = {tuple(_table(f, n).tolist()): _table(f, n).dtype for _, f in objectives}
         stacks.clear()
-        _walk_checks(Hs, objectives)
+        walk_checks(Hs, objectives)
         for _, _, rows, dtype in stacks:
             assert dtype == np.result_type(*(own[row] for row in rows))
             dtypes.add(dtype)

@@ -183,7 +183,7 @@ def per_instance_counts(Hs, M, f):
 
 
 def batch_counts(Hs, M, f):
-    [(at, total, layer1)] = counting._count_many(Hs, M, [f])
+    [(at, total, layer1)] = counting._count_many(counting._walk(Hs, ()), M, [f])
     assert at == [0] and total.shape == layer1.shape == (1, len(Hs))
     return list(zip(total[0].tolist(), layer1[0].tolist()))
 
@@ -315,13 +315,13 @@ class TestCountMany:
 
 
 def stacked_rows(Hs, M, fs):
-    """Row i of ``_count_many(Hs, M, fs)``, as (|Z|, |Z_1|) pairs, checked
-    against ``_count_many(Hs, M, [fs[i]])``; each objective is in one
-    stack, of the stack's bound or fewer."""
+    """Row i of ``_count_many`` over the walk Hs under ``fs``, as (|Z|,
+    |Z_1|) pairs, checked against the count under [fs[i]] alone; each
+    objective is in one stack, of the stack's bound or fewer."""
     edges = counting._plan(tuple(Hs)).members.shape[1]
     size = max(1, counting._GATHER // (max(edges, 1) * M ** Hs[0].n))
     rows = {}
-    for at, total, layer1 in counting._count_many(Hs, M, fs):
+    for at, total, layer1 in counting._count_many(counting._walk(Hs, ()), M, fs):
         assert total.shape == layer1.shape == (len(at), len(Hs)) and len(at) <= size
         for i, t, l in zip(at, total, layer1):
             assert i not in rows
@@ -414,10 +414,10 @@ class TestStackedCounts:
             return blocks(*args, **kwargs)
 
         monkeypatch.setattr(counting, "_blocks", spy)
-        counted = []
+        counted, walk = [], counting._walk(Hs, ())
         tracemalloc.start()
         try:
-            for at, total, layer1 in counting._count_many(Hs, 2, fs):
+            for at, total, layer1 in counting._count_many(walk, 2, fs):
                 assert total.shape == layer1.shape == (len(at), len(Hs))
                 assert calls[-1] == len(at) and len(calls) == len(counted) + 1
                 counted.append(len(at))

@@ -141,8 +141,9 @@ class TestConjectureSearch:
             value = (3 * len(H.edges) + M + len(f.kind) + sum(H.edges)) % 4 + 1
             return value, value
 
-        def count_many(Hs, M, fs):
-            total, layer1 = np.array([[counts(H, M, f) for H in Hs] for f in fs]).transpose(2, 0, 1)
+        def count_many(walk, M, fs):
+            counted = [[counts(H, M, f) for H in walk.hypergraphs] for f in fs]
+            total, layer1 = np.array(counted).transpose(2, 0, 1)
             yield list(range(len(fs))), total, layer1
 
         monkeypatch.setattr(search, "conjectured_Y", lambda M, n: 4)

@@ -4,8 +4,8 @@ acceptance suite, so a name that only unit tests reach does not creep
 back into ``__init__``; nothing public in a module, neither a function
 or class nor a method or property of a public class, is reached only by
 unit tests; and no defaulted parameter of one is set only by them.
-Also the one layering rule between modules: ``verify`` does not import
-the sampler module ``search``."""
+Also the layering rules between modules: ``verify`` does not import the
+sampler module ``search``, nor ``counting._plan``."""
 
 import ast
 import types
@@ -202,3 +202,9 @@ def test_verify_does_not_import_search():
     not from the sampler module."""
     imported = imported_modules(ROOT / "src" / "isobench" / "verify.py")
     assert sorted(name for name in imported if "search" in name.split(".")) == []
+
+
+def test_verify_does_not_import_the_plan():
+    """``verify`` reads each walk's plan off the walk that ``counting._grid``
+    built, so it neither imports ``counting._plan`` nor looks it up."""
+    assert "_plan" not in identifiers(ROOT / "src" / "isobench" / "verify.py")

@@ -10,9 +10,9 @@ from isobench import (
     tashma_injection_maximal,
     zero_based_identity,
 )
-from conftest import check_rows
+from conftest import check_rows, walk_checks
 from isobench.counting import _single
-from isobench.verify import _walk_checks, verify_grid
+from isobench.verify import verify_grid
 
 
 def instance_checks(H, M, f):
@@ -70,7 +70,7 @@ class TestInstanceChecks:
         for name, (images, bad) in broken.items():
             report = (domain, edges, np.array(images), np.array(bad))
             monkeypatch.setattr(isobench.verify, "_injection", lambda *a, report=report: report)
-            failed = _walk_checks((H,), [(3, f)])[1]
+            failed = walk_checks((H,), [(3, f)])[1]
             assert [(r.name, r.kind) for r in failed] == [(name, "theorem")]
             assert failed[0].instance["hypergraph"] == H.to_json_dict()
 
@@ -100,6 +100,6 @@ class TestSummaries:
         nested = Hypergraph.from_edges(2, [[1], [1, 2]], require_inclusion_free=False)
         summary = verify_grid([[nested]], [2])
         assert (summary.ok, summary.checks_run) == (True, 3)  # one check per preset
-        assert calls == [nested, nested]  # the stack-size pre-pass and the check table
+        assert calls == [nested]  # once, for the walk's shape
         results = instance_checks(nested, 2, identity_objective(2))
         assert [r.name for r in results] == ["total_ge_zero_weight_bound"]

@@ -29,7 +29,6 @@ class TestObjective:
     def test_identity(self):
         f = identity_objective(3)
         assert f.values == (F(1), F(2), F(3))
-        assert f(2) == 2
         assert f.scaled == (1, 2, 3)
 
     def test_rejects_non_increasing(self):
@@ -171,11 +170,10 @@ class TestObjectiveShifts:
         (lambda: Objective(2, (F(1),)), "expected 2 values, got 1"),
         (lambda: Objective(2, (F(-1), F(1)), zero_allowed=True), "objective values must be nonnegative"),
         (lambda: Objective(2, (F(1), F(2)), kind="bogus"), "unknown objective kind 'bogus'"),
-        (lambda: identity_objective(2)(3), "label 3 out of range 1..2"),
         (lambda: shift_objective_up(identity_objective(2), 0, 2), "layer index 0 out of range 1..2"),
         (lambda: shift_objective_up(identity_objective(2), 2, 4), "objective has 2 labels, expected 3"),
     ],
-    ids=["M", "length", "negative", "kind", "label", "shift-layer", "shift-labels"],
+    ids=["M", "length", "negative", "kind", "shift-layer", "shift-labels"],
 )
 def test_input_refused(call, message):
     with pytest.raises(ValueError) as info:
