@@ -49,7 +49,7 @@ def _assert_isolates(
     objective by objective, then hypergraph by hypergraph, so the row it
     names is the first failing one in that order.  Returns the isolating
     mask of every row of W, (graphs, rows)."""
-    iso, at_min = _classify(_stacked_sums(tables, members, W))
+    iso, at_min = _classify(_stacked_sums(tables, members, W), members.shape[2])
     hit = np.take_along_axis(at_min, edges[:, None, :], axis=1)[:, 0]
     bad = need & ~(iso & hit)
     if bad.any():
@@ -186,7 +186,7 @@ def _witnesses(
     two = np.zeros((c, left.shape[0]), dtype=bool)
     isolating = np.ones(two.shape + (2,), dtype=bool)
     if classified is None:
-        classified = _classify(_stacked_sums(tables, members, left))
+        classified = _classify(_stacked_sums(tables, members, left), n)
     if m:
         pivot = (left == 1).argmax(axis=1)
         iso, at_min = classified[0], classified[1].swapaxes(1, 2)

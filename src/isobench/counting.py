@@ -3,46 +3,49 @@
 Every row of [M]^n (for ``count_layer1``, every row with some entry 1) is
 classified, in exact integers: edge weights use the objective's
 denominator-cleared values, summed in the narrowest of int16, int32 and
-int64 that holds n times the largest value, or as Python integers
-(``dtype=object``) when such a sum could reach 2^62, so ties are detected
-exactly.  A row isolates when exactly one edge is at its minimum, counted
-in bytes below 256 edges.
+int64 that holds n times the largest value, or from 2^62 on in int64
+limbs, digits in base 2^b with b = 62 - n.bit_length() (``_table``): a sum
+of n digits stays below n 2^b < 2^62, so a limb plus the carry
+``_classify`` adds to it stays below 2^63, and ties are detected exactly.
+A row isolates when exactly one edge is at its minimum, counted in bytes
+below 256 edges.
 
 One generator, ``_blocks``, walks [M]^n for a tuple of hypergraphs on the
-same n under a stack of objectives, their value tables of one dtype on a
-leading axis.  It splits the coordinates into a prefix and a suffix of
-length k (meet-in-the-middle, after Horowitz and Sahni 1974): each
-distinct edge's weight is summed once per suffix and once per prefix, and
-a block of rows is one broadcast addition of the two.  Both sides come
-from one cached table per length, sorted by row minimum, so every scan is
-a set of index ranges over the two tables: a block's rows with minimum at
-least j are one rectangle, the layer counts are flat counts over
-rectangles with no per-row layer, and the rows with some entry 1 are two
-spans of the same edge sums.  One hypergraph is classified in place; a
-batch is classified group by group, the hypergraphs with the same number
-of edges gathered into one array.  Three reducers sum its blocks:
+same n under a stack of objectives, their value tables of one dtype and
+one number of limbs on an axis after the limbs.  It splits the coordinates
+into a prefix and a suffix of length k (meet-in-the-middle, after Horowitz
+and Sahni 1974): each distinct edge's weight is summed once per suffix and
+once per prefix, and a block of rows is one broadcast addition of the two.
+Both sides come from one cached table per length, sorted by row minimum,
+so every scan is a set of index ranges over the two tables: a block's rows
+with minimum at least j are one rectangle, the layer counts are flat
+counts over rectangles with no per-row layer, and the rows with some entry
+1 are two spans of the same edge sums.  One hypergraph is classified in
+place; a batch is classified group by group, the hypergraphs with the same
+number of edges gathered into one array.  Three reducers sum its blocks:
 ``count_isolating`` (per layer and per edge, with the sorted prefixes
 optionally cut into ranges across worker processes) and ``count_layer1``
 (the rows with some entry 1 only), each on a stack of one objective, and
 the sweeps' ``_count_many`` (|Z| and |Z_1| of every hypergraph of a walk
-under every objective of one M, in stacks of one dtype, handed back one
-stack at a time).  Explicit weight rows (the constructions' weights, the
-samplers' draws) go through the same classify step, and the samplers'
-draws through the same edge sums.
+under every objective of one M, in stacks of one dtype and one number of
+limbs, handed back one stack at a time).  Explicit weight rows (the
+constructions' weights, the samplers' draws) go through the same classify
+step, and the samplers' draws through the same edge sums.
 
 Edge sums need no multiplication, and take two steps that the scans and
 the samplers share: ``_gather`` takes a side's (or a batch of draws')
-values once, vertex-major, over a zero padding row, under each table of a
-stack (or the samplers' one table), and ``_slot_sums`` adds, for each
-edge, the rows of its vertices, in the tables' dtype.  Where most draws
-are on layer 1, ``sample --layer1`` reads acceptance from a whole
-gathered batch: a row holds a 1 exactly when its least value is the
-table's value of label 1, the table's unique least value.  The
-constructions' stacks of hypergraphs (``_stacked_sums``) keep a matmul:
-on at most 5 vertices one matmul costs fewer numpy calls than a gather
-through slots offset per hypergraph, which made ``verify --n-max 4 --M
-2,3`` slower.  Such a stack may mix objectives of one M: each hypergraph
-reads its own row of a stack of value tables.
+values once, vertex-major, over a zero padding row, under each limb of
+each table of a stack (or the samplers' one table), and ``_slot_sums``
+adds, for each edge, the rows of its vertices, in the tables' dtype.
+Where most draws are on layer 1 and the table is one limb, ``sample
+--layer1`` reads acceptance from a whole gathered batch: a row holds a 1
+exactly when its least value is the table's value of label 1, the table's
+unique least value.  The constructions' stacks of hypergraphs
+(``_stacked_sums``) keep a matmul: on at most 5 vertices one matmul costs
+fewer numpy calls than a gather through slots offset per hypergraph, which
+made ``verify --n-max 4 --M 2,3`` slower.  Such a stack may mix objectives
+of one M: each hypergraph reads its own column of a stack of value tables,
+padded to one number of limbs (``_tables``).
 
 The grid that ``search`` and ``verify`` sweep, ``_grid``, is here too,
 next to the refusal it applies to each scan before any objective is built.
@@ -67,10 +70,10 @@ from .weights import Objective
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
-_GATHER = 1 << 16  # bound on rows times gathered edge columns times objectives in _count_many
+_GATHER = 1 << 16  # bound on rows times gathered edge columns times objectives times limbs
 _STACK_CELLS = 1 << 22  # cells of one (objective, hypergraph) pair's construction stack
-# the narrow edge-sum dtypes and the largest sum each holds; int64 up to 2^62
-_RUNGS = ((np.dtype(np.int16), (1 << 15) - 1), (np.dtype(np.int32), (1 << 31) - 1))
+# the one-limb edge-sum dtypes and the largest sum each holds
+_RUNGS = ((np.int16, (1 << 15) - 1), (np.int32, (1 << 31) - 1), (np.int64, (1 << 62) - 1))
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,8 @@ class _Plan(NamedTuple):
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
+def _build_plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
+    """The plan of Hs, uncached: a walk's, built once, would only fill ``_plan``'s cache."""
     column = {e: c for c, e in enumerate(dict.fromkeys(e for H in Hs for e in H.edges))}
     n = Hs[0].n
     members = np.array([[e >> v & 1 for e in column] for v in range(n)], dtype=np.int64)
@@ -154,21 +157,55 @@ def _plan(Hs: tuple[Hypergraph, ...]) -> _Plan:
     return _Plan(members, slots, groups)
 
 
+# the plan of the single-hypergraph callers, (H,), which repeat it
+_plan = functools.lru_cache(maxsize=256)(_build_plan)
+
+
+def _base(n: int) -> int:
+    """Bits per limb on n vertices: n < 2^n.bit_length(), so a sum of n
+    digits below 2^b stays below 2^62."""
+    return 62 - n.bit_length()
+
+
 @functools.lru_cache(maxsize=256)
-def _value_table(scaled: tuple[int, ...], n: int) -> np.ndarray:
-    top = max(abs(s) for s in scaled) * max(n, 1)  # the largest edge sum
-    dtype = next((d for d, most in _RUNGS if top <= most), np.int64 if top < 1 << 62 else object)
-    table = np.array([0, *scaled], dtype=dtype)
+def _value_table(scaled: tuple[int, ...], n: int, limbs: int) -> np.ndarray:
+    top = max(scaled)  # the values are nonnegative
+    dtype = next((d for d, most in _RUNGS if top * max(n, 1) <= most), None)
+    if limbs == 1 and dtype is not None:
+        table = np.array([[0, *scaled]], dtype=dtype)
+    else:
+        b = _base(n)
+        limbs = max(limbs, -(-top.bit_length() // b))
+        digits = [[v >> (b * i) & ((1 << b) - 1) for v in (0, *scaled)] for i in range(limbs)]
+        table = np.array(digits, dtype=np.int64)
     table.flags.writeable = False
     return table
 
 
-def _table(f: Objective, n: int) -> np.ndarray:
+def _table(f: Objective, n: int, limbs: int = 1) -> np.ndarray:
     """The objective's scaled values indexed by label (slot 0 a dummy),
-    read-only, in the narrowest of int16, int32 and int64 that holds every
-    edge sum on n vertices, or as Python integers when such a sum could
-    reach 2^62.  Cached by the values, not by the objective."""
-    return _value_table(f.scaled, n)
+    read-only, as a stack of limbs (limbs, M + 1), low limb first.  One
+    limb in the narrowest of int16, int32 and int64 that holds every edge
+    sum on n vertices; when such a sum could reach 2^62, or more than one
+    limb is asked for, the values' int64 digits in base 2^b (``_base``),
+    as many as the largest value needs, or ``limbs``.  Each digit is below
+    2^b, so an edge sum of n digits stays below 2^62 in every limb.
+    Cached by the values, not by the objective."""
+    return _value_table(f.scaled, n, limbs)
+
+
+def _limbs(table: np.ndarray) -> int:
+    """The number of limbs of a value table (see ``_table``) or a stack of them."""
+    return len(table)
+
+
+def _tables(fs: Sequence[Objective], n: int) -> np.ndarray:
+    """The value tables of ``fs`` on n vertices stacked on axis 1, (limbs,
+    objectives, M + 1), in their common dtype: each with as many limbs as
+    the widest, its digits in the one base of n, so that the high limbs it
+    gains are exact (zero, or the digits of a one-limb value)."""
+    limbs = max(_limbs(_table(f, n)) for f in fs)
+    return np.stack([_table(f, n, limbs) for f in fs], axis=1)
 
 
 def _decode_rows(n: int, M: int) -> np.ndarray:
@@ -193,20 +230,37 @@ def _rank_rows(rows: np.ndarray, M: int) -> np.ndarray:
     return (rows - 1).astype(dtype) @ radix + offset.reshape((-1,) + (1,) * (rows.ndim - 2))
 
 
-def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isolation of each row of an array of edge weights with the edges on
-    axis -2 and any leading axes: shape (..., edges, rows), such as
-    ``_blocks``' (objectives, hypergraphs, edges, rows).
+def _classify(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isolation of each row of an array of edge weights on n vertices
+    with the limbs (see ``_table``) on axis 0, the edges on axis -2 and any
+    axes between: shape (limbs, ..., edges, rows), such as ``_blocks``'
+    (limbs, objectives, hypergraphs, edges, rows).
 
-    Returns the isolating mask, of the shape of ``sums`` without the edge
-    axis, and the mask of edges at the row's minimum, of the shape of
-    ``sums``.  With no edges every row is isolating.
+    Returns the isolating mask, of the shape of ``sums`` without the limb
+    and edge axes, and the mask of edges at the row's minimum, of the shape
+    of ``sums`` without the limb axis.  With no edges every row is
+    isolating.  With more than one limb, ``sums`` is overwritten: each limb
+    is carried once into the next, low to high, leaving digits below 2^b
+    under the top limb, and an edge is at the minimum when it is at the
+    least top limb and, among the edges still at the minimum, at the least
+    digit of each limb below, in turn.  In place, because each fresh array
+    of a block's size costs more than the arithmetic on it.
     """
     edges = sums.shape[-2]
     if not edges:
-        iso = np.ones(sums.shape[:-2] + sums.shape[-1:], dtype=bool)
-        return iso, np.zeros(sums.shape, dtype=bool)
-    at_min = sums == sums.min(axis=-2, keepdims=True)
+        iso = np.ones(sums.shape[1:-2] + sums.shape[-1:], dtype=bool)
+        return iso, np.zeros(sums.shape[1:], dtype=bool)
+    if len(sums) == 1:
+        at_min = sums[0] == sums[0].min(axis=-2, keepdims=True)
+    else:
+        b, top = _base(n), sums[-1]
+        for low, high in zip(sums[:-1], sums[1:]):  # below 2^62 plus a carry below 2^(63 - b)
+            high += low >> b
+            low &= (1 << b) - 1
+        at_min = top == top.min(axis=-2, keepdims=True)
+        for digit in sums[-2::-1]:
+            digit += ~at_min * (1 << b)  # the edges off the minimum, above every digit
+            at_min &= digit == digit.min(axis=-2, keepdims=True)
     # count the edges at the minimum in bytes, which would wrap at 256 of them
     count = at_min.view(np.uint8).sum(axis=-2, dtype=np.uint8) if edges < 256 else at_min.sum(axis=-2)
     return count == 1, at_min
@@ -215,10 +269,10 @@ def _classify(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gather(W: np.ndarray, table: np.ndarray, first: int = 0) -> np.ndarray:
     """The values of W's rows, whose coordinates are the vertices first,
     first + 1, ..., gathered once, vertex-major, under each table of a
-    stack (..., M + 1), or one table (M + 1,): shape (..., first + W's
-    columns + 1, rows), in the tables' dtype.  The rows of the vertices
-    before W are zero, and so is the last row, the padding onto which
-    ``_slot_sums`` clips every index past W.  The gather is a ``take`` in
+    stack (limbs, objectives, M + 1), or one table (limbs, M + 1): shape
+    (limbs, ..., first + W's columns + 1, rows), in the tables' dtype.  The
+    rows of the vertices before W are zero, and so is the last row, the
+    padding onto which ``_slot_sums`` clips every index past W.  The gather is a ``take`` in
     W's own order, transposed as it is copied in: indexing with a leading
     Ellipsis, or through ``table.T``, or with W transposed, takes up to
     four times as long on a stack and as much as half again on one
@@ -239,21 +293,22 @@ def _slot_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
 def _stacked_sums(tables: np.ndarray, members: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Weight of each edge of a stack of hypergraphs on weight rows, in the
     shape ``_classify`` takes: ``tables`` holds the value tables (see
-    ``_table``) of the stack's objectives, (hypergraphs, M + 1), or one
-    (1, M + 1) for the whole stack, ``members`` is the (hypergraphs, m, n)
-    0/1 edge membership and W the rows, (hypergraphs, rows, n) or one
-    (rows, n) array for the whole stack; the result has shape
-    (hypergraphs, m, rows).  Each hypergraph reads its own table through a
-    flat offset into the stack; a stack of one objective reads one table,
-    so rows the stack shares (left nodes, the injection's domain, [2]^n)
-    are gathered once, not once per hypergraph.  The gather is a
-    ``take``, which reads through narrow rows (the int8 left nodes) about
-    twice as fast as indexing with them."""
-    if (tables[1:] != tables[:1]).any():
-        W = W + (np.arange(tables.shape[0]) * tables.shape[1]).reshape(-1, 1, 1)
+    ``_table``) of the stack's objectives, (limbs, hypergraphs, M + 1), or
+    one (limbs, 1, M + 1) for the whole stack, ``members`` is the
+    (hypergraphs, m, n) 0/1 edge membership and W the rows, (hypergraphs,
+    rows, n) or one (rows, n) array for the whole stack; the result has
+    shape (limbs, hypergraphs, m, rows), in int64.  Each hypergraph reads
+    its own table through a flat offset into the stack; a stack of one
+    objective reads one table, so rows the stack shares (left nodes, the
+    injection's domain, [2]^n) are gathered once, not once per hypergraph.
+    The gather is a ``take``, which reads through narrow rows (the int8
+    left nodes) about twice as fast as indexing with them."""
+    if (tables[:, 1:] != tables[:, :1]).any():
+        W = W + (np.arange(tables.shape[1]) * tables.shape[2]).reshape(-1, 1, 1)
     else:
-        tables = tables[:1]
-    return members @ np.swapaxes(tables.reshape(-1).take(W), -1, -2)
+        tables = tables[:, :1]
+    values = tables.reshape(len(tables), -1).take(W.reshape(-1, *W.shape[-2:]), axis=1)
+    return members @ np.swapaxes(values, -1, -2)
 
 
 def _suffix_len(n: int, M: int) -> int:
@@ -290,8 +345,8 @@ def _blocks(
     """Classify the rows of [M]^n whose (n - k)-prefix is at a position in
     [start, stop) of the sorted prefix table, or with ``layer1`` only those
     with some entry 1, for every hypergraph of a tuple Hs (one n), given
-    as its ``_plan(Hs)``, under each value table of ``tables``, a stack
-    (objectives, M + 1) of one dtype (see ``_table``).  Yields (positions
+    as its plan, under each value table of ``tables``, a stack (limbs,
+    objectives, M + 1) of one dtype (see ``_table``).  Yields (positions
     in Hs, isolating mask (objectives, hypergraphs, rows), edges at the
     minimum (objectives, hypergraphs, m, rows), prefix minima, suffix
     minima) per block, a range of prefixes times a range of suffixes, and
@@ -301,9 +356,10 @@ def _blocks(
     least j.  For the same reason the rows with some entry 1 are two index
     ranges: the prefixes holding a 1 times every suffix, and the other
     prefixes times the suffixes holding a 1.  Blocks hold at most _CHUNK
-    rows, and for a batch at most _GATHER rows times edges times
-    objectives."""
-    p = plan.members.shape[0] - k
+    rows, and for a batch at most _GATHER rows times edges times objectives
+    times limbs."""
+    n = plan.members.shape[0]
+    p = n - k
     single = len(plan.groups) == 1 and plan.groups[0][0].size == 1
     prefix, prefix_low = (side[start:stop] for side in _suffix_table(p, M))
     suffix, suffix_low = _suffix_table(k, M)
@@ -313,7 +369,8 @@ def _blocks(
     if layer1:
         one = int(prefix_low.searchsorted(2))
         spans = [(0, one, suffix_low.size), (one, prefix_low.size, int(suffix_low.searchsorted(2)))]
-    stack, edges = len(tables), plan.members.shape[1]  # no hypergraph has more edges
+    # a table of L limbs counts L times; no hypergraph has more edges
+    stack, edges = tables[..., 0].size, plan.members.shape[1]
     bound = _CHUNK if single else max(1, min(_CHUNK, _GATHER // (stack * max(edges, 1))))
     for first, end, width in spans:
         if not width:  # no suffix holds a 1, as at k = 0
@@ -321,16 +378,17 @@ def _blocks(
         step, span = max(1, bound // width), min(width, bound)
         for a, c in itertools.product(range(first, end, step), range(0, width, span)):
             b, d = min(a + step, end), min(c + span, width)
-            block = pre_sums[:, :, a:b, None] + suf_sums[:, :, None, c:d]
-            block = block.reshape(stack, edges, (b - a) * (d - c))
+            block = pre_sums[..., a:b, None] + suf_sums[..., None, c:d]
+            block = block.reshape(*block.shape[:3], (b - a) * (d - c))
             low = prefix_low[a:b], suffix_low[c:d]
             if single:  # in place, with no gathered copy
-                yield (plan.groups[0][0], *_classify(block[:, None]), *low)
+                yield (plan.groups[0][0], *_classify(block[:, :, None], n), *low)
                 continue
             for which, cols in plan.groups:
-                per = max(1, _GATHER // (stack * max(cols.shape[1], 1) * block.shape[2]))
+                per = max(1, _GATHER // (stack * max(cols.shape[1], 1) * block.shape[-1]))
                 for g in range(0, len(which), per):
-                    yield (which[g : g + per], *_classify(block.take(cols[g : g + per], axis=1)), *low)
+                    sums = block.take(cols[g : g + per], axis=2)
+                    yield (which[g : g + per], *_classify(sums, n), *low)
 
 
 def _tally(
@@ -342,7 +400,7 @@ def _tally(
     at_least = [0] * M  # rows with minimum at least j, for j = 1..M
     per_edge = [0] * H.m
     labels = np.arange(1, M + 1)
-    blocks = _blocks(_plan((H,)), _table(f, H.n)[None], M, k, start, stop)
+    blocks = _blocks(_plan((H,)), _table(f, H.n)[:, None], M, k, start, stop)
     for _, iso, at_min, pre_low, suf_low in blocks:
         iso, at_min = iso[0, 0], at_min[0, 0]
         grid = iso.reshape(pre_low.shape[0], suf_low.shape[0])
@@ -387,7 +445,7 @@ def _walk(Hs: Iterable[Hypergraph], objectives: Iterable[tuple[int, Objective]])
             if M_j == M:
                 listings.setdefault(f, []).append(j)
         groups.append((M, list(listings), list(listings.values())))
-    return _Walk(Hs, _plan(Hs), objectives, tuple(groups))
+    return _Walk(Hs, _build_plan(Hs), objectives, tuple(groups))
 
 
 def _grid(
@@ -441,10 +499,10 @@ def _check_stack(n: int, M: int, m: int) -> int:
 def _single(H: Hypergraph, M: int, f: Objective) -> tuple[np.ndarray, np.ndarray]:
     """Refuse a single-instance construction before any work, f's range and
     H's stack; then hand the batched cores their stack of one: H's (1, m, n)
-    0/1 edge membership, in its edge order, and f's (1, M + 1) value table."""
+    0/1 edge membership, in its edge order, and f's value table (L, 1, M + 1)."""
     _check(f, M)
     _check_stack(H.n, M, H.m)
-    return _plan((H,)).members.T[None], _table(f, H.n)[None]
+    return _plan((H,)).members.T[None], _table(f, H.n)[:, None]
 
 
 def count_isolating(
@@ -488,7 +546,7 @@ def count_layer1(H: Hypergraph, M: int, f: Objective) -> int:
     """Exact |Z_1(H, M, f)|, scanning only weights with some entry 1;
     its rows are refused against DEFAULT_BUDGET, as it reads at call time."""
     _check(f, M, M**H.n - (M - 1) ** H.n, DEFAULT_BUDGET)
-    blocks = _blocks(_plan((H,)), _table(f, H.n)[None], M, _suffix_len(H.n, M), layer1=True)
+    blocks = _blocks(_plan((H,)), _table(f, H.n)[:, None], M, _suffix_len(H.n, M), layer1=True)
     return sum(int(np.count_nonzero(iso)) for _, iso, *_ in blocks)
 
 
@@ -500,22 +558,23 @@ def _count_many(
     time: (the stack's positions in ``fs``, and two int64 arrays (stack,
     hypergraphs) in the orders of those positions and of the walk); the
     caller checks the budget.  A stack holds objectives whose tables share
-    a dtype, so a wide table never widens a narrow one's arithmetic, at
-    most _GATHER over (distinct edges times M^n) of them, or one: a block
-    then holds as many rows per objective as a scan of one objective
-    would.  A stack is scanned once it is full, and the part-full ones
-    last, so memory is bounded by the stack, not by ``fs``."""
+    a dtype and a number of limbs L, so a wide table never widens a narrow
+    one's arithmetic, at most _GATHER over (L times distinct edges times
+    M^n) of them, or one: a block then holds as many rows per objective as
+    a scan of one objective would.  A stack is scanned once it is full, and
+    the part-full ones last, so memory is bounded by the stack, not ``fs``."""
     Hs, plan = walk.hypergraphs, walk.plan
     n = Hs[0].n
-    size = max(1, _GATHER // (max(plan.members.shape[1], 1) * M**n))
+    size = _GATHER // (max(plan.members.shape[1], 1) * M**n)
 
     def stacks() -> Iterator[list[tuple[int, np.ndarray]]]:
-        pending: dict[np.dtype, list[tuple[int, np.ndarray]]] = {}
+        pending: dict[tuple[np.dtype, int], list[tuple[int, np.ndarray]]] = {}
         for i, f in enumerate(fs):
             table = _table(f, n)
-            pending.setdefault(table.dtype, []).append((i, table))
-            if len(pending[table.dtype]) == size:
-                yield pending.pop(table.dtype)
+            key = table.dtype, _limbs(table)
+            pending.setdefault(key, []).append((i, table))
+            if len(pending[key]) == max(1, size // key[1]):
+                yield pending.pop(key)
         yield from pending.values()
 
     for stack in stacks():
@@ -525,7 +584,7 @@ def _count_many(
         total = np.zeros(len(at) * len(Hs), dtype=np.int64)
         outside = np.zeros(len(at) * len(Hs), dtype=np.int64)
         offset = np.arange(len(at))[:, None] * len(Hs)
-        blocks = _blocks(plan, np.stack(tables), M, _suffix_len(n, M))
+        blocks = _blocks(plan, np.stack(tables, axis=1), M, _suffix_len(n, M))
         for which, iso, _, pre_low, suf_low in blocks:
             # the rows with no entry 1: the prefixes and suffixes with no 1
             grid = iso.reshape(*iso.shape[:2], pre_low.shape[0], suf_low.shape[0])

@@ -20,6 +20,7 @@ from .counting import (
     _count_many,
     _gather,
     _grid,
+    _limbs,
     _plan,
     _slot_sums,
     _table,
@@ -267,7 +268,7 @@ def _sample(
     """Classify the first ``trials`` accepted rows of seeded uniform draws
     over [M]^n, drawn _BATCH rows at a time: every row for ``uniform``, the
     rows with some entry 1 for ``layer1``.  Layer 1 holds a share 1 - (1 -
-    1/M)^n of the draws.  Above a quarter, with a fixed-width table, each
+    1/M)^n of the draws.  Above a quarter, with a one-limb table, each
     batch is classified whole and its rejected rows are masked, which costs
     less than copying the accepted ones out; otherwise the accepted rows
     are found from W's ones and copied.  More trials than ``budget`` are
@@ -280,7 +281,7 @@ def _sample(
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
     table, slots = _table(f, H.n), _plan((H,)).slots
-    masked = kind == "layer1" and table.dtype != object and 4 * (M - 1) ** H.n < 3 * M**H.n
+    masked = kind == "layer1" and _limbs(table) == 1 and 4 * (M - 1) ** H.n < 3 * M**H.n
     successes = accepted = batches = 0
     while accepted < trials:
         W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)
@@ -290,11 +291,11 @@ def _sample(
             hit[np.flatnonzero(W == 1) // H.n] = True  # the rows holding a 1
             W = W.take(np.flatnonzero(hit), axis=0)
         values = _gather(W if masked else W[: trials - accepted], table)
-        iso = _classify(_slot_sums(values, slots))[0]
+        iso = _classify(_slot_sums(values, slots), H.n)[0]
         if masked:
             # f is strictly increasing and scaled by a positive lcm, so label
             # 1 has the table's unique least value
-            hit = np.minimum.reduce(values[: H.n], axis=0) == table[1]
+            hit = np.minimum.reduce(values[0, : H.n], axis=0) == table[0, 1]
             iso = iso[np.flatnonzero(hit)[: trials - accepted]]
         successes += int(np.count_nonzero(iso))
         accepted += iso.size

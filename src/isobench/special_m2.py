@@ -38,9 +38,9 @@ def _special_scan(
         shape = (c, W.shape[0])
         return W, np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.intp)
     # an edge of unit weight at most 2n; the dropped edges weigh more
-    unit = _table(_UNIT, n)[None]
+    unit = _table(_UNIT, n)[:, None]
     sums = _stacked_sums(unit, members, W) + np.where(keep, 0, 2 * n + 1)[..., None]
-    iso, at_min = _classify(sums)
+    iso, at_min = _classify(sums, n)
     first = at_min.argmax(axis=1)
     inside = members[np.arange(c)[:, None], first] == 1
     # condition 1: no weight-2 vertex inside the edge or no weight-1 vertex outside
@@ -62,7 +62,7 @@ def _reduction(
     keep = cards == cards.min(axis=1, initial=members.shape[2], keepdims=True)
     W, special, _ = _special_scan(members, keep)
     special = special[graph]
-    iso = _classify(_stacked_sums(tables, members[graph], W))[0]
+    iso = _classify(_stacked_sums(tables, members[graph], W), members.shape[2])[0]
     return W, special, special & ~iso
 
 

@@ -39,7 +39,7 @@ from .counting import (
     _count_many,
     _grid,
     _rank_rows,
-    _table,
+    _tables,
 )
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
 from .special_m2 import _reduction
@@ -98,13 +98,13 @@ def _constructions(walk: _Walk, shape: _Shape, M: int, fs: Sequence[Objective]) 
     objective by objective, in chunks of at most ``counting._GATHER``
     (read at call time) pairs times rows times edges (or vertices, when
     more), or of one pair.  A chunk stacks the value tables of its own
-    objectives only, so one objective's wide table does not widen the
+    objectives only, each with as many limbs as the chunk's widest
+    (``counting._tables``), so one objective's wide table does not widen the
     arithmetic of another's chunks."""
     plan, n = walk.plan, walk.hypergraphs[0].n
     out: dict = defaultdict(lambda: np.zeros((len(fs), len(walk.hypergraphs)), dtype=object))
     if M < 2:
         return out
-    tables = [_table(f, n) for f in fs]
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
         pairs = len(fs) * len(which)
@@ -113,10 +113,10 @@ def _constructions(walk: _Walk, shape: _Shape, M: int, fs: Sequence[Objective]) 
             objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
             distinct, graph = np.unique(h, return_inverse=True)
             members = plan.members.T[cols[distinct]]
-            # the chunk's own objectives, a run of them, in their common dtype:
-            # exact, as each table's own holds n times its largest value
+            # the chunk's own objectives, a run of them, in their common dtype
+            # and limbs: exact, as each table's own holds n times its largest value
             first = objective[0]
-            own = np.stack(tables[first : objective[-1] + 1])[objective - first]
+            own = _tables(fs[first : objective[-1] + 1], n)[:, objective - first]
             found = _batch(members, graph, own, shape.with_B[which[h]], M)
             at = objective, which[h]
             for name, values in found.items():
@@ -129,13 +129,13 @@ def _batch(
 ) -> dict:
     """What the checks read of the constructions on one stack of
     (objective, hypergraph) pairs, pair g hypergraph ``graph[g]`` of
-    ``members`` (hypergraphs, m, n) under row g of the value tables
-    ``tables``: the right nodes of witness graph A and how many of them
-    isolate on layer 1, its total charge, the total and least charge of B
-    where ``with_B`` (0 elsewhere), the distinct images of the injection
-    and how many of them isolate their edge, and at M = 2 the special
-    weights of the least-cardinality edges and how many of them do not
-    isolate, each a list over the pairs."""
+    ``members`` (hypergraphs, m, n) under column g of the value tables
+    ``tables`` (limbs, pairs, M + 1): the right nodes of witness graph A
+    and how many of them isolate on layer 1, its total charge, the total
+    and least charge of B where ``with_B`` (0 elsewhere), the distinct
+    images of the injection and how many of them isolate their edge, and
+    at M = 2 the special weights of the least-cardinality edges and how
+    many of them do not isolate, each a list over the pairs."""
     stack = members[graph]
     c, _, n = stack.shape
 
@@ -156,7 +156,7 @@ def _batch(
         # B has A's left nodes, so it reuses A's classification of them
         left = tuple(part[with_B] for part in A.classified)
         B = _witnesses(
-            stack[with_B], M, tables[with_B], _next_vertex_step, "next-vertex descent", left
+            stack[with_B], M, tables[:, with_B], _next_vertex_step, "next-vertex descent", left
         )
         for name, values in zip(("charge_B", "least_B"), B.charges()):
             found[name] = np.zeros(c, dtype=object)

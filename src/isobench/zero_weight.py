@@ -62,14 +62,14 @@ def _injection(
         shape = (c, domain.shape[0])
         images = np.broadcast_to(domain, shape + (n,))
         return domain, np.zeros(shape, dtype=np.intp), images, np.zeros(shape, dtype=bool)
-    at_min = _classify(_stacked_sums(tables, members, domain))[1]
+    at_min = _classify(_stacked_sums(tables, members, domain), n)[1]
     # inside[g, a, b]: edge a of graph g is a strict subset of its edge b
     edge = members.astype(bool)
     inside = (edge[:, :, None] <= edge[:, None, :]).all(axis=3) & ~np.eye(m, dtype=bool)
     covered = (inside.astype(np.int64) @ at_min) > 0
     e = (at_min & ~covered).argmax(axis=1)
     images = domain - members[np.arange(c)[:, None], e]
-    iso, hit = _classify(_stacked_sums(tables, members, images))
+    iso, hit = _classify(_stacked_sums(tables, members, images), n)
     bad = ~(iso & np.take_along_axis(hit, e[:, None, :], axis=1)[:, 0])
     return domain, e, images, bad
 

@@ -9,6 +9,19 @@ from hypothesis import strategies as st
 from isobench import Hypergraph, Objective, counting, verify
 
 
+# scales of an objective: one int64 limb, then two limbs (the id is the
+# Python-integer dtype that scale took before limbs) and four or more limbs
+SCALES = (1, 2**70, 2**200)
+SCALE_IDS = ["int64", "object", "2^200"]
+
+
+def table_kind(f, n):
+    """(dtype, limbs) of f's value table on n vertices: one int16, int32
+    or int64 limb, or int64 limbs of base-2^b digits."""
+    table = counting._table(f, n)
+    return table.dtype, counting._limbs(table)
+
+
 @st.composite
 def small_hypergraphs(draw, max_n=4, max_edges=5, min_n=1):
     """Inclusion-free hypergraphs on min_n to max_n vertices.

@@ -56,6 +56,10 @@ def h12_path(tmp_path):
     return str(path)
 
 
+# values near 2^200, four limbs of 58 bits on 8 vertices, with f(1) + f(3) = 2 f(2)
+WIDE = (1 << 200) - 1, 3 << 199 | (1 << 149) - 1, (1 << 201) + (1 << 150) - 1
+WIDE_SPEC = "explicit:" + ",".join(map(str, WIDE))
+
 MINIMA = ("conjectured_Y", "conjectured_Y1")
 BOUNDS = ("ta_shma_bound", "corollary_Y_bound", "main_theorem_bound", "bounded_edge_bound", *MINIMA)
 
@@ -202,6 +206,11 @@ class TestCount:
         ),
         "--workers 2": "c59a5e7e416984ffb4d87d0366b755d19627fc53299bb260fbd3d5fb23521d90",
         "--format csv": "7790d2a4bdd98f80fd5a6dd2eadeb844ca3ee823a63cab32000d04706ccc1746",
+        # recorded before the tables past 2^62 took int64 limbs
+        f"--objective {WIDE_SPEC}": "da189944643c19d8a9da100174e46e7d318fec48aea86c7a11e068b3ef5d793c",
+        f"--objective {WIDE_SPEC} --format csv": (
+            "d1f684d19788e91e00b176d83496708d79add0b477efcee03830cce0c846abfd"
+        ),
     }
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN))
@@ -363,6 +372,14 @@ class TestVerify:
             "53882beee51e4a49046f2b9836a78bc29d54fcb50be354b5b675f2a084805401",
             "013a98d3591087da057e865d0fc8ede289b6cdc1c6143c7be8a101e85259d17a",
         ),
+        # generic_high on 2 vertices at M = 40, 3^40 > 2^62 / 2: constructions
+        # on a table of two limbs; recorded before the tables past 2^62 took
+        # int64 limbs
+        "--n-max 2 --M 40": (
+            0,
+            "77b81742e38913635911719f7d7340ad82b6a7b10e81450ca3ea6d403430164b",
+            "7d8bd21b35e3c5c53765a6d68e509df686fe9f639ad1fc32f5b9d53e6ef1fd91",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -494,9 +511,9 @@ class TestSearch:
             "845fb2dc5f6aaca6f2399f77d27b06e105005dbdc410f4ce82755b0bceb658f9",
             "c89b7568ed327fe9c7f7a88509bb3cd2bf14b86ec48b1ca2cc4d6edbc62fb2da",
         ),
-        # the presets' tables mix dtypes at one M: int16, int32 and int16 at
-        # M = 12, int16, object and int16 at M = 32; recorded before the
-        # objectives of one M were counted in one scan
+        # the presets' tables mix kinds at one M on 3 vertices: int16, int32
+        # and int16 at M = 12, int16, two int64 limbs and int16 at M = 32;
+        # recorded before the objectives of one M were counted in one scan
         "--n-max 3 --M 2,12,32": (
             "16afe8537c5b5d8abfcf06c9577de65b20416d02759255963f36da803d793eaa",
             "f6501de1ce328bdea90424a9ebb949d9cd97a7c634bb644629e420c027c15080",
@@ -606,8 +623,8 @@ class TestSearch:
 class TestScans:
     """The work shape of the two sweeps: one scan (``counting._blocks``
     call) per walk and M, stacking that M's distinct objectives, and one
-    ``counting._plan`` per walk, which every scan and construction of the
-    walk reads."""
+    plan per walk (``counting._build_plan``), which every scan and
+    construction of the walk reads."""
 
     @pytest.mark.parametrize(
         "argv,stacks",
@@ -622,10 +639,10 @@ class TestScans:
     )
     def test_one_scan_per_walk_and_M(self, argv, stacks, capsys, monkeypatch):
         seen, plans = [], []
-        blocks, build = counting._blocks, counting._plan
+        blocks, build = counting._blocks, counting._build_plan
 
         def spy(plan, tables, M, *args, **kwargs):
-            seen.append((M, len(tables)))
+            seen.append((M, tables.shape[1]))
             return blocks(plan, tables, M, *args, **kwargs)
 
         def plan_spy(Hs):
@@ -633,7 +650,7 @@ class TestScans:
             return build(Hs)
 
         monkeypatch.setattr(counting, "_blocks", spy)
-        monkeypatch.setattr(counting, "_plan", plan_spy)
+        monkeypatch.setattr(counting, "_build_plan", plan_spy)
         assert main(argv.split()) == 0
         assert seen == stacks
         # one walk per vertex count up to --n-max
@@ -744,6 +761,24 @@ class TestSample:
         out = capsys.readouterr().out
         digest = "3665b8af8ab52e5067b7d79a798cbfae2f37f70b5698024fbe14ed61997eb1b2"
         assert sha256(out) == digest
+
+    # the same at M = 40 under generic_high, 9^40 near 2^127: three limbs
+    # of 58 bits on 8 vertices; recorded before the tables past 2^62 took
+    # int64 limbs
+    GOLDEN_WIDE = {
+        ("", "json"): "91ce06068559be1138e876536a272464c752c755aba23be2cda22062eaa96e87",
+        ("", "csv"): "864c6b2858df589883f4a235ed4f9085833f3166cc8ecad4d2f969cb1ed9b3ae",
+        ("--layer1", "json"): "4230516c4bf1bd9d43d587849bdbbdfb8de149bd4946a8f1ac4ca8b26b32d7ba",
+        ("--layer1", "csv"): "2209498f51a512ed0d100f20a1c3726bfa612f1c398b3bf97bf1d34feecfd00b",
+    }
+
+    @pytest.mark.parametrize("layer1,fmt", sorted(GOLDEN_WIDE))
+    def test_golden_with_a_wide_table(self, layer1, fmt, h8_path, capsys):
+        argv = ["sample", "--hypergraph", h8_path, "--M", "40", "--trials", "1000", "--seed", "1"]
+        argv += ["--objective", "generic_high", *layer1.split(), "--format", fmt]
+        assert counting._limbs(counting._table(generic_high_objective(40, 8), 8)) == 3
+        assert main(argv) == 0
+        assert sha256(capsys.readouterr().out) == self.GOLDEN_WIDE[layer1, fmt]
 
     def test_csv(self, s2_path, capsys):
         code = main(

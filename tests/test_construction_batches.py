@@ -5,8 +5,10 @@ The references below walk the weights one at a time, as the definitions
 read, and compare edge weights with ``tests/oracle.py`` (plain Fractions,
 no package code); whether the targets isolate is checked by the builders
 themselves and by ``test_constructions.py``.  Every case also runs with the
-objective multiplied by 2^70, which forces the exact ``dtype=object`` edge
-sums.  The verify checks also run with a small batch bound, so batch
+objective multiplied by 2^70 and by 2^200, which take the exact edge sums
+in two and in four or more int64 limbs: digits in base 2^b, b = 62 -
+n.bit_length(), so that a sum of n digits stays below 2^62 and no limb
+overflows.  The verify checks also run with a small batch bound, so batch
 boundaries fall inside every group of hypergraphs with one edge count,
 and with a mixed list of objectives whose constructions share stacks.
 """
@@ -26,6 +28,8 @@ import isobench.counting
 import isobench.verify
 import oracle
 from conftest import check_rows, increasing_objectives, small_hypergraphs, walk_checks
+from conftest import SCALE_IDS, SCALES
+from conftest import table_kind as kind
 from isobench import (
     Hypergraph,
     Objective,
@@ -42,10 +46,8 @@ from isobench import (
 )
 from isobench.cli import main
 from isobench.constructions import _assert_isolates
-from isobench.counting import _CHUNK, _single, _table
+from isobench.counting import _CHUNK, _base, _limbs, _single
 from isobench.hypergraph import edge_vertices
-
-SCALES = (1, 2**70)
 
 
 def _scaled(f, scale):
@@ -116,7 +118,7 @@ def check_against_references(H, M, f):
     for scale in SCALES:
         g = _scaled(f, scale)
         values = [None, *g.values]
-        assert (_table(g, H.n).dtype != object) == (scale == 1)
+        assert (kind(g, H.n)[1] == 1) == (scale == 1)
         want_inj = ref_injection(H.n, edges, M, values)
         want_A = ref_witness(H.n, edges, M, values, pivot_descent)
         with_B = is_linear(H) and all(len(e) >= 2 for e in edges)
@@ -231,7 +233,7 @@ def reference_values(H, M, f):
 
 
 @pytest.mark.parametrize("M_values", [(2, 3), (3, 2), (2, 2)], ids=["2,3", "3,2", "2,2"])
-@pytest.mark.parametrize("scale", SCALES, ids=["int64", "object"])
+@pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
 def test_batched_checks_match_one_hypergraph_walks_and_references(M_values, scale):
     """The checks of a whole walk, in batches cut inside every edge-count
     group, equal those of one-hypergraph walks, and the construction values
@@ -262,7 +264,7 @@ BOUNDS += ("conjectured_Y", "conjectured_Y1")
 
 
 def mixed_objectives(n):
-    """The presets at both scales, so int and ``object`` tables share a
+    """The presets at every scale, so one-limb and wide tables share a
     stack, and M = 2 listed twice."""
     return [
         (M, _scaled(f, scale)) for M in (2, 3, 2) for scale in SCALES for f in preset_objectives(M, n)
@@ -281,7 +283,7 @@ def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
     failures = 0
     for n, Hs in grid_walks():
         objectives = mixed_objectives(n)
-        assert len({str(_table(f, n).dtype) for M, f in objectives if M == 2}) > 1
+        assert len({kind(f, n) for M, f in objectives if M == 2}) > 1
         run, failed = walk_checks(Hs, objectives)
         singles = [walk_checks(Hs, [objective]) for objective in objectives]
         assert run == sum(r for r, _ in singles)
@@ -291,15 +293,18 @@ def test_stacked_objectives_match_one_objective_walks(gather, monkeypatch):
 
 
 def spy_on_stacks(monkeypatch):
-    """Record the shape, the distinct value tables and their dtype of each
-    stack that witness graph A is built on."""
+    """Record the shape, the distinct value tables, as the values summed
+    back from their limbs, and the kind (dtype, limbs) of each stack that
+    witness graph A is built on."""
     stacks = []
     real = isobench.verify._witnesses
 
     def spy(members, M, tables, step, what, *classified):
         if what == "pivot descent":
-            rows = frozenset(tuple(row) for row in tables.tolist())
-            stacks.append((members.shape, M, rows, tables.dtype))
+            b = _base(members.shape[2])
+            values = sum(limb.astype(object) << b * i for i, limb in enumerate(tables))
+            rows = frozenset(map(tuple, values.tolist()))
+            stacks.append((members.shape, M, rows, (tables.dtype, _limbs(tables))))
         return real(members, M, tables, step, what, *classified)
 
     monkeypatch.setattr(isobench.verify, "_witnesses", spy)
@@ -325,19 +330,22 @@ def test_stacks_exceed_the_cap_only_as_one_pair(gather, monkeypatch):
 @pytest.mark.parametrize("gather", [1, 200])
 def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
     """A stack's value tables are widened only as far as its own
-    objectives need, so a chunk of int objectives is not ``object``
-    because a 2^70-scaled objective of the same M is."""
+    objectives need: to the most limbs among them, and with one limb to
+    their widest dtype, so a chunk of one-limb objectives is not widened
+    because a 2^70-scaled objective of the same M takes two limbs."""
     monkeypatch.setattr(isobench.counting, "_GATHER", gather)
-    stacks, dtypes = spy_on_stacks(monkeypatch), set()
+    stacks, kinds = spy_on_stacks(monkeypatch), set()
     for n, Hs in grid_walks():
         objectives = mixed_objectives(n)
-        own = {tuple(_table(f, n).tolist()): _table(f, n).dtype for _, f in objectives}
+        own = {(0, *f.scaled): kind(f, n) for _, f in objectives}
         stacks.clear()
         walk_checks(Hs, objectives)
-        for _, _, rows, dtype in stacks:
-            assert dtype == np.result_type(*(own[row] for row in rows))
-            dtypes.add(dtype)
-    assert dtypes > {np.dtype(object)}
+        for _, _, rows, (dtype, limbs) in stacks:
+            dtypes, counts = zip(*(own[row] for row in rows))
+            assert limbs == max(counts)
+            assert dtype == (np.result_type(*dtypes) if limbs == 1 else np.int64)
+            kinds.add(limbs)
+    assert 1 in kinds and max(kinds) > 1
 
 
 def test_one_stack_per_edge_count_at_the_default_cap(monkeypatch, capsys):

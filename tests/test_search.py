@@ -238,11 +238,11 @@ class TestSamplers:
     @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
     def test_objective_beyond_int64_takes_the_object_path(self, sampler, monkeypatch):
         """Scaling f by a positive constant keeps every isolation decision,
-        so a 2^70 multiple (object table) matches the plain objective."""
+        so a 2^70 multiple (a table of two limbs) matches the plain objective."""
         H = Hypergraph.from_edges(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
         f = explicit_objective([1, 3, 4])
         big = explicit_objective([v * 2**70 for v in f.values])
-        assert counting._table(big, H.n).dtype == object
+        assert counting._limbs(counting._table(big, H.n)) == 2
         monkeypatch.setattr(search, "_BATCH", 1000)
         plain = sampler(H, 3, f, 3000, 11)
         scaled = sampler(H, 3, big, 3000, 11)
@@ -265,14 +265,15 @@ class TestSamplers:
         # every row is all ones, which isolates edge {1, 2}
         "M1": (4, 1, [[1, 2], [2, 3, 4]], (1,), False, 1000, True),
         # layer 1 holds 1 - (19/20)^4 < 1/4 of the draws, so layer1 copies
-        # its accepted rows out at every dtype; in every other case an int16
-        # layer1 masks the rejected rows of whole batches
+        # its accepted rows out at every scale; in every other case a
+        # one-limb layer1 masks the rejected rows of whole batches
         "sparse": (
             4, 20, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], tuple(range(1, 21)), False, 1000, True
         ),
     }
 
-    @pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int16", "object"])
+    # the id of 2^70 is the Python-integer dtype that scale took before limbs
+    @pytest.mark.parametrize("scale", [1, 1 << 70, 1 << 200], ids=["int16", "object", "2^200"])
     @pytest.mark.parametrize("sampler", [sample_uniform, sample_layer1])
     def test_replayed_draws_match_the_oracle(self, sampler, scale, monkeypatch):
         """Replay the seeded batches and classify the first ``trials``
@@ -285,8 +286,9 @@ class TestSamplers:
             H = Hypergraph.from_edges(n, edges)
             f = explicit_objective([v * scale for v in values], zero_allowed=zero)
             table = counting._table(f, n)
-            assert table.dtype == (np.int16 if scale == 1 else object), case
-            assert (table[1] == 0) == zero, case
+            limbs = {1: 1, 1 << 70: 2, 1 << 200: 4}[scale]
+            assert counting._limbs(table) == limbs and (table.dtype == np.int16) == (scale == 1), case
+            assert (table[:, 1] == 0).all() == zero, case
             vertex_lists = [list(edge_vertices(e)) for e in H.edges]
             layer1 = sampler is sample_layer1
             if trials is None:

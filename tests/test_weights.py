@@ -73,7 +73,7 @@ class TestEdgeWeight:
     def edge_sum(f, w, vertices):
         h = Hypergraph.from_edges(len(w), [vertices], allow_empty_edge=True)
         values = counting._gather(np.array([w]), counting._table(f, len(w)))
-        return int(counting._slot_sums(values, counting._plan((h,)).slots)[0, 0])
+        return int(counting._slot_sums(values, counting._plan((h,)).slots)[0, 0, 0])
 
     def test_identity_sum(self):
         assert self.edge_sum(identity_objective(3), (1, 2, 3), [1, 3]) == 4
@@ -98,7 +98,7 @@ class TestIsolation:
         W = np.array(W, dtype=np.int64).reshape(-1, H.n)
         values = counting._gather(W, counting._table(f, H.n))
         sums = counting._slot_sums(values, counting._plan((H,)).slots)
-        iso, at_min = counting._classify(sums)
+        iso, at_min = counting._classify(sums, H.n)
         return iso.tolist(), [tuple(e for e, hit in zip(H.edges, col) if hit) for col in at_min.T]
 
     def test_tie_detection(self):
