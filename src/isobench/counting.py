@@ -28,9 +28,13 @@ optionally cut into ranges across worker processes) and ``count_layer1``
 (the rows with some entry 1 only), each on a stack of one objective, and
 the sweeps' ``_count_many`` (|Z| and |Z_1| of every hypergraph of a walk
 under every objective of one M, in stacks of one dtype and one number of
-limbs, handed back one stack at a time).  Explicit weight rows (the
-constructions' weights, the samplers' draws) go through the same classify
-step, and the samplers' draws through the same edge sums.
+limbs, handed back one stack at a time).  ``count_isolating`` first
+factors out, exactly, the vertices in no edge: it scans H without them (one
+vertex kept) and rescales the counts, while its budget still counts M^n of
+H; ``count_layer1`` and ``_count_many`` scan all n vertices, so that
+``check_degree_zero_reduction``'s two sides come from two scans.  Explicit
+weight rows (the constructions' weights, the samplers' draws) go through
+the same classify step, and the samplers' draws through the same edge sums.
 
 Edge sums need no multiplication, and take two steps that the scans and
 the samplers share: ``_gather`` takes a side's (or a batch of draws')
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -64,7 +69,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph, edge_vertices
+from .hypergraph import Hypergraph, edge_vertices, remove_vertex
 from .weights import Objective
 
 DEFAULT_BUDGET = 10**8
@@ -357,7 +362,9 @@ def _blocks(
     ranges: the prefixes holding a 1 times every suffix, and the other
     prefixes times the suffixes holding a 1.  Blocks hold at most _CHUNK
     rows, and for a batch at most _GATHER rows times edges times objectives
-    times limbs."""
+    times limbs.  A block's edge sums live in one buffer per scan, valid
+    only until the next block overwrites it; what is yielded is computed
+    from them before that and holds no view of the buffer."""
     n = plan.members.shape[0]
     p = n - k
     single = len(plan.groups) == 1 and plan.groups[0][0].size == 1
@@ -372,14 +379,19 @@ def _blocks(
     # a table of L limbs counts L times; no hypergraph has more edges
     stack, edges = tables[..., 0].size, plan.members.shape[1]
     bound = _CHUNK if single else max(1, min(_CHUNK, _GATHER // (stack * max(edges, 1))))
+    # one buffer per scan: a fresh block-sized array costs more than the add
+    lead = pre_sums.shape[:-1]  # a worker's range may hold no prefix
+    cells = math.prod(lead)
+    buffer = np.empty(cells * min(bound, prefix_low.size * suffix_low.size), dtype=pre_sums.dtype)
     for first, end, width in spans:
         if not width:  # no suffix holds a 1, as at k = 0
             continue
         step, span = max(1, bound // width), min(width, bound)
         for a, c in itertools.product(range(first, end, step), range(0, width, span)):
             b, d = min(a + step, end), min(c + span, width)
-            block = pre_sums[..., a:b, None] + suf_sums[..., None, c:d]
-            block = block.reshape(*block.shape[:3], (b - a) * (d - c))
+            block = buffer[: cells * (b - a) * (d - c)].reshape(*lead, b - a, d - c)
+            np.add(pre_sums[..., a:b, None], suf_sums[..., None, c:d], out=block)
+            block = block.reshape(*lead, (b - a) * (d - c))
             low = prefix_low[a:b], suffix_low[c:d]
             if single:  # in place, with no gathered copy
                 yield (plan.groups[0][0], *_classify(block[:, :, None], n), *low)
@@ -514,13 +526,24 @@ def count_isolating(
     workers: int = 1,
 ) -> CountReport:
     """Exact |Z(H, M, f)| with per-layer and per-isolated-edge breakdowns,
-    by full enumeration of [M]^n; ``budget`` defaults to DEFAULT_BUDGET at call time."""
+    by full enumeration of [M]^n; ``budget`` defaults to DEFAULT_BUDGET at
+    call time and counts all M^n rows of H.
+
+    Vertices in no edge are factored out exactly: they are in no edge sum,
+    so H without them (``remove_vertex``, which keeps the edge order; one
+    vertex is always kept) is scanned instead, and each of them multiplies
+    the rows with minimum at least j by M - j + 1 and the rows at an
+    isolated edge by M.  ``count_layer1`` does not reduce: it
+    scans H whole, so that ``check_degree_zero_reduction`` compares a scan
+    of H with one of H - v, not one scan with itself."""
     _check(f, M, M**H.n, DEFAULT_BUDGET if budget is None else budget, f"{M}^{H.n} = ")
-    k = _suffix_len(H.n, M)
-    heads = M ** (H.n - k)
+    free = [v for v in range(H.n, 0, -1) if not H.degree(v)][: H.n - 1]
+    core = functools.reduce(remove_vertex, free, H)  # highest first: the rest keep their labels
+    k = _suffix_len(core.n, M)
+    heads = M ** (core.n - k)
     jobs = max(1, min(workers, heads))
     if jobs == 1:
-        parts = [_tally(H, f, M, k)]
+        parts = [_tally(core, f, M, k)]
     else:
         # imported here, off the start-up path of every other run
         import multiprocessing
@@ -528,17 +551,22 @@ def count_isolating(
 
         # cut the sorted prefix table into balanced ranges, one per worker
         cuts = [heads * i // jobs for i in range(jobs + 1)]
-        fixed = map(itertools.repeat, (H, f, M, k))
+        fixed = map(itertools.repeat, (core, f, M, k))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             parts = list(pool.map(_tally, *fixed, cuts[:-1], cuts[1:]))
     per_layer, per_edge = (sum(counts).tolist() for counts in zip(*parts))
+    # the rows with minimum at least j, summed from j = M down: each free
+    # vertex takes any of the M - j + 1 labels j..M in them
+    at_least = itertools.accumulate(per_layer[:0:-1])
+    at_least = [a * labels ** len(free) for labels, a in enumerate(at_least, 1)][::-1] + [0]
+    per_layer = [a - b for a, b in zip(at_least, at_least[1:])]
     return CountReport(
         n=H.n,
         M=M,
-        total=sum(per_layer),
-        per_layer=tuple(per_layer[1:]),
-        per_edge=tuple((e, c) for e, c in zip(H.edges, per_edge) if c),
+        total=at_least[0],
+        per_layer=tuple(per_layer),
+        per_edge=tuple((e, c * M ** len(free)) for e, c in zip(H.edges, per_edge) if c),
     )
 
 

@@ -179,6 +179,60 @@ class TestCountIsolating:
         assert doc["total"] == 3
         json.dumps(doc)  # serializable
 
+    # hypergraphs with vertices in no edge, one first, in the middle or
+    # last, several, or all of them, and those vertices
+    FREE = {
+        "first": (H(4, [2, 3], [3, 4]), [1]),
+        "middle": (H(4, [1, 2], [1, 4]), [3]),
+        "last": (H(4, [1, 2], [2, 3]), [4]),
+        "first-and-last": (H(6, [2, 4], [3, 4], [2, 3, 5]), [1, 6]),
+        "middle-run": (H(6, [1], [6]), [2, 3, 4, 5]),
+        "edgeless": (Hypergraph(3, ()), [1, 2, 3]),
+        "edgeless-n1": (Hypergraph(1, ()), [1]),
+        "empty-edge": (H(3, [], allow_empty_edge=True), [1, 2, 3]),
+    }
+
+    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("name", sorted(FREE))
+    def test_free_vertices_match_oracle(self, monkeypatch, name, M, scale):
+        # the split across workers runs in threads here, each on a suffix of
+        # one label so that every scan of two vertices or more is cut
+        h, free = self.FREE[name]
+        f = explicit_objective([v + scale - 1 for v in identity_objective(M).values])
+        total, per_layer, per_edge = oracle_counts(h, M, f)
+        rep = count_isolating(h, M, f)
+        assert (rep.n, rep.M, rep.total, rep.per_layer) == (h.n, M, total, per_layer)
+        assert dict(rep.per_edge) == per_edge
+        pools = []
+
+        def threads(max_workers, mp_context):
+            pools.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
+        monkeypatch.setattr(counting, "_SUFFIX_ROWS", 1)
+        assert count_isolating(h, M, f, workers=2) == rep
+        assert pools == ([2] if len(free) < h.n - 1 else [])
+
+    @pytest.mark.parametrize("name", sorted(FREE))
+    def test_only_covered_vertices_are_scanned(self, monkeypatch, name):
+        # count_isolating scans H without its vertices in no edge (one kept);
+        # count_layer1 and the sweeps' _count_many scan all n
+        (h, free), f = self.FREE[name], identity_objective(3)
+        scanned = []
+        blocks = counting._blocks
+
+        def spy(plan, *args, **kwargs):
+            scanned.append(plan.members.shape[0])
+            return blocks(plan, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "_blocks", spy)
+        count_isolating(h, 3, f)
+        count_layer1(h, 3, f)
+        list(counting._count_many(counting._walk([h], [(3, f)]), 3, [f]))
+        assert scanned == [max(1, h.n - len(free)), h.n, h.n]
+
 
 def per_instance_counts(Hs, M, f):
     return [(r.total, r.layer1) for r in (count_isolating(h, M, f) for h in Hs)]
