@@ -258,6 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors, matching the exit-code contract
         return int(exc.code or 0)
     try:
+        if args.budget < 0:  # 0 is a budget, which refuses every scan
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         code, doc, csv = args.func(args)
         text = csv if args.format == "csv" else _json_text(doc)
         if args.out:

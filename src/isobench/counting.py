@@ -48,8 +48,8 @@ unique least value.  The constructions' stacks of hypergraphs
 (``_stacked_sums``) keep a matmul: on at most 5 vertices one matmul costs
 fewer numpy calls than a gather through slots offset per hypergraph, which
 made ``verify --n-max 4 --M 2,3`` slower.  Such a stack may mix objectives
-of one M: each hypergraph reads its own column of a stack of value tables,
-padded to one number of limbs (``_tables``).
+of one M whose tables have one number of limbs: each hypergraph reads its
+own column of a stack of their value tables, none padded.
 
 The grid that ``search`` and ``verify`` sweep, ``_grid``, is here too,
 next to the refusal it applies to each scan before any objective is built.
@@ -173,44 +173,30 @@ def _base(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _value_table(scaled: tuple[int, ...], n: int, limbs: int) -> np.ndarray:
+def _value_table(scaled: tuple[int, ...], n: int) -> np.ndarray:
     top = max(scaled)  # the values are nonnegative
-    dtype = next((d for d, most in _RUNGS if top * max(n, 1) <= most), None)
-    if limbs == 1 and dtype is not None:
+    dtype = next((d for d, most in _RUNGS if top * n <= most), None)
+    if dtype is not None:
         table = np.array([[0, *scaled]], dtype=dtype)
     else:
         b = _base(n)
-        limbs = max(limbs, -(-top.bit_length() // b))
+        limbs = -(-top.bit_length() // b)
         digits = [[v >> (b * i) & ((1 << b) - 1) for v in (0, *scaled)] for i in range(limbs)]
         table = np.array(digits, dtype=np.int64)
     table.flags.writeable = False
     return table
 
 
-def _table(f: Objective, n: int, limbs: int = 1) -> np.ndarray:
+def _table(f: Objective, n: int) -> np.ndarray:
     """The objective's scaled values indexed by label (slot 0 a dummy),
-    read-only, as a stack of limbs (limbs, M + 1), low limb first.  One
-    limb in the narrowest of int16, int32 and int64 that holds every edge
-    sum on n vertices; when such a sum could reach 2^62, or more than one
-    limb is asked for, the values' int64 digits in base 2^b (``_base``),
-    as many as the largest value needs, or ``limbs``.  Each digit is below
-    2^b, so an edge sum of n digits stays below 2^62 in every limb.
-    Cached by the values, not by the objective."""
-    return _value_table(f.scaled, n, limbs)
-
-
-def _limbs(table: np.ndarray) -> int:
-    """The number of limbs of a value table (see ``_table``) or a stack of them."""
-    return len(table)
-
-
-def _tables(fs: Sequence[Objective], n: int) -> np.ndarray:
-    """The value tables of ``fs`` on n vertices stacked on axis 1, (limbs,
-    objectives, M + 1), in their common dtype: each with as many limbs as
-    the widest, its digits in the one base of n, so that the high limbs it
-    gains are exact (zero, or the digits of a one-limb value)."""
-    limbs = max(_limbs(_table(f, n)) for f in fs)
-    return np.stack([_table(f, n, limbs) for f in fs], axis=1)
+    read-only, as a stack of limbs (limbs, M + 1), low limb first, its
+    number of limbs ``len``.  One limb in the narrowest of int16, int32
+    and int64 that holds every edge sum on n vertices; when such a sum
+    could reach 2^62, the values' int64 digits in base 2^b (``_base``), as
+    many as the largest value needs.  Each digit is below 2^b, so an edge
+    sum of n digits stays below 2^62 in every limb.  Cached by the values,
+    not by the objective."""
+    return _value_table(f.scaled, n)
 
 
 def _decode_rows(n: int, M: int) -> np.ndarray:
@@ -321,7 +307,7 @@ def _suffix_len(n: int, M: int) -> int:
     k = 1
     while k < n and M ** (k + 1) <= _SUFFIX_ROWS:
         k += 1
-    return min(k, n)
+    return k
 
 
 @functools.lru_cache(maxsize=64)
@@ -586,8 +572,8 @@ def _count_many(
     time: (the stack's positions in ``fs``, and two int64 arrays (stack,
     hypergraphs) in the orders of those positions and of the walk); the
     caller checks the budget.  A stack holds objectives whose tables share
-    a dtype and a number of limbs L, so a wide table never widens a narrow
-    one's arithmetic, at most _GATHER over (L times distinct edges times
+    a dtype and a number of limbs L (a table's ``len``), so no table is
+    padded or widened, at most _GATHER over (L times distinct edges times
     M^n) of them, or one: a block then holds as many rows per objective as
     a scan of one objective would.  A stack is scanned once it is full, and
     the part-full ones last, so memory is bounded by the stack, not ``fs``."""
@@ -599,7 +585,7 @@ def _count_many(
         pending: dict[tuple[np.dtype, int], list[tuple[int, np.ndarray]]] = {}
         for i, f in enumerate(fs):
             table = _table(f, n)
-            key = table.dtype, _limbs(table)
+            key = table.dtype, len(table)
             pending.setdefault(key, []).append((i, table))
             if len(pending[key]) == max(1, size // key[1]):
                 yield pending.pop(key)

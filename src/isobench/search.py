@@ -20,7 +20,6 @@ from .counting import (
     _count_many,
     _gather,
     _grid,
-    _limbs,
     _plan,
     _slot_sums,
     _table,
@@ -281,7 +280,7 @@ def _sample(
     _check(f, M, trials, budget)
     rng = np.random.default_rng(seed)
     table, slots = _table(f, H.n), _plan((H,)).slots
-    masked = kind == "layer1" and _limbs(table) == 1 and 4 * (M - 1) ** H.n < 3 * M**H.n
+    masked = kind == "layer1" and len(table) == 1 and 4 * (M - 1) ** H.n < 3 * M**H.n
     successes = accepted = batches = 0
     while accepted < trials:
         W = rng.integers(1, M + 1, size=(_BATCH, H.n), dtype=np.int64)

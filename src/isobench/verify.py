@@ -39,7 +39,7 @@ from .counting import (
     _count_many,
     _grid,
     _rank_rows,
-    _tables,
+    _table,
 )
 from .hypergraph import Hypergraph, is_inclusion_free, is_linear, one_degenerate_order
 from .special_m2 import _reduction
@@ -94,33 +94,36 @@ def _constructions(walk: _Walk, shape: _Shape, M: int, fs: Sequence[Objective]) 
     one M, and return what the checks read of them, as object arrays
     (objectives, hypergraphs), 0 where nothing was built (M < 2, nested
     edges; a name nothing was built for is missing).  Every objective is
-    built in one stack per edge count: the (objective, hypergraph) pairs,
-    objective by objective, in chunks of at most ``counting._GATHER``
-    (read at call time) pairs times rows times edges (or vertices, when
-    more), or of one pair.  A chunk stacks the value tables of its own
-    objectives only, each with as many limbs as the chunk's widest
-    (``counting._tables``), so one objective's wide table does not widen the
-    arithmetic of another's chunks."""
+    built in one stack per edge count and number of limbs L of its value
+    table (in order of first appearance): the (objective, hypergraph)
+    pairs, objective by objective, in chunks of at most ``counting._GATHER``
+    (read at call time) over L times a pair's rows times edges (or
+    vertices, when more), or of one pair.  A chunk stacks its own
+    objectives' tables, unpadded, so a wide table never widens another's."""
     plan, n = walk.plan, walk.hypergraphs[0].n
     out: dict = defaultdict(lambda: np.zeros((len(fs), len(walk.hypergraphs)), dtype=object))
     if M < 2:
         return out
+    limbs = np.array([len(_table(f, n)) for f in fs])
     for which, cols in plan.groups:
         which, cols = which[shape.simple[which]], cols[shape.simple[which]]
-        pairs = len(fs) * len(which)
-        per = max(1, counting._GATHER // _check_stack(n, M, cols.shape[1]))
-        for a in range(0, pairs, per):
-            objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
-            distinct, graph = np.unique(h, return_inverse=True)
-            members = plan.members.T[cols[distinct]]
-            # the chunk's own objectives, a run of them, in their common dtype
-            # and limbs: exact, as each table's own holds n times its largest value
-            first = objective[0]
-            own = _tables(fs[first : objective[-1] + 1], n)[:, objective - first]
-            found = _batch(members, graph, own, shape.with_B[which[h]], M)
-            at = objective, which[h]
-            for name, values in found.items():
-                out[name][at] = values
+        cells = _check_stack(n, M, cols.shape[1])
+        for L in dict.fromkeys(limbs.tolist()):
+            own = np.flatnonzero(limbs == L)
+            pairs = len(own) * len(which)
+            per = max(1, counting._GATHER // (L * cells))
+            for a in range(0, pairs, per):
+                objective, h = np.divmod(np.arange(a, min(a + per, pairs)), len(which))
+                distinct, graph = np.unique(h, return_inverse=True)
+                members = plan.members.T[cols[distinct]]
+                # the chunk's own objectives, a run of them, in their common dtype:
+                # exact, as each table holds n times its largest value
+                run = [_table(fs[i], n) for i in own[objective[0] : objective[-1] + 1]]
+                tables = np.stack(run, axis=1)[:, objective - objective[0]]
+                found = _batch(members, graph, tables, shape.with_B[which[h]], M)
+                at = own[objective], which[h]
+                for name, values in found.items():
+                    out[name][at] = values
     return out
 
 

@@ -19,7 +19,7 @@ def table_kind(f, n):
     """(dtype, limbs) of f's value table on n vertices: one int16, int32
     or int64 limb, or int64 limbs of base-2^b digits."""
     table = counting._table(f, n)
-    return table.dtype, counting._limbs(table)
+    return table.dtype, len(table)
 
 
 @st.composite

@@ -342,6 +342,27 @@ class TestVerify:
         digest = "facf12ae4b3f128cfdbebb4e65ef823b584f135cf976918169a0d758da80efb4"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout in JSON and CSV, recorded while each construction
+    # chunk padded its tables to its widest: generic_high's table takes two
+    # int64 limbs next to one-limb presets, at M = 64 and 70 on 1 vertex and
+    # at M = 40 and 64 on 2
+    GOLDEN_WIDE = {
+        "--n-max 2 --M 40,64": (
+            "301e73ece905bfd454d75d5acaffc9f93f00f6adda7442dc8856b8c51495ba94",
+            "0cf74d250f005a357ba69a84022e16a50afaa286d87003fa21f18bb108d8ec04",
+        ),
+        "--n-max 1 --M 70,2": (
+            "598b77422363972621f1bb0eba401b074f5c9f083e67bbb3f00a4df5b19d6138",
+            "cfa1e8793ea480825001a2d16da1c057391e876cfd8c99a4ca086321bf991ca1",
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GOLDEN_WIDE))
+    def test_golden_grid_output_with_wide_tables(self, grid, capsys):
+        for fmt, digest in zip(("json", "csv"), self.GOLDEN_WIDE[grid]):
+            assert main(["verify", *grid.split(), "--format", fmt]) == 0
+            assert sha256(capsys.readouterr().out) == digest
+
     def test_records_only_the_failed_checks(self, capsys, monkeypatch):
         """A passing check builds no record; a failed one builds one, kept
         in the report."""
@@ -495,6 +516,46 @@ class TestMList:
         assert (captured.out, captured.err) == (
             "",
             f"error: expected comma-separated positive integers, got {spec!r}\n",
+        )
+
+
+class TestBudgetFlag:
+    SUBCOMMANDS = ["count", "verify", "search", "sample"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "count --hypergraph {missing} --M 2",
+            "verify --hypergraph {missing} --M 2",
+            "search --n-max 2 --M x",
+            "sample --hypergraph {missing} --M 2 --trials 10 --seed 1",
+        ],
+        ids=SUBCOMMANDS,
+    )
+    def test_negative_is_a_usage_error(self, argv, tmp_path, capsys):
+        """Refused before any input is read: the hypergraph file does not
+        exist and the M list does not parse, and neither is reported."""
+        argv = argv.format(missing=tmp_path / "missing.json").split()
+        assert main([*argv, "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --budget must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            ("count --hypergraph {s2} --M 2", "2^2 = 4"),
+            ("verify --n-max 2 --M 2", "2^1 = 2"),
+            ("search --n-max 2 --M 2", "2^1 = 2"),
+            ("sample --hypergraph {s2} --M 2 --trials 10 --seed 1", "10"),
+        ],
+        ids=SUBCOMMANDS,
+    )
+    def test_zero_refuses_every_scan(self, argv, rows, s2_path, capsys):
+        assert main([*argv.format(s2=s2_path).split(), "--budget", "0"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: {rows} weight evaluations exceed budget 0\n",
         )
 
 
@@ -806,7 +867,7 @@ class TestSample:
     def test_golden_with_a_wide_table(self, layer1, fmt, h8_path, capsys):
         argv = ["sample", "--hypergraph", h8_path, "--M", "40", "--trials", "1000", "--seed", "1"]
         argv += ["--objective", "generic_high", *layer1.split(), "--format", fmt]
-        assert counting._limbs(counting._table(generic_high_objective(40, 8), 8)) == 3
+        assert len(counting._table(generic_high_objective(40, 8), 8)) == 3
         assert main(argv) == 0
         assert sha256(capsys.readouterr().out) == self.GOLDEN_WIDE[layer1, fmt]
 

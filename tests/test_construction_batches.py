@@ -46,7 +46,7 @@ from isobench import (
 )
 from isobench.cli import main
 from isobench.constructions import _assert_isolates
-from isobench.counting import _CHUNK, _base, _limbs, _single
+from isobench.counting import _CHUNK, _base, _single
 from isobench.hypergraph import edge_vertices
 
 
@@ -264,8 +264,8 @@ BOUNDS += ("conjectured_Y", "conjectured_Y1")
 
 
 def mixed_objectives(n):
-    """The presets at every scale, so one-limb and wide tables share a
-    stack, and M = 2 listed twice."""
+    """The presets at every scale, so one-limb and wide tables share an
+    M, and M = 2 listed twice."""
     return [
         (M, _scaled(f, scale)) for M in (2, 3, 2) for scale in SCALES for f in preset_objectives(M, n)
     ]
@@ -304,7 +304,7 @@ def spy_on_stacks(monkeypatch):
             b = _base(members.shape[2])
             values = sum(limb.astype(object) << b * i for i, limb in enumerate(tables))
             rows = frozenset(map(tuple, values.tolist()))
-            stacks.append((members.shape, M, rows, (tables.dtype, _limbs(tables))))
+            stacks.append((members.shape, M, rows, (tables.dtype, len(tables))))
         return real(members, M, tables, step, what, *classified)
 
     monkeypatch.setattr(isobench.verify, "_witnesses", spy)
@@ -314,25 +314,29 @@ def spy_on_stacks(monkeypatch):
 @pytest.mark.parametrize("gather", [7, 50])
 def test_stacks_exceed_the_cap_only_as_one_pair(gather, monkeypatch):
     """Each stack holds (objective, hypergraph) pairs up to _GATHER cells,
-    or one pair over it; the objectives of one M share stacks.  Both caps
-    are below some pair's cells (72 at n = 3, M = 3 with 3 edges) and
-    above others' (2 at n = 1)."""
+    a table of L limbs counting L times, or one pair over it; the
+    objectives of one M share stacks.  Both caps are below some pair's
+    cells (72 at n = 3, M = 3 with 3 edges) and above others' (2 at
+    n = 1), and the mixed objectives' wide tables take stacks of their own."""
     monkeypatch.setattr(isobench.counting, "_GATHER", gather)
     stacks = spy_on_stacks(monkeypatch)
     assert verify_grid([enumerate_hypergraphs(n) for n in (1, 2, 3)], [2, 3]).ok
+    for n, Hs in grid_walks():
+        walk_checks(Hs, mixed_objectives(n))
     cells = [isobench.counting._stack_cells(n, M, m) for (_, m, n), M, _, _ in stacks]
     pairs = [c for (c, _, _), *_ in stacks]
-    assert all(c == 1 or c * size <= gather for c, size in zip(pairs, cells))
-    assert any(size > gather for size in cells) and max(pairs) > 1
+    limbs = [L for *_, (_, L) in stacks]
+    assert all(c == 1 or c * size * L <= gather for c, size, L in zip(pairs, cells, limbs))
+    assert any(size > gather for size in cells) and max(pairs) > 1 and max(limbs) > 1
     assert max(len(rows) for _, _, rows, _ in stacks) == 3
 
 
 @pytest.mark.parametrize("gather", [1, 200])
 def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
-    """A stack's value tables are widened only as far as its own
-    objectives need: to the most limbs among them, and with one limb to
-    their widest dtype, so a chunk of one-limb objectives is not widened
-    because a 2^70-scaled objective of the same M takes two limbs."""
+    """A stack holds the value tables of objectives with one number of
+    limbs, each its own table, unpadded: with one limb in their widest
+    dtype, so a chunk of one-limb objectives is not widened because a
+    2^70-scaled objective of the same M takes two limbs."""
     monkeypatch.setattr(isobench.counting, "_GATHER", gather)
     stacks, kinds = spy_on_stacks(monkeypatch), set()
     for n, Hs in grid_walks():
@@ -342,7 +346,7 @@ def test_stacks_take_the_dtype_of_their_own_objectives(gather, monkeypatch):
         walk_checks(Hs, objectives)
         for _, _, rows, (dtype, limbs) in stacks:
             dtypes, counts = zip(*(own[row] for row in rows))
-            assert limbs == max(counts)
+            assert set(counts) == {limbs}
             assert dtype == (np.result_type(*dtypes) if limbs == 1 else np.int64)
             kinds.add(limbs)
     assert 1 in kinds and max(kinds) > 1

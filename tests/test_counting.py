@@ -381,7 +381,7 @@ def stacked_rows(Hs, M, fs):
     edges = counting._plan(tuple(Hs)).members.shape[1]
     rows = {}
     for at, total, layer1 in counting._count_many(counting._walk(Hs, ()), M, fs):
-        limbs = counting._limbs(counting._table(fs[at[0]], Hs[0].n))
+        limbs = len(counting._table(fs[at[0]], Hs[0].n))
         size = max(1, counting._GATHER // (limbs * max(edges, 1) * M ** Hs[0].n))
         assert total.shape == layer1.shape == (len(at), len(Hs)) and len(at) <= size
         for i, t, l in zip(at, total, layer1):
