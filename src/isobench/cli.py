@@ -3,8 +3,9 @@
 Subcommands: count, verify, search, sample.  Identical configurations
 (including seeds) produce byte-identical output.  Exit codes: 0 success,
 1 mathematical finding (a violated inequality), 2 usage error, 3 budget
-exceeded, 4 failed internal check (a witness-graph descent did not
-isolate its edge, or ``zero_weight_tightness`` miscounted: a bug).
+exceeded or out of memory, 4 failed internal check (a witness-graph
+descent did not isolate its edge, or ``zero_weight_tightness``
+miscounted: a bug).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _cmd_count(args) -> _Result:
     H = _load_hypergraph(args.hypergraph)
     if args.M < 1:
         raise ValueError("M must be a positive integer")
-    _check(None, args.M, args.M**H.n, args.budget, f"{args.M}^{H.n} = ")
+    _check(None, args.M, budget=args.budget, n=H.n)
     f = _parse_objective(args.objective, args.M, H.n, zero_allowed=args.zero_allowed)
     report = count_isolating(H, args.M, f, budget=args.budget, workers=args.workers)
     row = (report.n, report.M, report.total, report.layer1, report.p, report.q)
@@ -270,6 +271,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

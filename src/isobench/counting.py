@@ -77,6 +77,7 @@ _CHUNK = 1 << 15  # rows per classified block
 _SUFFIX_ROWS = 4096  # bound on M^k for the suffix tables, except k = 1
 _GATHER = 1 << 16  # bound on rows times gathered edge columns times objectives times limbs
 _STACK_CELLS = 1 << 22  # cells of one (objective, hypergraph) pair's construction stack
+_DIGITS = 4300  # most digits of an int Python prints by default
 # the one-limb edge-sum dtypes and the largest sum each holds
 _RUNGS = ((np.int16, (1 << 15) - 1), (np.int32, (1 << 31) - 1), (np.int64, (1 << 62) - 1))
 
@@ -409,13 +410,23 @@ def _tally(
     return np.array(per_layer, dtype=np.int64), np.array(per_edge, dtype=np.int64)
 
 
-def _check(f: Optional[Objective], M: int, rows: int = 0, budget: int = 0, label: str = "") -> None:
+def _check(
+    f: Optional[Objective], M: int, rows: int = 0, budget: int = 0, n: Optional[int] = None
+) -> None:
     """Refuse a scan before any work: wrong objective range, or more rows
-    than the budget (only that with no objective, before it is built)."""
+    than the budget (only that with no objective, before it is built),
+    ``rows`` or, with ``n``, the M^n rows of [M]^n, M >= 0.  M^n is built
+    only up to the budget's bit length, and printed in full only when it
+    has at most _DIGITS digits, which is decided before it is built."""
     if f is not None and f.M != M:
         raise ValueError(f"objective range {f.M} does not match M={M}")
-    if rows > budget:
-        raise BudgetExceededError(f"{label}{rows} weight evaluations exceed budget {budget}")
+    if n is None:
+        if rows > budget:
+            raise BudgetExceededError(f"{rows} weight evaluations exceed budget {budget}")
+    elif M ** min(n, budget.bit_length() + 1) > budget:  # exactly when M^n > budget
+        full = n * math.log10(max(M, 1)) < _DIGITS + 1 and M**n < 10**_DIGITS
+        rows = f"{M}^{n} = {M**n}" if full else f"{M}^{n}"
+        raise BudgetExceededError(f"{rows} weight evaluations exceed budget {budget}")
 
 
 class _Walk(NamedTuple):
@@ -465,7 +476,7 @@ def _grid(
         if first is None:
             continue
         for M in M_values:
-            _check(None, M, M**first.n, budget, f"{M}^{first.n} = ")
+            _check(None, M, budget=budget, n=first.n)
         started.append((first, walk))
     built = [{M: candidates(M, first.n) for M in dict.fromkeys(M_values)} for first, _ in started]
     return [
@@ -522,7 +533,7 @@ def count_isolating(
     isolated edge by M.  ``count_layer1`` does not reduce: it
     scans H whole, so that ``check_degree_zero_reduction`` compares a scan
     of H with one of H - v, not one scan with itself."""
-    _check(f, M, M**H.n, DEFAULT_BUDGET if budget is None else budget, f"{M}^{H.n} = ")
+    _check(f, M, budget=DEFAULT_BUDGET if budget is None else budget, n=H.n)
     free = [v for v in range(H.n, 0, -1) if not H.degree(v)][: H.n - 1]
     core = functools.reduce(remove_vertex, free, H)  # highest first: the rest keep their labels
     k = _suffix_len(core.n, M)

@@ -63,10 +63,10 @@ class Hypergraph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("vertex count must be a positive integer")
-        full = (1 << self.n) - 1
         seen = set()
         for e in self.edges:
-            if not isinstance(e, int) or e < 0 or e & ~full:
+            # e >> n, not a mask of n bits, which a huge n could not allocate
+            if not isinstance(e, int) or e < 0 or e >> self.n:
                 raise ValueError(f"edge {e!r} is not a subset of 1..{self.n}")
             if e == 0 and not self.allow_empty_edge:
                 raise ValueError("empty edge requires allow_empty_edge")

@@ -4,9 +4,10 @@ two-valued-weight result on an instance or a grid.
 
 Each check is tagged ``theorem`` or ``conjecture``: a failing theorem
 check is a bug, a failing conjecture check is a discovery; both carry the
-witness instance.  The checks of one (n, M, f) group of a walk are one
-table of array comparisons over its hypergraphs (``_checks``): passing
-checks are only counted, and a record is built for a failed one only.
+witness instance.  The checks of one (n, M) group of a walk are one
+table of array comparisons over its distinct objectives and its
+hypergraphs (``_checks``): passing checks are only counted, and a record
+is built for a failed one only, at each listing of its objective.
 The counts and constructions they read are made once per (n, M) for all
 of that M's distinct objectives: one ``_count_many`` scan, the
 objectives' value tables stacked on an objective axis, and one build
@@ -176,34 +177,15 @@ def _batch(
     return found
 
 
-def _bounds(M: int, n: int, r_eff: np.ndarray) -> dict:
-    """Every bound the checks compare with at (n, M), the bounded-edge
-    bound per hypergraph by its ``r_eff``; the two that need M >= 2 read 0
-    below it."""
-    bounds = {
-        "ta_shma": ta_shma_bound(M, n),
-        "corollary_Y": corollary_Y_bound(M, n),
-        "Y1": conjectured_Y1(M, n),
-        "Y": conjectured_Y(M, n),
-        "main_theorem": 0,
-        "bounded_edge": 0,
-    }
-    if M >= 2:
-        bounds["main_theorem"] = main_theorem_bound(M, n)
-        by_r = {r: bounded_edge_bound(M, n, r) for r in set(r_eff.tolist())}
-        bounds["bounded_edge"] = np.array([by_r[r] for r in r_eff.tolist()], dtype=object)
-    return bounds
-
-
-def _checks(n: int, shape: _Shape, M: int, bounds: dict, built: dict) -> list:
+def _checks(n: int, shape: _Shape, M: int, built: dict) -> list:
     """The named checks on the instances (H, M, f), H of a walk on n
-    vertices with the ``shape``, in the order an instance lists them:
-    (name, kind, lhs, relation, rhs, applies) rows, where ``kind``,
-    ``lhs``, ``rhs`` and ``applies`` are scalars or arrays over the walk
-    and a check holds where ``relation(lhs, rhs)``.
-    ``built`` is what the checks read of the group's counts and
-    constructions: the objective's rows of ``_count_many`` (``total``,
-    ``layer1``) and of ``_constructions``.
+    vertices with the ``shape`` and f of one M's distinct objectives, in
+    the order an instance lists them: (name, kind, lhs, relation, rhs,
+    applies) rows.  A check holds where ``relation(lhs, rhs)``; ``kind``
+    and ``applies`` are scalars or arrays over the walk, ``lhs`` and
+    ``rhs`` may also be arrays (objectives, hypergraphs), as ``built`` is:
+    what the checks read of the counts (``total``, ``layer1``) and the
+    constructions.
 
     For hypergraphs with nested edges only the universal (M-1)^n bound is
     claimed; the remaining machinery assumes an inclusion-free hypergraph.
@@ -219,20 +201,26 @@ def _checks(n: int, shape: _Shape, M: int, bounds: dict, built: dict) -> list:
     r = shape.uniform.astype(object)
     single_edge = 2**r + 2 ** (n - r) - 1
     kind = np.where(shape.proven | (M <= 2), "theorem", "conjecture")
+    ta_shma, Y1 = ta_shma_bound(M, n), conjectured_Y1(M, n)
+    main, bounded = 0, 0  # need M >= 2, and are read only there
+    if M >= 2:
+        main = main_theorem_bound(M, n)
+        by_r = {k: bounded_edge_bound(M, n, k) for k in set(shape.r_eff.tolist())}
+        bounded = np.array([by_r[k] for k in shape.r_eff.tolist()], dtype=object)
     right, charge, images, specials = (built[k] for k in ("right", "charge", "images", "special"))
     return [
-        ("total_ge_zero_weight_bound", "theorem", total, ge, bounds["ta_shma"], ~simple),
-        ("total_ge_ta_shma", "theorem", total, ge, bounds["ta_shma"], simple),
-        ("total_ge_layered_bound", "theorem", total, ge, bounds["corollary_Y"], simple),
-        ("layer1_ge_main_theorem", "theorem", layer1, ge, bounds["main_theorem"], M_ge_2),
-        ("layer1_ge_bounded_edge", "theorem", layer1, ge, bounds["bounded_edge"], M_ge_2),
-        ("layer1_ge_conjecture2", kind, layer1, ge, bounds["Y1"], simple),
-        ("total_ge_conjecture1", kind, total, ge, bounds["Y"], simple),
+        ("total_ge_zero_weight_bound", "theorem", total, ge, ta_shma, ~simple),
+        ("total_ge_ta_shma", "theorem", total, ge, ta_shma, simple),
+        ("total_ge_layered_bound", "theorem", total, ge, corollary_Y_bound(M, n), simple),
+        ("layer1_ge_main_theorem", "theorem", layer1, ge, main, M_ge_2),
+        ("layer1_ge_bounded_edge", "theorem", layer1, ge, bounded, M_ge_2),
+        ("layer1_ge_conjecture2", kind, layer1, ge, Y1, simple),
+        ("total_ge_conjecture1", kind, total, ge, conjectured_Y(M, n), simple),
         ("witnessA_right_isolating_layer1", "theorem", built["right_ok"], eq, right, M_ge_2),
         ("witnessA_charge_identity", "theorem", charge, eq, right, M_ge_2),
-        ("witnessA_charge_bound", "theorem", charge, ge, bounds["main_theorem"], M_ge_2),
+        ("witnessA_charge_bound", "theorem", charge, ge, main, M_ge_2),
         ("witnessB_per_node_charge", "theorem", built["least_B"], ge, 1, with_B),
-        ("witnessB_charge_bound", "theorem", built["charge_B"], ge, bounds["Y1"], with_B),
+        ("witnessB_charge_bound", "theorem", built["charge_B"], ge, Y1, with_B),
         # on an inclusion-free H every min-weight edge is maximal, so this is
         # the plain injection; a collision or an image that does not isolate
         # its edge shows as a failed check here
@@ -245,43 +233,47 @@ def _checks(n: int, shape: _Shape, M: int, bounds: dict, built: dict) -> list:
     ]
 
 
-def _at(value, h: int) -> str:
-    """The text of a check table's value, a scalar or an array over the
-    walk, at hypergraph ``h``."""
-    return str(value[h] if isinstance(value, np.ndarray) else value)
+def _at(value, i: int, h: int) -> str:
+    """The text of a check table's value, a scalar, an array over the walk
+    or an array (objectives, hypergraphs), at objective ``i`` and
+    hypergraph ``h``."""
+    if isinstance(value, np.ndarray):
+        value = value[i, h] if value.ndim == 2 else value[h]
+    return str(value)
 
 
-def _check_tables(walk: _Walk, shape: _Shape) -> Iterator[tuple[int, list]]:
-    """(j, check table of the j-th (M, f) of the walk's objectives; see
-    ``_checks``), M by M in order of first appearance: each M's distinct
-    objectives are counted with one ``_count_many`` call, stack by stack,
-    and their constructions built once, and a repeated (M, f) reads the
-    same table."""
+def _check_tables(walk: _Walk, shape: _Shape) -> Iterator[tuple[list[list[int]], list]]:
+    """(listings, check table; see ``_checks``) of each M of the walk's
+    objectives, in order of first appearance, objective i of the table
+    listed at the walk's positions ``listings[i]``: the M's distinct
+    objectives counted by one ``_count_many`` call and built once."""
     n = walk.hypergraphs[0].n
     for M, fs, listings in walk.groups:
         built = _constructions(walk, shape, M, fs)
-        bounds = _bounds(M, n, shape.r_eff)
+        cells = len(fs), len(walk.hypergraphs)
+        built["total"], built["layer1"] = np.zeros(cells, np.int64), np.zeros(cells, np.int64)
         for at, total, layer1 in _count_many(walk, M, fs):
-            for i, own_total, own_layer1 in zip(at, total, layer1):
-                own = defaultdict(int, {name: values[i] for name, values in built.items()})
-                own["total"], own["layer1"] = own_total, own_layer1
-                table = _checks(n, shape, M, bounds, own)
-                yield from ((j, table) for j in listings[i])
+            built["total"][at], built["layer1"][at] = total, layer1
+        yield listings, _checks(n, shape, M, built)
 
 
 def _walk_checks(walk: _Walk, shape: _Shape) -> tuple[int, list[CheckResult]]:
     """Run every applicable check on each instance (H, M, f) of the walk,
     whose ``_shape`` is ``shape``, and return how many ran and the failed
     ones: hypergraph by hypergraph, each in the order of the walk's
-    objectives, then of the check table.  The objectives of one M are
-    counted as one batch over the walk, and their constructions built as
-    one stack; ``_grid`` has refused every scan over budget."""
+    objectives, then of the check table, a repeated (M, f) at each of its
+    listings.  Each M is checked as one table over its objectives and the
+    walk; ``_grid`` has refused every scan over budget."""
     checks_run, failed = 0, []
-    for j, table in _check_tables(walk, shape):
+    for listings, table in _check_tables(walk, shape):
+        cells = len(listings), len(walk.hypergraphs)
+        listed = sum(map(len, listings))
         for k, (name, kind, lhs, relation, rhs, applies) in enumerate(table):
-            checks_run += int(np.count_nonzero(applies))
-            for h in np.flatnonzero(applies & ~relation(lhs, rhs)).tolist():
-                failed.append((h, j, k, name, *(_at(x, h) for x in (kind, lhs, rhs))))
+            checks_run += int(np.count_nonzero(applies)) * listed
+            bad = np.broadcast_to(applies & ~relation(lhs, rhs), cells)
+            for i, h in np.argwhere(bad).tolist():
+                texts = tuple(_at(x, i, h) for x in (kind, lhs, rhs))
+                failed += [(h, j, k, name, *texts) for j in listings[i]]
 
     @functools.cache
     def instance(h: int, j: int) -> dict:

@@ -112,7 +112,7 @@ def zero_weight_tightness(n: int, M: int) -> CountReport:
     (M-1)^n, which is verified before returning.  M^n is refused against
     DEFAULT_BUDGET, as it reads at call time, before the hypergraph or the
     objective is built."""
-    _check(None, M, M**n, counting.DEFAULT_BUDGET, f"{M}^{n} = ")
+    _check(None, M, budget=counting.DEFAULT_BUDGET, n=n)
     report = count_isolating(power_set_hypergraph(n), M, zero_based_identity(M))
     expected = (M - 1) ** n
     if report.total != expected:

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -90,10 +91,12 @@ def check_rows(Hs, objectives):
     list per hypergraph of a list per objective of rows, in table order."""
     walk = counting._walk(Hs, objectives)
     rows = [[[] for _ in objectives] for _ in Hs]
-    for j, table in verify._check_tables(walk, verify._shape(walk.hypergraphs)):
+    for listings, table in verify._check_tables(walk, verify._shape(walk.hypergraphs)):
         for name, kind, lhs, relation, rhs, applies in table:
-            holds = np.broadcast_to(relation(lhs, rhs), applies.shape)
-            for h in np.flatnonzero(applies).tolist():
-                texts = (verify._at(x, h) for x in (kind, lhs, rhs))
-                rows[h][j].append(CheckRow(name, *texts, bool(holds[h])))
+            holds = np.broadcast_to(relation(lhs, rhs), (len(listings), len(rows)))
+            for (i, js), h in itertools.product(enumerate(listings), np.flatnonzero(applies)):
+                texts = (verify._at(x, i, h) for x in (kind, lhs, rhs))
+                row = CheckRow(name, *texts, bool(holds[i, h]))
+                for j in js:
+                    rows[h][j].append(row)
     return rows

@@ -382,6 +382,21 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert not doc["ok"] and len(doc["violations"]) == len(built) > 0
 
+    def test_checks_each_M_once(self, capsys, monkeypatch):
+        """One check table per (walk, M), over all of that M's objectives
+        and hypergraphs: 3 walks times 2 distinct M, however often an M is
+        listed."""
+        tables = []
+        checks = isobench.verify._checks
+
+        def counted(*args):
+            tables.append(args[2])
+            return checks(*args)
+
+        monkeypatch.setattr(isobench.verify, "_checks", counted)
+        assert main(["verify", "--n-max", "3", "--M", "3,2,3"]) == 0
+        assert tables == [3, 2] * 3
+
     def test_failed_internal_check_exits_4(self, s2_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("pivot descent failed to isolate edge (1,) at weight (1, 2)")
@@ -417,6 +432,13 @@ class TestVerify:
             1,
             "363daa40e43dc3a8d86c92561fcce6905f1fffea7b56e3f88ed3bf65cccacd56",
             "a21749fc6c2b5fdcbaabc30ec87bc268b3ded2da2a476669762e5e1a0e56fc98",
+        ),
+        # a repeated M with failed checks: each failure is reported at
+        # every listing of its (M, f)
+        "--n-max 3 --M 3,2,3 (tripled bounds)": (
+            1,
+            "f64ffb90e851a65705fac27cfc744a025825608d80b43c055b813d9d13a82458",
+            "f54b145bc96ca61e4d52fbe097b3cde8c5dbb4b5fa24cc3211f49bd8df108327",
         ),
         "--hypergraph {c4} --M 2,3,4 (tripled bounds)": (
             1,
@@ -492,19 +514,45 @@ class TestGridRefusals:
             # would be built first under a walk-by-walk order
             ("search --n-max 3 --M 2,500", "500^3 = 125000000"),
             ("sample --hypergraph {s2} --M 2 --trials 100000001 --seed 1", "100000001"),
+            # more digits than Python prints by default: named as a power
+            ("count --hypergraph {huge} --M 2", "2^20000"),
+            ("verify --hypergraph {huge} --M 2", "2^20000"),
         ],
     )
-    def test_refused_before_any_objective_is_built(self, argv, message, s2_path, capsys, monkeypatch):
+    def test_refused_before_any_objective_is_built(
+        self, argv, message, s2_path, tmp_path, capsys, monkeypatch
+    ):
         def built(*args, **kwargs):
             raise AssertionError("an objective was built")
 
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"n": 20000, "edges": [[1]]}))
         monkeypatch.setattr(isobench.weights.Objective, "__post_init__", built)
-        assert main(argv.format(s2=s2_path).split()) == 3
+        assert main(argv.format(s2=s2_path, huge=huge).split()) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "",
             f"error: {message} weight evaluations exceed budget 100000000\n",
         )
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "count --hypergraph {s2} --M 2",
+            "verify --hypergraph {s2} --M 2",
+            "sample --hypergraph {s2} --M 2 --trials 10 --seed 1",
+        ],
+    )
+    def test_exits_3_without_a_traceback(self, argv, s2_path, capsys, monkeypatch):
+        def exhausted(self):
+            raise MemoryError
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", exhausted)
+        assert main(argv.format(s2=s2_path).split()) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: out of memory\n")
 
 
 class TestMList:

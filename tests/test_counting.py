@@ -74,6 +74,21 @@ class TestCountIsolating:
         with pytest.raises(BudgetExceededError):
             count_isolating(singleton_hypergraph(4), 4, identity_objective(4), budget=100)
 
+    @pytest.mark.parametrize(
+        "M,n,rows",
+        [
+            # 10^4299 has 4,300 digits, as many as Python prints by default
+            (10, 4299, f"10^4299 = 1{'0' * 4299}"),
+            (10, 4300, "10^4300"),
+            (2, 20000, "2^20000"),
+            (2, 10**13, "2^10000000000000"),
+        ],
+    )
+    def test_budget_prints_M_to_the_n_only_in_full_digits(self, M, n, rows):
+        with pytest.raises(BudgetExceededError) as info:
+            count_isolating(Hypergraph(n, (1,)), M, identity_objective(M), budget=10**8)
+        assert str(info.value) == f"{rows} weight evaluations exceed budget 100000000"
+
     def test_m_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             count_isolating(singleton_hypergraph(2), 3, identity_objective(2))

@@ -46,6 +46,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             H(2, [1, 3])
 
+    def test_huge_vertex_count_builds_at_once(self):
+        """Edges are validated without a mask of n bits, which 10^13
+        vertices could not allocate."""
+        assert Hypergraph(10**13, ()).n == Hypergraph(10**13, (1, 6)).n == 10**13
+        with pytest.raises(ValueError, match="not a subset"):
+            Hypergraph(3, (1 << 3,))
+
     def test_rejects_empty_edge_without_flag(self):
         with pytest.raises(ValueError, match="empty edge"):
             Hypergraph(2, (0,))

@@ -48,6 +48,13 @@ class TestTightness:
             zero_weight_tightness(5, 30)
         assert str(info.value) == "30^5 = 24300000 weight evaluations exceed budget 1000000"
 
+    def test_budget_past_the_printable_digits(self):
+        """2^20000 has more digits than Python prints by default; the
+        refusal names it as a power."""
+        with pytest.raises(BudgetExceededError) as info:
+            zero_weight_tightness(20000, 2)
+        assert str(info.value) == "2^20000 weight evaluations exceed budget 100000000"
+
     def test_refused_before_anything_is_built(self, monkeypatch):
         """M^n is refused before the power set or the objective of M values
         is built, which at a large M takes long."""
